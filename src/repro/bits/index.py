@@ -198,9 +198,27 @@ class BufferIndex:
         #: Optional repro.observe tracer; when enabled, every chunk
         #: build is wrapped in an ``index_build`` span.
         self.tracer = None
+        self._metrics: Any = None
+        self._metric_counters: tuple[Any, Any, Any] | None = None
 
     def __len__(self) -> int:
         return len(self.data)
+
+    def attach_metrics(self, registry: Any) -> None:
+        """Count chunk builds, evictions and classified words into
+        ``registry`` (``index.chunks_built``, ``index.chunks_evicted``,
+        ``index.words_classified``) as they happen, whichever run or
+        caller triggers them.  Idempotent per registry; like
+        :attr:`tracer`, the last attached registry wins.
+        """
+        if registry is None or registry is self._metrics:
+            return
+        self._metrics = registry
+        self._metric_counters = (
+            registry.counter("index.chunks_built"),
+            registry.counter("index.chunks_evicted"),
+            registry.counter("index.words_classified"),
+        )
 
     def chunk_of(self, pos: int) -> int:
         """Chunk id containing absolute position ``pos``."""
@@ -266,18 +284,29 @@ class BufferIndex:
         raw = self.data[start : start + self.chunk_size]
         tracer = self.tracer
         if tracer is not None and tracer.enabled:
-            with tracer.span("index_build", chunk=chunk_id, bytes=len(raw)):
+            with tracer.span("index_build", **self._span_attrs(chunk_id, len(raw))):
                 chunk = self._build_chunk(raw, start, carry)
         else:
             chunk = self._build_chunk(raw, start, carry)
         if chunk_id == len(self._carries):
             self._carries.append(chunk.carry_out)
+        words = (chunk.length + _WORD_BITS - 1) // _WORD_BITS
         self.chunks_built += 1
-        self.words_built += (chunk.length + _WORD_BITS - 1) // _WORD_BITS
+        self.words_built += words
+        counters = self._metric_counters
+        if counters is not None:
+            counters[0].add(1)
+            counters[2].add(words)
         self._cache[chunk_id] = chunk
         self._cache.move_to_end(chunk_id)
         if self.cache_chunks is not None:
             while len(self._cache) > self.cache_chunks:
                 self.chunks_evicted += 1
+                if counters is not None:
+                    counters[1].add(1)
                 self._cache.popitem(last=False)
         return chunk
+
+    def _span_attrs(self, chunk_id: int, nbytes: int) -> dict[str, int]:
+        """Attributes of the ``index_build`` span for one chunk build."""
+        return {"chunk": chunk_id, "bytes": nbytes}

@@ -35,6 +35,11 @@ Beyond the flat per-class arrays, each chunk can materialize
 Depth values are absolute (carried across chunks like the string mask),
 so a lookup that misses one chunk continues into the next with the same
 target.
+
+The same classification kernel also indexes a run of small records as
+one chunk (:func:`build_record_batch`, :class:`RecordBatchIndex`), each
+record classified as if it stood alone — batched stage 1 for record
+streams (``docs/two-stage.md``, "Record streams").
 """
 
 from __future__ import annotations
@@ -68,6 +73,11 @@ _CLASS_BYTES: dict[CharClass, tuple[int, ...]] = {
 _DELTA = np.zeros(256, dtype=np.int64)
 _DELTA[_LBRACE] = _DELTA[_LBRACKET] = 1
 _DELTA[_RBRACE] = _DELTA[_RBRACKET] = -1
+#: The same split per pair class (a record's brace and bracket nets).
+_BRACE_DELTA = np.zeros(256, dtype=np.int64)
+_BRACE_DELTA[_LBRACE], _BRACE_DELTA[_RBRACE] = 1, -1
+_BRACKET_DELTA = np.zeros(256, dtype=np.int64)
+_BRACKET_DELTA[_LBRACKET], _BRACKET_DELTA[_RBRACKET] = 1, -1
 
 
 class DepthCarry(NamedTuple):
@@ -331,20 +341,54 @@ class PositionChunk:
         return cached
 
 
-def build_position_chunk(
-    chunk: bytes,
-    start: int,
-    carry: StringCarry = INITIAL_CARRY,
-    depth_in: DepthCarry = DEPTH_ZERO,
-) -> PositionChunk:
-    """Classify one chunk into string-filtered position arrays."""
-    buf = np.frombuffer(chunk, dtype=np.uint8)
+#: Segment arrays of an unsegmented classification (see
+#: :func:`_classify_segments`).
+_NO_SEGMENTS = np.empty(0, dtype=np.int64)
+
+
+class _Classified(NamedTuple):
+    """Output of :func:`_classify_segments` (positions relative to the buffer)."""
+
+    keep: np.ndarray
+    keep_vals: np.ndarray
+    quotes: np.ndarray
+    #: Segment id of each ``keep``/``quotes`` entry (empty: one segment).
+    keep_seg: np.ndarray
+    quote_seg: np.ndarray
+    carry_out: StringCarry
+
+
+def _classify_segments(
+    buf: np.ndarray,
+    carry: StringCarry,
+    starts: np.ndarray = _NO_SEGMENTS,
+    ends: np.ndarray = _NO_SEGMENTS,
+) -> _Classified:
+    """The stage-1 classification kernel.
+
+    With ``starts``/``ends`` (sorted, disjoint ``[start, end)`` segments
+    of ``buf``) every segment is classified as if it stood alone:
+    bytes outside the segments are ignored, and backslash runs and
+    string parity restart at every segment start (depth restarts in
+    :func:`build_record_batch`).
+    Without them the whole buffer is one segment entered with
+    ``carry`` — the chunk-at-a-time case.  ``carry`` is the state at
+    byte 0, so it only ever applies to a segment starting there.
+    """
+    segmented = starts.size > 0
     idx = np.flatnonzero(_INTERESTING[buf])
+    seg = _NO_SEGMENTS
+    if segmented:
+        seg = np.searchsorted(starts, idx, side="right") - 1
+        inside = (seg >= 0) & (idx < ends[seg])
+        idx = idx[inside]
+        seg = seg[inside]
     vals = buf[idx]
 
     quote_mask = vals == _QUOTE
+    backslash_mask = vals == _BACKSLASH
     q = idx[quote_mask]
-    b = idx[vals == _BACKSLASH]
+    b = idx[backslash_mask]
     pending_in = bool(carry.escape)
 
     # --- backslash runs -> escaped-quote detection --------------------
@@ -352,6 +396,10 @@ def build_position_chunk(
         new_run = np.empty(b.size, dtype=bool)
         new_run[0] = True
         np.not_equal(b[1:], b[:-1] + 1, out=new_run[1:])
+        if segmented:
+            # A run never continues across a segment start.
+            b_seg = seg[backslash_mask]
+            new_run[1:] |= b_seg[1:] != b_seg[:-1]
         run_starts = b[new_run]
         end_mask = np.empty(b.size, dtype=bool)
         end_mask[-1] = True
@@ -361,11 +409,16 @@ def build_position_chunk(
     else:
         run_starts = run_ends = run_lens = np.empty(0, dtype=np.int64)
 
+    q_seg = seg[quote_mask] if segmented else _NO_SEGMENTS
     if q.size:
         ri = np.searchsorted(run_ends, q - 1)
         ri_c = np.minimum(ri, max(len(run_ends) - 1, 0))
         if run_ends.size:
             has_run = run_ends[ri_c] == q - 1
+            if segmented:
+                # A run in the previous segment does not escape a quote
+                # that opens this one.
+                has_run &= run_starts[ri_c] >= starts[q_seg]
             eff = run_lens[ri_c] - ((run_starts[ri_c] == 0) & pending_in)
             escaped = has_run & (eff % 2 == 1)
         else:
@@ -373,11 +426,13 @@ def build_position_chunk(
         if pending_in:
             escaped |= q == 0  # a carry-escape consumes the first char
         uq = q[~escaped]
+        if segmented:
+            q_seg = q_seg[~escaped]
     else:
         uq = q
 
     # --- escape carry out ----------------------------------------------
-    n = len(chunk)
+    n = len(buf)
     pending_out = False
     if n and run_ends.size and run_ends[-1] == n - 1:
         eff_len = int(run_lens[-1]) - (1 if (run_starts[-1] == 0 and pending_in) else 0)
@@ -386,16 +441,35 @@ def build_position_chunk(
         pending_out = pending_in
 
     # --- in-string filtering of structural characters -------------------
-    s_idx = idx[~quote_mask & (vals != _BACKSLASH)]
-    s_vals = vals[~quote_mask & (vals != _BACKSLASH)]
+    structural = ~quote_mask & ~backslash_mask
+    s_idx = idx[structural]
+    s_vals = vals[structural]
+    s_seg = seg[structural] if segmented else _NO_SEGMENTS
     if s_idx.size:
-        inside = (np.searchsorted(uq, s_idx) + carry.in_string) % 2 == 1
-        keep = s_idx[~inside]
-        keep_vals = s_vals[~inside]
+        rank = np.searchsorted(uq, s_idx)
+        if segmented:
+            # Parity restarts at each segment: count only its own quotes.
+            rank -= np.searchsorted(uq, starts)[s_seg]
+        outside = (rank + carry.in_string) % 2 == 0
+        keep = s_idx[outside]
+        keep_vals = s_vals[outside]
+        if segmented:
+            s_seg = s_seg[outside]
     else:
         keep, keep_vals = s_idx, s_vals
     in_string_out = int((len(uq) + carry.in_string) % 2)
+    return _Classified(keep, keep_vals, uq, s_seg, q_seg, StringCarry(int(pending_out), in_string_out))
 
+
+def build_position_chunk(
+    chunk: bytes,
+    start: int,
+    carry: StringCarry = INITIAL_CARRY,
+    depth_in: DepthCarry = DEPTH_ZERO,
+) -> PositionChunk:
+    """Classify one chunk into string-filtered position arrays."""
+    out = _classify_segments(np.frombuffer(chunk, dtype=np.uint8), carry)
+    keep_vals = out.keep_vals
     net_brace = int(np.count_nonzero(keep_vals == _LBRACE)) - int(np.count_nonzero(keep_vals == _RBRACE))
     net_bracket = int(np.count_nonzero(keep_vals == _LBRACKET)) - int(np.count_nonzero(keep_vals == _RBRACKET))
     depth_out = DepthCarry(
@@ -406,15 +480,51 @@ def build_position_chunk(
 
     return PositionChunk(
         start=start,
-        length=n,
-        keep=keep.astype(np.int64) + start,
+        length=len(chunk),
+        keep=out.keep.astype(np.int64) + start,
         keep_vals=keep_vals,
-        quotes=uq.astype(np.int64) + start,
+        quotes=out.quotes.astype(np.int64) + start,
         carry_in=carry,
-        carry_out=StringCarry(int(pending_out), in_string_out),
+        carry_out=out.carry_out,
         depth_in=depth_in,
         depth_out=depth_out,
     )
+
+
+def build_record_batch(region: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple[PositionChunk, np.ndarray]:
+    """Classify the records ``[starts[i], ends[i])`` of ``region`` in one
+    pass; returns the batch's chunk and a per-record *balanced* mask.
+
+    A record is balanced when its string-filtered brace and bracket
+    counts each net to zero and it holds an even number of unescaped
+    quotes.  Only balanced records stay in the chunk's arrays: every
+    record before a balanced one then ends at depth 0 outside any
+    string, so one running depth over the whole batch (what
+    :class:`DepthTables` computes from ``DEPTH_ZERO``) restarts at 0 at
+    each record start, exactly as a standalone index of that record
+    would.  Unbalanced records are left for the caller to index alone.
+    """
+    out = _classify_segments(np.frombuffer(region, dtype=np.uint8), INITIAL_CARRY, starts, ends)
+    n_records = len(starts)
+    keep, keep_vals, quotes = out.keep, out.keep_vals, out.quotes
+    brace = np.bincount(out.keep_seg, weights=_BRACE_DELTA[keep_vals], minlength=n_records)
+    bracket = np.bincount(out.keep_seg, weights=_BRACKET_DELTA[keep_vals], minlength=n_records)
+    parity = np.bincount(out.quote_seg, minlength=n_records) % 2
+    balanced = (brace == 0) & (bracket == 0) & (parity == 0)
+    if not balanced.all():
+        kept = balanced[out.keep_seg]
+        keep, keep_vals = keep[kept], keep_vals[kept]
+        quotes = quotes[balanced[out.quote_seg]]
+    chunk = PositionChunk(
+        start=0,
+        length=len(region),
+        keep=keep.astype(np.int64),
+        keep_vals=keep_vals,
+        quotes=quotes.astype(np.int64),
+        carry_in=INITIAL_CARRY,
+        carry_out=INITIAL_CARRY,
+    )
+    return chunk, balanced
 
 
 class PositionBufferIndex(BufferIndex):
@@ -466,3 +576,35 @@ class PositionBufferIndex(BufferIndex):
             DepthCarry(int(depth), int(brace), int(bracket))
             for _, _, depth, brace, bracket in carries
         ]
+
+
+class RecordBatchIndex(PositionBufferIndex):
+    """Stage-1 index of a run of small records, built as one chunk.
+
+    ``region`` holds consecutive records at ``[starts[i], ends[i])``
+    (relative to the region, sorted and disjoint); bytes between them
+    are ignored.  The single chunk is classified by
+    :func:`build_record_batch`, so one pass — and one set of lazily built
+    :class:`DepthTables` — serves every balanced record of the batch;
+    :attr:`balanced` tells the caller which records those are once the
+    chunk is built.  Positions are region-relative:
+    :class:`~repro.bits.scanner.RecordWindowScanner` maps them to each
+    record's own coordinates.
+    """
+
+    def __init__(self, region: bytes, starts: np.ndarray, ends: np.ndarray) -> None:
+        # One chunk covering the whole region (rounded up to whole words),
+        # never evicted.
+        chunk_size = max(64, -(-len(region) // 64) * 64)
+        super().__init__(region, chunk_size=chunk_size, cache_chunks=None)
+        self.starts = starts
+        self.ends = ends
+        #: Per-record balanced mask; set by the chunk build.
+        self.balanced: np.ndarray | None = None
+
+    def _build_chunk(self, chunk: bytes, start: int, carry: StringCarry) -> PositionChunk:
+        built, self.balanced = build_record_batch(chunk, self.starts, self.ends)
+        return built
+
+    def _span_attrs(self, chunk_id: int, nbytes: int) -> dict[str, int]:
+        return {"chunk": chunk_id, "bytes": nbytes, "records": len(self.starts)}

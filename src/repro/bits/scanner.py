@@ -641,6 +641,129 @@ class VectorScanner(Scanner):
         return positions[idx - 1] if idx > 0 else NOT_FOUND
 
 
+class RecordWindowScanner(Scanner):
+    """One record's view of a :class:`VectorScanner` over a record batch
+    (:class:`~repro.bits.posindex.RecordBatchIndex`).
+
+    Stage 2 runs over the record's own bytes, so it asks in record
+    coordinates: the view adds the record's batch offset to every
+    position it passes on and subtracts it from every answer.  An answer
+    outside ``[start, end)`` belongs to a neighbouring record and comes
+    back as :data:`NOT_FOUND` — exactly what a standalone index of the
+    record returns when the record holds no such position.  Because the
+    batch keeps only balanced records, depth lookups inside the window
+    see the record's own depths (see
+    :func:`~repro.bits.posindex.build_record_batch`).
+
+    The view is a full :class:`Scanner`: :meth:`attach_metrics` counts
+    the calls stage 2 makes through it, the same calls a standalone
+    scanner would count.
+    """
+
+    def __init__(self, batch: VectorScanner, start: int, end: int) -> None:
+        super().__init__(batch.index)
+        self.leveled = True
+        self._batch = batch
+        self._start = start
+        self._end = end
+        self._size = end - start
+
+    @property
+    def size(self) -> int:
+        return self._size
+
+    def find_next(self, cls: CharClass, pos: int) -> int:
+        if pos >= self._size:
+            return NOT_FOUND
+        found = self._batch.find_next(cls, pos + self._start)
+        return found - self._start if 0 <= found < self._end else NOT_FOUND
+
+    def find_prev(self, cls: CharClass, pos: int) -> int:
+        pos = min(pos, self._size - 1)
+        if pos < 0:
+            return NOT_FOUND
+        found = self._batch.find_prev(cls, pos + self._start)
+        return found - self._start if found >= self._start else NOT_FOUND
+
+    def count_range(self, cls: CharClass, lo: int, hi: int) -> int:
+        if hi <= lo:
+            return 0
+        start = self._start
+        return self._batch.count_range(cls, lo + start, min(hi, self._size) + start)
+
+    def kth_in_range(self, cls: CharClass, lo: int, k: int) -> int:
+        if k <= 0:
+            raise ValueError(f"k must be positive, got {k}")
+        if lo >= self._size:
+            return NOT_FOUND
+        found = self._batch.kth_in_range(cls, lo + self._start, k)
+        return found - self._start if 0 <= found < self._end else NOT_FOUND
+
+    def pair_close(self, open_cls: CharClass, close_cls: CharClass, pos: int, num_open: int) -> int:
+        if pos >= self._size:
+            return NOT_FOUND
+        found = self._batch.pair_close(open_cls, close_cls, pos + self._start, num_open)
+        return found - self._start if 0 <= found < self._end else NOT_FOUND
+
+    def structural_depth_before(self, pos: int) -> int:
+        return self._batch.structural_depth_before(pos + self._start)
+
+    def commas_at_depth(self, depth: int, lo: int, hi: int, k: int) -> tuple[int, int]:
+        if hi <= lo:
+            return NOT_FOUND, 0
+        start = self._start
+        found, n = self._batch.commas_at_depth(depth, lo + start, min(hi, self._size) + start, k)
+        return (found - start if found >= 0 else NOT_FOUND), n
+
+    def close_at_combined_depth(self, depth: int, pos: int) -> int:
+        if pos >= self._size:
+            return NOT_FOUND
+        found = self._batch.close_at_combined_depth(depth, pos + self._start)
+        return found - self._start if 0 <= found < self._end else NOT_FOUND
+
+    def leveled_obj_attr(self, pos: int, want_byte: int) -> tuple[int, int]:
+        start = self._start
+        end, found = self._batch.leveled_obj_attr(pos + start, want_byte)
+        if not 0 <= end < self._end:
+            return NOT_FOUND, NOT_FOUND
+        # ``found`` precedes ``end``, so it is inside the window when set.
+        return end - start, (found - start if found >= 0 else NOT_FOUND)
+
+    def leveled_ary_elem(self, pos: int, want_byte: int) -> tuple[int, int, int]:
+        start = self._start
+        end, found, commas = self._batch.leveled_ary_elem(pos + start, want_byte)
+        if not 0 <= end < self._end:
+            return NOT_FOUND, NOT_FOUND, 0
+        return end - start, (found - start if found >= 0 else NOT_FOUND), commas
+
+    def prev_quote_pair(self, pos: int) -> tuple[int, int]:
+        start = self._start
+        opening, closing = self._batch.prev_quote_pair(pos + start)
+        if opening >= start:
+            return opening - start, closing - start
+        # Fewer than two of the record's quotes at or before ``pos``: the
+        # standalone scanner's fallback, through this view's own calls.
+        closing = self.find_prev(CharClass.QUOTE, pos)
+        if closing == NOT_FOUND:
+            return NOT_FOUND, NOT_FOUND
+        return self.find_prev(CharClass.QUOTE, closing - 1), closing
+
+    # Stage 2 (repro.engine.fastforward) only uses the queries above; the
+    # per-chunk hooks have no meaning in window coordinates.
+
+    def _chunk_find(self, chunk: ChunkIndex, cls: CharClass, pos: int) -> int:
+        raise NotImplementedError
+
+    def _chunk_count(self, chunk: ChunkIndex, cls: CharClass, lo: int, hi: int) -> int:
+        raise NotImplementedError
+
+    def _chunk_kth(self, chunk: ChunkIndex, cls: CharClass, lo: int, k: int) -> tuple[int, int]:
+        raise NotImplementedError
+
+    def _chunk_find_prev(self, chunk: ChunkIndex, cls: CharClass, pos: int) -> int:
+        raise NotImplementedError
+
+
 #: Registry used by engine constructors (``mode='word'`` / ``mode='vector'``).
 SCANNERS: dict[str, type[Scanner]] = {
     "word": WordScanner,

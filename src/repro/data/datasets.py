@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import random
+import zlib
 from dataclasses import dataclass
 from typing import Callable
 
@@ -432,7 +433,9 @@ def dataset(name: str) -> DatasetSpec:
 
 def _unit_strings(spec: DatasetSpec, target_bytes: int, seed: int) -> list[bytes]:
     """Serialize record units until the target size is reached."""
-    rng = random.Random((hash(spec.name) ^ seed) & 0xFFFF_FFFF)
+    # zlib.crc32, not hash(): str hashes are salted per process, and the
+    # datasets must be the same bytes in every process.
+    rng = random.Random((zlib.crc32(spec.name.encode()) ^ seed) & 0xFFFF_FFFF)
     units: list[bytes] = []
     total = 0
     i = 0

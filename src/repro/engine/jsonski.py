@@ -43,6 +43,7 @@ from repro.jsonpath.ast import Path
 from repro.resilience.guards import Limits, depth_error_from_recursion, effective_limits
 from repro.engine.prepared import cached_automaton
 from repro.query.automaton import ACCEPT, ALIVE, QueryAutomaton
+from repro.stream.batches import record_buffers
 from repro.stream.buffer import StreamBuffer, as_stream_buffer
 from repro.stream.records import RecordStream
 
@@ -163,10 +164,11 @@ class JsonSki(EngineBase):
             if self._tracer.enabled:
                 buffer.index.tracer = self._tracer
             if self._metrics is not None:
+                buffer.index.attach_metrics(self._metrics)
                 buffer.scanner.attach_metrics(self._metrics)
         return buffer
 
-    def _finish_observed(self, run: "_Run", buffer: StreamBuffer, index_before: tuple[int, int, int]) -> None:
+    def _finish_observed(self, run: "_Run") -> None:
         """Flush one observed run into the tracer and registry."""
         tracer = self._tracer
         if tracer.enabled:
@@ -182,16 +184,6 @@ class JsonSki(EngineBase):
             registry.counter("engine.runs").add(1)
             registry.counter("engine.matches").add(len(run.matches))
             registry.counter("engine.bytes_consumed").add(run.pos)
-            index = buffer.index
-            built0, evicted0, words0 = index_before
-            registry.counter("index.chunks_built").add(index.chunks_built - built0)
-            registry.counter("index.chunks_evicted").add(index.chunks_evicted - evicted0)
-            registry.counter("index.words_classified").add(index.words_built - words0)
-
-    @staticmethod
-    def _index_snapshot(buffer: StreamBuffer) -> tuple[int, int, int]:
-        index = buffer.index
-        return index.chunks_built, index.chunks_evicted, index.words_built
 
     def _execute(
         self,
@@ -211,7 +203,6 @@ class JsonSki(EngineBase):
         buffer = self._buffer(data)
         observed = self._observed
         tracer = self._tracer
-        index_before = self._index_snapshot(buffer) if observed else (0, 0, 0)
         run = _Run(
             self.automaton,
             buffer,
@@ -229,7 +220,7 @@ class JsonSki(EngineBase):
         else:
             matches = run.execute()
         if observed:
-            self._finish_observed(run, buffer, index_before)
+            self._finish_observed(run)
         self.last_stats = run.stats
         return run, matches
 
@@ -291,16 +282,24 @@ class JsonSki(EngineBase):
         return self.first(data) is not None
 
     def run_records(self, stream: RecordStream) -> MatchList:
-        """Stream a small-record sequence; matches accumulate in order."""
+        """Stream a small-record sequence; matches accumulate in order.
+
+        Stage 1 runs once per batch of records
+        (:func:`repro.stream.batches.record_buffers`); each record then
+        gets its own :meth:`run` over its own bytes.
+        """
         all_matches = MatchList()
         tracer = self._tracer
         total_stats = FastForwardStats() if (self.collect_stats or self._observed) else None
-        for i in range(len(stream)):
+        buffers = record_buffers(
+            stream, self.mode, self.chunk_size, self.cache_chunks, tracer=tracer, metrics=self._metrics
+        )
+        for i, buffer in enumerate(buffers):
             if tracer.enabled:
                 with tracer.span("record", index=i):
-                    matches = self.run(stream.record(i))
+                    matches = self.run(buffer)
             else:
-                matches = self.run(stream.record(i))
+                matches = self.run(buffer)
             all_matches.extend(matches)
             if total_stats is not None and self.last_stats is not None:
                 total_stats.merge(self.last_stats)

@@ -19,6 +19,7 @@ from repro.engine.stats import FastForwardStats
 from repro.jsonpath.ast import Path
 from repro.observe import NOOP_TRACER
 from repro.query.multi import MultiQueryAutomaton
+from repro.stream.batches import record_buffers
 from repro.stream.buffer import StreamBuffer, as_stream_buffer
 from repro.stream.records import RecordStream
 
@@ -99,6 +100,7 @@ class JsonSkiMulti:
         if tracer.enabled:
             buffer.index.tracer = tracer
         if self._metrics is not None:
+            buffer.index.attach_metrics(self._metrics)
             buffer.scanner.attach_metrics(self._metrics)
         with tracer.span("scan", engine="jsonski-multi", bytes=len(buffer.data)) as span:
             run = _MultiRun(self.automaton, buffer, True, self._name_cache, limits=self.limits)
@@ -114,8 +116,13 @@ class JsonSkiMulti:
         return run.per_query
 
     def run_records(self, stream: RecordStream) -> list[MatchList]:
+        """Stream a small-record sequence with batched stage 1 (see
+        :meth:`repro.engine.jsonski.JsonSki.run_records`)."""
         totals = [MatchList() for _ in range(self.n_queries)]
-        for record in stream:
-            for total, matches in zip(totals, self.run(record)):
+        buffers = record_buffers(
+            stream, self.mode, self.chunk_size, self.cache_chunks, tracer=self._tracer, metrics=self._metrics
+        )
+        for buffer in buffers:
+            for total, matches in zip(totals, self.run(buffer)):
                 total.extend(matches)
         return totals

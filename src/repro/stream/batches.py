@@ -1,0 +1,98 @@
+"""Batched stage 1 for record streams.
+
+Running stage 1 once per small record pays a fixed cost — a fresh index,
+scanner, position chunk and depth tables, each a few dozen short numpy
+calls — that dominates kilobyte-sized records (paper Figure 11).
+:func:`record_buffers` instead classifies a run of consecutive records
+in one vectorized pass (:class:`~repro.bits.posindex.RecordBatchIndex`)
+and hands out one :class:`~repro.stream.buffer.StreamBuffer` per
+record: its ``data`` is the record's own bytes, and its scanner is a
+:class:`~repro.bits.scanner.RecordWindowScanner` into the shared batch
+index.  Stage 2 runs unchanged over each buffer, so match offsets,
+errors and per-record limits are those of a standalone run.
+
+Records that cannot share a batch get an ordinary standalone buffer:
+records larger than :data:`BATCH_BYTES` (their own chunked index keeps
+their memory bounded), empty or out-of-range offsets, and *unbalanced*
+records (see :func:`~repro.bits.posindex.build_record_batch`) — so the
+errors of malformed records come out of the same code as ever.  Word
+mode keeps one standalone buffer per record.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Iterator
+
+import numpy as np
+
+from repro.bits.index import DEFAULT_CHUNK_SIZE
+from repro.bits.posindex import RecordBatchIndex
+from repro.bits.scanner import RecordWindowScanner, VectorScanner
+from repro.stream.buffer import StreamBuffer
+from repro.stream.records import RecordStream
+
+#: Most bytes one batch index covers, from its first record's start to
+#: its last record's end.  Memory for stage 1 of a record stream is one
+#: such index at a time.
+BATCH_BYTES = 64 * 1024
+
+
+def record_buffers(
+    stream: RecordStream,
+    mode: str = "vector",
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
+    cache_chunks: int | None = 4,
+    tracer: Any = None,
+    metrics: Any = None,
+) -> Iterator[StreamBuffer]:
+    """Yield one :class:`StreamBuffer` per record of ``stream``, in order.
+
+    In vector mode consecutive records are indexed in batches of at most
+    :data:`BATCH_BYTES`; each batch is built when its first record is
+    reached, with ``tracer`` receiving its ``index_build`` span and
+    ``metrics`` its ``index.*`` counters.  ``chunk_size``/``cache_chunks``
+    apply to the standalone buffers.
+    """
+    payload = stream.payload
+    n = len(stream)
+
+    def standalone(i: int) -> StreamBuffer:
+        return StreamBuffer(stream.record(i), mode=mode, chunk_size=chunk_size, cache_chunks=cache_chunks)
+
+    if mode != "vector":
+        for i in range(n):
+            yield standalone(i)
+        return
+    size = len(payload)
+    offsets = stream.offsets.tolist()
+    i = 0
+    while i < n:
+        first, end = offsets[i]
+        if not 0 <= first < end <= size or end - first > BATCH_BYTES:
+            yield standalone(i)
+            i += 1
+            continue
+        # Extend the batch over following records that start at or after
+        # the previous one's end and keep the span within BATCH_BYTES.
+        j = i + 1
+        while j < n:
+            start, stop = offsets[j]
+            if not end <= start < stop <= size or stop - first > BATCH_BYTES:
+                break
+            end = stop
+            j += 1
+        bounds = np.array(offsets[i:j], dtype=np.int64) - first
+        index = RecordBatchIndex(payload[first:end], bounds[:, 0], bounds[:, 1])
+        index.tracer = tracer
+        index.attach_metrics(metrics)
+        index.get(0)
+        batch = VectorScanner(index)
+        balanced = index.balanced.tolist()
+        for k in range(i, j):
+            start, stop = offsets[k]
+            if balanced[k - i]:
+                window = RecordWindowScanner(batch, start - first, stop - first)
+                yield StreamBuffer.over(payload[start:stop], index, window)
+            else:
+                yield standalone(k)
+        i = j

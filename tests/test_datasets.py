@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +50,26 @@ class TestDeterminism:
 
     def test_different_seed_differs(self):
         assert large_record("TT", 20_000, seed=3) != large_record("TT", 20_000, seed=4)
+
+    def test_same_bytes_under_any_hash_seed(self):
+        # Generation must not depend on the per-process str hash salt.
+        child = (
+            "import sys, zlib\n"
+            "from repro.data.datasets import DATASETS, large_record, record_stream\n"
+            "for name in DATASETS:\n"
+            "    doc = large_record(name, 20_000, seed=5)\n"
+            "    records = record_stream(name, 20_000, seed=5)\n"
+            "    print(name, zlib.crc32(doc), zlib.crc32(records.payload), records.offsets.tolist())\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed}
+            proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr.decode()
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0].splitlines()) == len(DATASETS)
 
 
 class TestQueries:

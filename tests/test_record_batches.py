@@ -1,0 +1,325 @@
+"""Batched stage 1 for record streams (``repro.stream.batches``).
+
+``run_records`` classifies runs of records in one pass and runs each
+record's stage 2 through a window into the shared batch index.  These
+tests hold it to the per-record path it replaces: a loop of ``run()``
+over ``stream.record(i)`` must give the same ``to_jsonl`` output, the
+same ``(source, start, end)`` per match, and — when a record is bad —
+the same exception type, message and position.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+import repro
+from repro.bits.classify import CharClass
+from repro.bits.posindex import build_position_chunk, build_record_batch
+from repro.bits.scanner import NOT_FOUND
+from repro.data.datasets import DATASETS, record_stream
+from repro.engine.multi import JsonSkiMulti
+from repro.engine.output import MatchList
+from repro.resilience import Limits
+from repro.resilience.faults import MUTATORS, mutate
+from repro.stream.batches import BATCH_BYTES, record_buffers
+from repro.stream.records import RecordStream
+
+SMALL_QUERIES = [(name, q.small) for name, spec in DATASETS.items() for q in spec.queries if q.small]
+
+BASE = [
+    json.dumps({"a": {"b": 1, "k": [1, 2]}, "x": "s\\\"q"}).encode(),
+    json.dumps({"a": [0, 1, 2, 3, 4], "k": {"k": True}, "x": "{[\\\\"}).encode(),
+    json.dumps({"a": [{"b": {"c": 1}}, {"b": 2}, 3, {"b": [4]}], "x": ["t", "u"]}).encode(),
+]
+QUERIES = ("$.a", "$.a.b", "$.x", "$.a[1:3]", "$..k", "$.a[*].b", "$.a[?(@.b == 2)]", "$.a[?(@.b)].b.c")
+SEPARATORS = (b"", b"\n", b" \n")
+
+
+def _outcome(call):
+    """``("ok", jsonl, spans)`` or ``("error", type, message, position)``."""
+    try:
+        matches = call()
+    except Exception as exc:  # noqa: BLE001 -- the exception itself is compared
+        return ("error", type(exc), str(exc), getattr(exc, "position", None))
+    spans = [(bytes(m.source), m.start, m.end) for m in matches]
+    return ("ok", matches.to_jsonl(), spans)
+
+
+def _per_record(engine, stream: RecordStream) -> MatchList:
+    out = MatchList()
+    for i in range(len(stream)):
+        out.extend(engine.run(stream.record(i)))
+    return out
+
+
+def assert_same(query: str, stream: RecordStream, **opts) -> None:
+    batched = _outcome(lambda: repro.compile(query, **opts).run_records(stream))
+    reference = _outcome(lambda: _per_record(repro.compile(query, **opts), stream))
+    assert batched == reference, (query, stream.payload[:200])
+
+
+class TestDifferential:
+    @pytest.mark.parametrize("name,query", SMALL_QUERIES)
+    def test_dataset_streams(self, name, query):
+        # Two batches' worth of records, so batch boundaries are crossed.
+        stream = record_stream(name, int(1.3 * BATCH_BYTES), seed=3)
+        assert_same(query, stream)
+
+    @pytest.mark.parametrize("kind", sorted(MUTATORS))
+    @pytest.mark.parametrize("sep", SEPARATORS)
+    def test_mutated_three_record_streams(self, kind, sep):
+        for seed in range(12):
+            bad = mutate(BASE[seed % 3], seed=seed, kind=kind).data
+            records = [BASE[(seed + 1) % 3], bad, BASE[(seed + 2) % 3]]
+            stream = RecordStream.from_records(records, separator=sep)
+            for query in QUERIES:
+                assert_same(query, stream)
+
+    def test_non_record_bytes_between_offsets(self):
+        junk = b'"\\\\{[}]" \\ {"a": "'
+        payload = bytearray()
+        offsets = []
+        for i, record in enumerate(BASE * 3):
+            payload += junk[: i % len(junk)]
+            offsets.append((len(payload), len(payload) + len(record)))
+            payload += record
+        payload += junk
+        stream = RecordStream(bytes(payload), np.array(offsets))
+        for query in QUERIES:
+            assert_same(query, stream)
+
+    def test_escape_runs_do_not_cross_records(self):
+        # A record ending in a backslash must not escape the next
+        # record's first byte, whatever the separator.
+        records = [b'{"a": 1}\\', b'"x"', b'{"a": "\\\\"}\\\\', b'{"a": [2]}']
+        for sep in SEPARATORS:
+            for query in QUERIES:
+                assert_same(query, RecordStream.from_records(records, separator=sep))
+
+    def test_record_larger_than_a_batch(self):
+        big = json.dumps({"a": [{"b": i, "pad": "x" * 40} for i in range(2000)]}).encode()
+        assert len(big) > BATCH_BYTES
+        stream = RecordStream.from_records([BASE[0], big, BASE[2]], separator=b"\n")
+        for query in QUERIES:
+            assert_same(query, stream)
+
+    def test_one_record_and_empty_streams(self):
+        for query in QUERIES:
+            assert_same(query, RecordStream.from_records([BASE[2]]))
+            assert_same(query, RecordStream.from_records([]))
+
+    def test_empty_and_out_of_range_offsets(self):
+        payload = b'{"a": 1}\n{"a": 2}'
+        stream = RecordStream(payload, np.array([[0, 8], [9, 9], [9, 17], [12, 40]]))
+        assert_same("$.a", stream)
+
+    def test_word_mode_and_limits(self):
+        stream = RecordStream.from_records(BASE * 4, separator=b"\n")
+        for query in QUERIES:
+            assert_same(query, stream, engine="jsonski-word")
+            assert_same(query, stream, limits=Limits(max_record_bytes=len(BASE[0]) + 1))
+            assert_same(query, stream, limits=Limits(max_depth=3))
+
+    def test_multi_query_engine(self):
+        records = [BASE[0], b'{"a": [1, 2', BASE[2]] + [mutate(b, seed=i).data for i, b in enumerate(BASE)]
+        stream = RecordStream.from_records(records, separator=b"\n")
+        queries = ["$.a", "$.a[*].b", "$.x"]
+
+        def batched():
+            return JsonSkiMulti(queries).run_records(stream)
+
+        def reference():
+            engine = JsonSkiMulti(queries)
+            totals = [MatchList() for _ in queries]
+            for i in range(len(stream)):
+                for total, matches in zip(totals, engine.run(stream.record(i))):
+                    total.extend(matches)
+            return totals
+
+        def summary(call):
+            try:
+                return [m.to_jsonl() for m in call()]
+            except Exception as exc:  # noqa: BLE001
+                return (type(exc), str(exc), getattr(exc, "position", None))
+
+        assert summary(batched) == summary(reference)
+        clean = RecordStream.from_records(BASE * 3)
+        assert [m.to_jsonl() for m in JsonSkiMulti(queries).run_records(clean)] == [
+            repro.compile(q).run_records(clean).to_jsonl() for q in queries
+        ]
+
+
+class TestKernel:
+    def test_one_segment_kernel_is_the_chunk_build(self):
+        data = BASE[1] + b" " + BASE[0]
+        chunk = build_position_chunk(data, 0)
+        batch, balanced = build_record_batch(data, np.array([0]), np.array([len(data)]))
+        assert balanced.tolist() == [True]
+        assert batch.keep.tolist() == chunk.keep.tolist()
+        assert batch.quotes.tolist() == chunk.quotes.tolist()
+
+    def test_segments_match_standalone_chunks(self):
+        records = [BASE[0], b'{"a": "\\\\\\""}', BASE[2]]
+        # The bytes between records are not part of any record.
+        stream = RecordStream.from_records(records, separator=b'\\"{[ ')
+        offsets = stream.offsets
+        batch, balanced = build_record_batch(stream.payload, offsets[:, 0], offsets[:, 1])
+        assert balanced.all()
+        for record, (start, end) in zip(records, offsets.tolist()):
+            alone = build_position_chunk(record, 0)
+            inside = (batch.keep >= start) & (batch.keep < end)
+            assert (batch.keep[inside] - start).tolist() == alone.keep.tolist()
+
+    def test_escapes_restart_at_each_record(self):
+        # Run together, the first record's trailing backslash would
+        # escape (or join a run with) the next record's first byte.
+        records = [b'{"a": 1}\\', b'""{}', b'{"b": 2}\\', b'\\"{}""', BASE[1]]
+        stream = RecordStream.from_records(records, separator=b"")
+        offsets = stream.offsets
+        batch, balanced = build_record_batch(stream.payload, offsets[:, 0], offsets[:, 1])
+        assert balanced.all()
+        for record, (start, end) in zip(records, offsets.tolist()):
+            alone = build_position_chunk(record, 0)
+            inside = (batch.keep >= start) & (batch.keep < end)
+            assert (batch.keep[inside] - start).tolist() == alone.keep.tolist()
+            quotes = batch.quotes[(batch.quotes >= start) & (batch.quotes < end)]
+            assert (quotes - start).tolist() == alone.quotes.tolist()
+
+    def test_parity_restarts_after_an_odd_quote_record(self):
+        records = [b'{"a": "x}', BASE[0], b'["\\"', BASE[2]]
+        stream = RecordStream.from_records(records, separator=b"\n")
+        offsets = stream.offsets
+        batch, balanced = build_record_batch(stream.payload, offsets[:, 0], offsets[:, 1])
+        assert balanced.tolist() == [False, True, False, True]
+        for k in (1, 3):
+            start, end = offsets[k].tolist()
+            alone = build_position_chunk(records[k], 0)
+            assert (batch.keep[(batch.keep >= start) & (batch.keep < end)] - start).tolist() == alone.keep.tolist()
+
+    def test_unbalanced_records_are_left_out(self):
+        records = [b'{"a": [1}', b'{"a": "x}', BASE[0], b'{"a": 1}}']
+        stream = RecordStream.from_records(records, separator=b"\n")
+        offsets = stream.offsets
+        batch, balanced = build_record_batch(stream.payload, offsets[:, 0], offsets[:, 1])
+        assert balanced.tolist() == [False, False, True, False]
+        start, end = offsets[2].tolist()
+        assert ((batch.keep >= start) & (batch.keep < end)).all()
+
+
+WINDOW_RECORDS = [
+    BASE[0],
+    b'{"a": 1}]  [',          # balanced, closes below the root after it
+    b'}{"k": [{"b": 1}, 2]',  # balanced, opens at depth -1
+    b'["x", {"y": "]"}, [3, [4]]]',
+    BASE[2],
+]
+
+
+class TestWindowScanner:
+    """Every query a record window answers equals the answer of the
+    record's own standalone index — in particular when the batch holds
+    the sought position only in a neighbouring record."""
+
+    @staticmethod
+    def _pairs():
+        stream = RecordStream.from_records(WINDOW_RECORDS, separator=b" ")
+        buffers = list(record_buffers(stream))
+        assert len({id(b.index) for b in buffers}) == 1
+        for record, buffer in zip(WINDOW_RECORDS, buffers):
+            yield record, buffer.scanner, repro.StreamBuffer(record).scanner
+
+    def test_class_queries(self):
+        for record, view, alone in self._pairs():
+            n = len(record)
+            for cls in (CharClass.QUOTE, CharClass.LBRACE, CharClass.RBRACKET, CharClass.COMMA,
+                        CharClass.COMMA_OR_RBRACE, CharClass.OPEN):
+                assert view.find_prev(cls, -1) == alone.find_prev(cls, -1) == NOT_FOUND
+                for pos in range(n + 2):
+                    assert view.find_next(cls, pos) == alone.find_next(cls, pos), (record, cls, pos)
+                    assert view.find_prev(cls, pos) == alone.find_prev(cls, pos), (record, cls, pos)
+                    for k in (1, 2, 5):
+                        assert view.kth_in_range(cls, pos, k) == alone.kth_in_range(cls, pos, k)
+                    for hi in (pos + 1, pos + 7, n + 3):
+                        assert view.count_range(cls, pos, hi) == alone.count_range(cls, pos, hi)
+
+    def test_depth_queries(self):
+        pairs = ((CharClass.LBRACE, CharClass.RBRACE), (CharClass.LBRACKET, CharClass.RBRACKET))
+        for record, view, alone in self._pairs():
+            n = len(record)
+            for pos in range(n):
+                for open_cls, close_cls in pairs:
+                    for num_open in (1, 2, 4):
+                        got = view.pair_close(open_cls, close_cls, pos, num_open)
+                        assert got == alone.pair_close(open_cls, close_cls, pos, num_open), (record, pos)
+                assert view.structural_depth_before(pos) == alone.structural_depth_before(pos)
+                assert view.prev_quote_pair(pos) == alone.prev_quote_pair(pos)
+                for want in (0x7B, 0x5B):
+                    assert view.leveled_obj_attr(pos, want) == alone.leveled_obj_attr(pos, want), (record, pos)
+                    assert view.leveled_ary_elem(pos, want) == alone.leveled_ary_elem(pos, want), (record, pos)
+                for depth in (-1, 0, 1, 2, 3):
+                    assert view.close_at_combined_depth(depth, pos) == alone.close_at_combined_depth(depth, pos)
+                    for hi in (pos + 5, n + 3):
+                        assert view.commas_at_depth(depth, pos, hi, 2) == alone.commas_at_depth(depth, pos, hi, 2)
+
+
+def _stream(n: int) -> RecordStream:
+    return RecordStream.from_records([BASE[i % 3] for i in range(n)], separator=b"\n")
+
+
+def _expected_batches(stream: RecordStream) -> list[tuple[int, int]]:
+    """``(records, bytes)`` of each batch the iterator forms over a
+    stream of small, ordered records."""
+    batches: list[tuple[int, int]] = []
+    first = count = last_end = 0
+    for start, end in stream.offsets.tolist():
+        if count and end - first > BATCH_BYTES:
+            batches.append((count, last_end - first))
+            count = 0
+        if not count:
+            first = start
+        count += 1
+        last_end = end
+    if count:
+        batches.append((count, last_end - first))
+    return batches
+
+
+class TestObservability:
+    def test_one_index_build_span_per_batch_and_one_record_span_per_record(self):
+        stream = _stream(1500)
+        expected = _expected_batches(stream)
+        assert len(expected) > 1
+        tracer = repro.Tracer()
+        repro.compile("$.a.b", tracer=tracer).run_records(stream)
+        builds = tracer.named("index_build")
+        assert [(s.attrs["records"], s.attrs["bytes"]) for s in builds] == expected
+        assert len(tracer.named("record")) == len(stream)
+
+    def test_index_counters_count_batches(self):
+        stream = _stream(1500)
+        expected = _expected_batches(stream)
+        registry = repro.MetricsRegistry()
+        repro.compile("$.a.b", metrics=registry).run_records(stream)
+        assert registry.value("index.chunks_built") == len(expected)
+        assert registry.value("index.words_classified") == sum(math.ceil(b / 64) for _, b in expected)
+        assert registry.value("engine.records") == len(stream)
+
+    def test_scanner_calls_counted_through_the_view(self):
+        stream = _stream(120)
+        for query in ("$.a.b", "$.a[*].b", "$.a[1:3]", "$.x"):
+            batched, reference = repro.MetricsRegistry(), repro.MetricsRegistry()
+            repro.compile(query, metrics=batched).run_records(stream)
+            _per_record(repro.compile(query, metrics=reference), stream)
+            calls = {(c.name, c.labels) : c.value for c in batched.counters() if c.name == "scanner.calls"}
+            want = {(c.name, c.labels): c.value for c in reference.counters() if c.name == "scanner.calls"}
+            assert calls == want and sum(calls.values()) > 0, query
+
+    def test_record_views_share_one_batch_index(self):
+        stream = _stream(10)
+        buffers = list(record_buffers(stream))
+        assert len({id(b.index) for b in buffers}) == 1
+        assert [b.data for b in buffers] == [stream.record(i) for i in range(len(stream))]
