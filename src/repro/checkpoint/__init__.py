@@ -7,9 +7,9 @@ Three layers, smallest to largest:
   fsync + rename); a corrupt newest generation falls back to the newest
   valid one.
 - :mod:`repro.checkpoint.suspend` — :class:`SuspendableRun` /
-  :class:`EngineState`: the JSONSki evaluation loop with an explicit,
-  serializable stack, so a single huge record can suspend at a member
-  boundary and resume in a fresh process.
+  :class:`EngineState`: the JSONSki evaluation loop in byte-budgeted
+  steps whose frames serialize between steps, so a single huge record
+  can suspend at a member boundary and resume in a fresh process.
 - :mod:`repro.checkpoint.runs` — record-granularity checkpointing for
   :func:`repro.resilience.run_with_recovery` and
   :func:`repro.parallel.run_records_pool_resilient` (durable cursor,

@@ -1,104 +1,54 @@
 """Intra-record suspension: the JSONSki evaluation loop as durable state.
 
-:class:`repro.engine.jsonski.JsonSki` keeps its pushdown on the Python
-call stack — fast, but invisible to a checkpoint.  This module runs the
-*same* Algorithm-2 streaming evaluation (same automaton, same
-fast-forward functions, same match semantics) with an **explicit frame
-stack**, so the whole evaluation state at any member boundary is a small
-serializable value:
+:class:`SuspendableRun` drives the one Algorithm-2 interpreter,
+:class:`repro.engine.jsonski._Run`, in byte-budgeted steps.  A step ends
+at the first member boundary (the start of an attribute or element at
+any depth) at or past its budget: the loop raises an internal
+``_Suspend``, and as it unwinds the recursion every open
+``_object``/``_array`` activation appends its frame — container kind,
+automaton state, element index, pending reserved slot, container start.
+The next step rebuilds the recursion top-down from those frames: each
+non-top frame first re-enters its child, then fills the child's reserved
+slot, then continues with G4 or its delimiter.
 
-- the frame stack — one ``(container kind, automaton frontier, element
-  counter, pending match slot)`` tuple per open container.  Frontiers,
-  not state ids, cross the process boundary: ids are interning-order
-  dependent (:meth:`~repro.query.automaton.QueryAutomaton.state_for_frontier`);
-- the scan position;
-- the matches emitted so far, as byte offsets (``None`` marks a reserved
-  pre-order slot whose container is still open — the descendant
-  extension);
-- the structural index's cross-chunk carries: in-string / trailing
-  escape for the word index, plus the structural-depth counters
-  (combined/brace/bracket — the vector hot path's array cursors) for the
-  position index.  A handful of ints per chunk, so a fresh process
-  rebuilds bitmaps *and* depth tables for the chunk it resumes in
-  **without rescanning from byte zero**
-  (:meth:`~repro.bits.index.BufferIndex.seed_carries` /
-  :meth:`~repro.bits.posindex.PositionBufferIndex.seed_carries`).
-
-That bundle is :class:`EngineState`; the paper's Figure-10 giant-record
-scenario can now survive a process death mid-record
-(``repro '$..' big.json --checkpoint ck`` → SIGKILL → ``--resume``).
-
-Suspension points are member boundaries (the start of an attribute or
-element at any depth): every byte of the input is processed exactly once
-across the whole suspend/resume chain, and the final match list is
-byte-identical to an uninterrupted :meth:`JsonSki.run`.
+Between steps the whole evaluation state is an :class:`EngineState`:
+the frames (automaton states as frontiers — state ids depend on
+interning order, see
+:meth:`~repro.query.automaton.QueryAutomaton.state_for_frontier`), the
+scan position, the matches so far as byte offsets (``None`` for a
+reserved slot whose container is still open) and the structural index's
+per-chunk carries, from which a fresh process rebuilds the chunk it
+resumes in without rescanning from byte zero
+(:meth:`~repro.bits.index.BufferIndex.seed_carries`).  So the paper's
+Figure-10 giant-record scenario survives a process death mid-record
+(``repro '$..' big.json --checkpoint ck`` → SIGKILL → ``--resume``), and
+the final match list is byte-identical to an uninterrupted
+:meth:`JsonSki.run`.  Nesting is bounded as there: a nesting bomb raises
+:class:`~repro.errors.DepthLimitError`, also under ``Limits.unlimited()``.
 
 Not supported here: filter queries (they evaluate by engine composition,
 not by one automaton), ``run_with_paths``, early termination, and the
-per-run statistics/trace instruments — a suspended run reports plain
-matches (see docs/robustness.md for what is and is not checkpointed).
+per-run statistics/trace instruments (see docs/robustness.md).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from repro.bits.classify import CharClass
 from repro.bits.index import DEFAULT_CHUNK_SIZE
 from repro.checkpoint.store import fingerprint
-from repro.engine.fastforward import make_fastforwarder
-from repro.engine.names import decode_name
+from repro.engine.jsonski import ARY, OBJ, _Run
 from repro.engine.output import MatchList
-from repro.errors import (
-    CheckpointError,
-    InvariantError,
-    JsonSyntaxError,
-    UnsupportedQueryError,
-)
 from repro.engine.prepared import cached_automaton
-from repro.query.automaton import ACCEPT, ALIVE, QueryAutomaton
+from repro.errors import CheckpointError, UnsupportedQueryError
+from repro.query.automaton import QueryAutomaton
 from repro.resilience.guards import Limits, effective_limits
 from repro.stream.buffer import StreamBuffer
-
-_LBRACE, _RBRACE = 0x7B, 0x7D
-_LBRACKET, _RBRACKET = 0x5B, 0x5D
-_QUOTE, _COMMA, _COLON = 0x22, 0x2C, 0x3A
-_QUOTE_B, _BACKSLASH = b'"', 0x5C
-_WS = frozenset(b" \t\n\r")
-
-#: Frame kinds (serialized verbatim).
-OBJ, ARY = "obj", "ary"
 
 #: EngineState layout version.  2: vector-mode carries widened from
 #: ``(escape, in_string)`` pairs to 5-tuples that include the structural
 #: depth counters the two-stage hot path chains across chunks.
 STATE_VERSION = 2
-
-
-class _Suspend(Exception):
-    """Internal: the current step's byte budget is spent."""
-
-
-class _Frame:
-    """One open container: the explicit form of a ``_Run`` stack frame.
-
-    ``await_flags`` is transient within a drive loop (the status flags of
-    the value just consumed, consulted for G4 and delimiter handling); at
-    a suspension point it is non-``None`` only on frames with an open
-    child, where it equals the child's own status flags — so it is
-    reconstructed, never serialized.
-    """
-
-    __slots__ = ("kind", "state", "idx", "slot", "vstart", "await_flags")
-
-    def __init__(self, kind: str, state: int, idx: int = 0,
-                 slot: int | None = None, vstart: int = 0) -> None:
-        self.kind = kind
-        self.state = state
-        self.idx = idx
-        self.slot = slot
-        self.vstart = vstart
-        self.await_flags: int | None = None
 
 
 @dataclass(frozen=True)
@@ -119,20 +69,7 @@ class EngineState:
     version: int = STATE_VERSION
 
     def to_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "query": self.query,
-            "mode": self.mode,
-            "chunk_size": self.chunk_size,
-            "cache_chunks": self.cache_chunks,
-            "pos": self.pos,
-            "size": self.size,
-            "payload_fingerprint": self.payload_fingerprint,
-            "frames": self.frames,
-            "matches": self.matches,
-            "carries": self.carries,
-            "done": self.done,
-        }
+        return {"version": self.version, **{name: getattr(self, name) for name in _STATE_FIELDS}}
 
     @classmethod
     def from_dict(cls, data: dict) -> "EngineState":
@@ -141,21 +78,17 @@ class EngineState:
                 f"engine state version {data.get('version')!r} is not {STATE_VERSION}"
             )
         try:
-            return cls(
-                query=data["query"],
-                mode=data["mode"],
-                chunk_size=data["chunk_size"],
-                cache_chunks=data["cache_chunks"],
-                pos=data["pos"],
-                size=data["size"],
-                payload_fingerprint=data["payload_fingerprint"],
-                frames=data["frames"],
-                matches=data["matches"],
-                carries=data["carries"],
-                done=data["done"],
-            )
+            return cls(**{name: data[name] for name in _STATE_FIELDS})
         except KeyError as exc:
             raise CheckpointError(f"engine state is missing field {exc}") from None
+
+
+_STATE_FIELDS = [field.name for field in fields(EngineState) if field.name != "version"]
+
+
+def _offset(value, size: int) -> bool:
+    """Whether ``value`` is a byte offset into (or just past) the input."""
+    return type(value) is int and 0 <= value <= size
 
 
 class SuspendableRun:
@@ -186,18 +119,17 @@ class SuspendableRun:
         self.query_text = query_text
         self.mode = mode
         self.limits = effective_limits(limits)
-        self.deadline = self.limits.deadline
-        self.data = buffer.data
-        self.size = len(buffer.data)
-        self.ff = make_fastforwarder(buffer)
-        self.pos = 0
+        self.limits.check_record_size(len(buffer.data))
+        self._run = _Run(automaton, buffer, False, {}, limits=self.limits)
+        self.size = self._run.size
+        #: Open frames of the suspended pass, outermost first (empty
+        #: before the first step and once done).
+        self._frames: list[list] = []
         self.done = False
-        #: Match offsets: ``[start, end]`` or ``None`` for a reserved
-        #: pre-order slot whose container is still open.
-        self._matches: list[list[int] | None] = []
-        self._frames: list[_Frame] = []
-        self._names: dict[bytes, str] = {}
-        self._budget: int | None = None
+
+    @property
+    def pos(self) -> int:
+        return self._run.pos
 
     # -- construction ---------------------------------------------------
 
@@ -220,12 +152,8 @@ class SuspendableRun:
                 "filter queries evaluate by engine composition and cannot "
                 "be suspended; use JsonSki without --checkpoint"
             )
-        automaton = cached_automaton(path)
         buffer = StreamBuffer(data, mode=mode, chunk_size=chunk_size, cache_chunks=cache_chunks)
-        run = cls(automaton, buffer, query, mode, limits)
-        run.limits.check_record_size(run.size)
-        run._start()
-        return run
+        return cls(cached_automaton(path), buffer, query, mode, limits)
 
     @classmethod
     def resume(
@@ -239,7 +167,8 @@ class SuspendableRun:
         ``data`` must be the same payload the run was suspended over —
         match offsets and the scan position are byte offsets into it; a
         fingerprint mismatch raises :class:`~repro.errors.CheckpointError`
-        instead of resuming wrong.
+        instead of resuming wrong, and so does a state that no run over
+        ``data`` could have captured.
         """
         if isinstance(state, dict):
             state = EngineState.from_dict(state)
@@ -254,37 +183,67 @@ class SuspendableRun:
         buffer = StreamBuffer(
             data, mode=state.mode, chunk_size=state.chunk_size, cache_chunks=state.cache_chunks
         )
-        buffer.index.seed_carries(state.carries)
+        try:
+            buffer.index.seed_carries(state.carries)
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(f"engine state carries are malformed: {exc}") from None
         run = cls(automaton, buffer, state.query, state.mode, limits)
-        run.pos = state.pos
-        run.done = state.done
-        run._matches = [list(entry) if entry is not None else None for entry in state.matches]
-        for serialized in state.frames:
-            frame = _Frame(
-                kind=serialized["kind"],
-                state=automaton.state_for_frontier(serialized["frontier"]),
-                idx=serialized["idx"],
-                slot=serialized["slot"],
-                vstart=serialized["vstart"],
-            )
-            run._frames.append(frame)
-        # A non-top frame is always waiting on the container right above
-        # it; its pending status flags are the child's own (see _Frame).
-        for parent, child in zip(run._frames, run._frames[1:]):
-            parent.await_flags = automaton.status_flags(child.state)
+        run._restore(state)
         return run
+
+    def _restore(self, state: EngineState) -> None:
+        """Load a checkpoint's position, matches and frames, rejecting
+        any value that no run over this input could have captured."""
+        size, data = self.size, self._run.data
+        if not _offset(state.pos, size):
+            raise CheckpointError(f"engine state pos {state.pos!r} is outside the input (0..{size})")
+        add, reserve = self._run.matches.add, self._run.matches.reserve
+        for entry in state.matches:
+            if entry is None:
+                reserve()
+                continue
+            try:
+                start, end = entry
+            except (TypeError, ValueError):
+                start = end = None
+            if type(start) is not int or type(end) is not int or not 0 <= start <= end <= size:
+                raise CheckpointError(
+                    f"engine state match {entry!r} is not a [start, end] pair within the input"
+                )
+            add(data, start, end)
+        open_slots = {i for i, entry in enumerate(state.matches) if entry is None}
+        for frame in state.frames:
+            try:
+                kind, idx, slot, start = frame["kind"], frame["idx"], frame["slot"], frame["vstart"]
+                automaton_state = self.qa.state_for_frontier(frame["frontier"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise CheckpointError(f"engine state frame {frame!r} is malformed: {exc}") from None
+            if kind not in (OBJ, ARY):
+                raise CheckpointError(f"engine state frame kind {kind!r} is not {OBJ!r} or {ARY!r}")
+            if type(idx) is not int or idx < 0:
+                raise CheckpointError(f"engine state frame index {idx!r} is not a non-negative int")
+            if slot is not None and (type(slot) is not int or slot not in open_slots):
+                raise CheckpointError(
+                    f"engine state frame slot {slot!r} does not name an unfilled reserved match"
+                )
+            if not _offset(start, size):
+                raise CheckpointError(f"engine state frame start {start!r} is outside the input")
+            open_slots.discard(slot)
+            self._frames.append([kind, automaton_state, idx, slot, start])
+        self._run.pos = state.pos
+        self.done = state.done
 
     def suspend(self) -> EngineState:
         """Capture the current state (only legal between :meth:`step` calls)."""
         frames = [
             {
-                "kind": frame.kind,
-                "frontier": sorted(self.qa.frontier(frame.state)),
-                "idx": frame.idx,
-                "slot": frame.slot,
-                "vstart": frame.vstart,
+                "kind": kind,
+                "frontier": sorted(self.qa.frontier(state)),
+                "idx": idx,
+                "slot": slot,
+                "vstart": start,
             }
-            for frame in self._frames
+            for kind, state, idx, slot, start in self._frames
         ]
         return EngineState(
             query=self.query_text,
@@ -293,9 +252,9 @@ class SuspendableRun:
             cache_chunks=self.buffer.index.cache_chunks,
             pos=self.pos,
             size=self.size,
-            payload_fingerprint=fingerprint(self.data),
+            payload_fingerprint=fingerprint(self._run.data),
             frames=frames,
-            matches=[list(entry) if entry is not None else None for entry in self._matches],
+            matches=self._run.matches.offsets(),
             carries=[list(pair) for pair in self.buffer.index.carries_snapshot()],
             done=self.done,
         )
@@ -311,22 +270,11 @@ class SuspendableRun:
         suspension point is always a clean boundary).  ``None`` runs to
         completion.
         """
-        if self.done:
-            return True
-        self._budget = None if max_bytes is None else self.pos + max(1, max_bytes)
-        try:
-            while self._frames:
-                frame = self._frames[-1]
-                if frame.await_flags is not None:
-                    self._post_value(frame)
-                elif frame.kind == OBJ:
-                    self._obj_member(frame)
-                else:
-                    self._ary_member(frame)
-            self.done = True
-        except _Suspend:
-            return False
-        return True
+        if not self.done:
+            frames = self._run.advance(self._frames, max_bytes)
+            self._frames = frames or []
+            self.done = frames is None
+        return self.done
 
     def run_to_completion(self) -> MatchList:
         """Drive to the end and return the matches."""
@@ -340,256 +288,8 @@ class SuspendableRun:
         match under the descendant extension) raises on access, exactly
         like :class:`~repro.engine.output.MatchList` mid-run.
         """
-        out = MatchList()
-        for entry in self._matches:
-            if entry is None:
-                out.reserve()
-            else:
-                out.add(self.data, entry[0], entry[1])
-        return out
+        return self._run.matches
 
     def match_offsets(self) -> list[tuple[int, int] | None]:
         """Raw ``(start, end)`` offsets (``None`` = reserved, still open)."""
-        return [tuple(entry) if entry is not None else None for entry in self._matches]
-
-    # -- plumbing shared with repro.engine.jsonski._Run -----------------
-
-    def _skip_ws(self, pos: int) -> int:
-        data, size = self.data, self.size
-        while pos < size and data[pos] in _WS:
-            pos += 1
-        return pos
-
-    def _rstrip(self, start: int, end: int) -> int:
-        data = self.data
-        while end > start and data[end - 1] in _WS:
-            end -= 1
-        return end
-
-    def _name(self, raw: bytes) -> str:
-        cached = self._names.get(raw)
-        if cached is None:
-            cached = self._names[raw] = decode_name(raw)
-        return cached
-
-    def _emit(self, vstart: int, vend: int) -> None:
-        self._matches.append([vstart, vend])
-
-    def _reserve(self) -> int:
-        self._matches.append(None)
-        return len(self._matches) - 1
-
-    def _fill(self, slot: int, vstart: int, vend: int) -> None:
-        if self._matches[slot] is not None:
-            raise InvariantError(f"slot {slot} already filled")
-        self._matches[slot] = [vstart, vend]
-
-    def _skip_value(self, vstart: int, vbyte: int, in_object: bool) -> int:
-        if vbyte == _LBRACE:
-            return self.ff.go_over_obj(vstart)
-        if vbyte == _LBRACKET:
-            return self.ff.go_over_ary(vstart)
-        return self.ff.go_over_pri(vstart, in_object=in_object)
-
-    @staticmethod
-    def _container_byte(vbyte: int) -> bool:
-        return vbyte == _LBRACE or vbyte == _LBRACKET
-
-    def _emit_end(self, vstart: int, vbyte: int, vend: int) -> int:
-        if self._container_byte(vbyte):
-            return vend
-        return self._rstrip(vstart, vend)
-
-    # -- start / container entry ----------------------------------------
-
-    def _start(self) -> None:
-        pos = self._skip_ws(0)
-        if pos >= self.size:
-            raise JsonSyntaxError("empty input", 0)
-        byte = self.data[pos]
-        if byte == _LBRACE or byte == _LBRACKET:
-            self.pos = pos
-            self._enter_container(self.qa.start_state, pos, byte, slot=None)
-        else:
-            # A primitive root cannot match any path with at least one step.
-            self.done = True
-        if not self._frames:
-            self.done = True
-
-    def _enter_container(self, state: int, vstart: int, vbyte: int, slot: int | None) -> None:
-        """The prologue of ``_Run._object`` / ``_Run._array``: either the
-        container is consumed outright (empty, or irrelevant to the query
-        — a G2 whole-container skip) and ``self.pos`` lands after it, or
-        a frame is pushed with ``self.pos`` at the first member."""
-        depth = len(self._frames) + 1
-        self.limits.enter(depth, vstart)
-        data, qa, ff = self.data, self.qa, self.ff
-        is_object = vbyte == _LBRACE
-        closer = _RBRACE if is_object else _RBRACKET
-        pos = self._skip_ws(vstart + 1)
-        if pos >= self.size:
-            kind = "object" if is_object else "array"
-            raise JsonSyntaxError(f"stream ended inside an {kind}", pos)
-        if data[pos] == closer:
-            self.pos = pos + 1
-            return
-        relevant = qa.can_match_in_object(state) if is_object else qa.can_match_in_array(state)
-        if not relevant:
-            end = ff.go_to_obj_end(pos) if is_object else ff.go_to_ary_end(pos)
-            self.pos = end
-            return
-        frame = _Frame(OBJ if is_object else ARY, state, idx=0, slot=slot, vstart=vstart)
-        self._frames.append(frame)
-        self.pos = pos
-
-    def _pop(self, end: int) -> None:
-        """A container closed at ``end``; fill its pending slot, hand the
-        position back to the parent (whose ``await_flags`` is pending)."""
-        frame = self._frames.pop()
-        self.pos = end
-        if frame.slot is not None:
-            self._fill(frame.slot, frame.vstart, end)
-
-    # -- member steps ----------------------------------------------------
-
-    def _dispatch_value(self, frame: _Frame, state2: int, flags: int,
-                        vstart: int, vbyte: int, in_object: bool) -> None:
-        """Consume (or descend into) one attribute/element value; mirrors
-        the flag dispatch of ``_Run._object`` / ``_Run._array``."""
-        frame.await_flags = flags
-        if flags == 0:  # UNMATCHED: G2
-            self.pos = self._skip_value(vstart, vbyte, in_object)
-        elif flags == ACCEPT:  # G3: skip and record
-            vend = self._skip_value(vstart, vbyte, in_object)
-            self._emit(vstart, self._emit_end(vstart, vbyte, vend))
-            self.pos = vend
-        elif flags == ALIVE:  # MATCHED: descend (containers) / dead end
-            if self._container_byte(vbyte):
-                self._enter_container(state2, vstart, vbyte, slot=None)
-            else:
-                self.pos = self.ff.go_over_pri(vstart, in_object=in_object)
-        else:  # ACCEPT | ALIVE: pre-order — reserve before descending
-            slot = self._reserve()
-            if self._container_byte(vbyte):
-                depth_before = len(self._frames)
-                self._enter_container(state2, vstart, vbyte, slot=slot)
-                if len(self._frames) == depth_before:
-                    # Consumed outright (empty, or irrelevant to the
-                    # query): no frame will pop to fill the slot.
-                    self._fill(slot, vstart, self.pos)
-            else:
-                vend = self.ff.go_over_pri(vstart, in_object=in_object)
-                self._fill(slot, vstart, self._emit_end(vstart, vbyte, vend))
-                self.pos = vend
-
-    def _obj_member(self, frame: _Frame) -> None:
-        """One iteration of the ``_Run._object`` member loop; ``self.pos``
-        is at the start of an attribute name (a suspension point)."""
-        pos = self.pos
-        if self._budget is not None and pos >= self._budget:
-            raise _Suspend
-        if pos >= self.size:
-            raise JsonSyntaxError("stream ended inside an object", pos)
-        if self.deadline is not None:
-            self.deadline.check(pos)
-        data, qa, ff = self.data, self.qa, self.ff
-        state = frame.state
-        expected = qa.expected_type(state)
-        if expected == "object" or expected == "array":
-            ended, p1, name_raw, vstart = ff.go_to_obj_attr(pos, expected)  # G1
-            if ended:
-                self._pop(p1)
-                return
-        else:
-            if data[pos] != _QUOTE:
-                raise JsonSyntaxError("expected attribute name", pos)
-            close = data.find(_QUOTE_B, pos + 1)
-            if close < 0:
-                raise JsonSyntaxError("unterminated attribute name", pos)
-            if data[close - 1] == _BACKSLASH:
-                close = self.buffer.scanner.find_next(CharClass.QUOTE, pos + 1)
-                if close < 0:
-                    raise JsonSyntaxError("unterminated attribute name", pos)
-            colon = self._skip_ws(close + 1)
-            if colon >= self.size or data[colon] != _COLON:
-                raise JsonSyntaxError("attribute without ':'", close)
-            name_raw = data[pos + 1 : close]
-            vstart = self._skip_ws(colon + 1)
-        name = self._name(name_raw)
-        state2 = qa.on_key(state, name)
-        flags = qa.status_flags(state2)
-        if vstart >= self.size:
-            raise JsonSyntaxError("stream ended before attribute value", vstart)
-        self._dispatch_value(frame, state2, flags, vstart, data[vstart], in_object=True)
-
-    def _ary_member(self, frame: _Frame) -> None:
-        """One iteration of the ``_Run._array`` element loop; ``self.pos``
-        is at the start of element ``frame.idx`` (a suspension point)."""
-        pos = self.pos
-        if self._budget is not None and pos >= self._budget:
-            raise _Suspend
-        if self.deadline is not None:
-            self.deadline.check(pos)
-        data, qa, ff = self.data, self.qa, self.ff
-        state = frame.state
-        rng = qa.element_range(state)
-        if rng is not None:
-            start, stop = rng
-            if stop is not None and frame.idx >= stop:
-                end = ff.go_to_ary_end(pos)  # G5 (past the range)
-                self._pop(end)
-                return
-            if frame.idx < start:
-                ended, p1, skipped = ff.go_over_elems(pos, start - frame.idx)  # G5
-                if ended:
-                    self._pop(p1)
-                    return
-                frame.idx += skipped
-                self.pos = p1
-                return
-        if pos >= self.size:
-            raise JsonSyntaxError("stream ended inside an array", pos)
-        vbyte = data[pos]
-        expected = qa.expected_type(state)
-        want_byte = _LBRACE if expected == "object" else _LBRACKET if expected == "array" else -1
-        if want_byte >= 0 and vbyte != want_byte:
-            ended, p1, commas = ff.go_to_ary_elem(pos, expected)  # G1
-            if ended:
-                self._pop(p1)
-                return
-            frame.idx += commas
-            self.pos = p1
-            return
-        state2 = qa.on_element(state, frame.idx)
-        flags = qa.status_flags(state2)
-        self._dispatch_value(frame, state2, flags, pos, vbyte, in_object=False)
-
-    def _post_value(self, frame: _Frame) -> None:
-        """After a member's value: G4 for objects, then the delimiter."""
-        flags = frame.await_flags
-        frame.await_flags = None
-        data, size = self.data, self.size
-        pos = self.pos
-        if frame.kind == OBJ:
-            if flags and self.qa.object_skippable(frame.state):
-                end = self.ff.go_to_obj_end(pos)  # G4
-                self._pop(end)
-                return
-            pos = self._skip_ws(pos)
-            byte = data[pos] if pos < size else -1
-            if byte == _COMMA:
-                self.pos = self._skip_ws(pos + 1)
-            elif byte == _RBRACE:
-                self._pop(pos + 1)
-            else:
-                raise JsonSyntaxError("expected ',' or '}' in object", pos)
-        else:
-            pos = self._skip_ws(pos)
-            byte = data[pos] if pos < size else -1
-            if byte == _COMMA:
-                frame.idx += 1
-                self.pos = self._skip_ws(pos + 1)
-            elif byte == _RBRACKET:
-                self._pop(pos + 1)
-            else:
-                raise JsonSyntaxError("expected ',' or ']' in array", pos)
+        return [None if pair is None else tuple(pair) for pair in self._run.matches.offsets()]

@@ -22,6 +22,14 @@ Match offsets, per-group fast-forward statistics (Table 6), and the
 descendant extension (``..``, with type inference disabled as the paper
 predicts) are all handled here.
 
+``_Run`` is also the suspendable interpreter behind
+:class:`repro.checkpoint.SuspendableRun`: once a step's byte budget is
+spent, the member loops raise ``_Suspend``, and each open ``_object`` /
+``_array`` activation appends its frame as the exception unwinds the
+recursion.  :meth:`_Run.advance` rebuilds the call stack top-down from
+those frames.  The one-shot path pays for this with one ``is not None``
+test per member, fused with the deadline's.
+
 Implementation note: the ``_Run`` methods are written against raw bytes
 and int status flags with locals pulled out of ``self`` — this is the
 innermost loop of the library, and attribute lookups and enum dispatch
@@ -29,6 +37,8 @@ were measurable against the character-at-a-time baselines.
 """
 
 from __future__ import annotations
+
+import sys
 
 from repro.bits.classify import CharClass
 from repro.bits.index import DEFAULT_CHUNK_SIZE
@@ -53,9 +63,21 @@ _QUOTE, _COMMA, _COLON = 0x22, 0x2C, 0x3A
 _QUOTE_B, _BACKSLASH = b'"', 0x5C
 _WS = frozenset(b" \t\n\r")
 
+#: Input bytes between two deadline checks in the member loops.
+_DEADLINE_STRIDE = 4096
+
+#: Container kinds of a suspended pass's frames (serialized verbatim by
+#: :mod:`repro.checkpoint.suspend`).
+OBJ, ARY = "obj", "ary"
+
 
 class _LimitReached(Exception):
     """Internal: the run collected as many matches as requested."""
+
+
+class _Suspend(Exception):
+    """Internal: a suspendable pass spent its step budget (see
+    :meth:`_Run.advance`)."""
 
 
 class JsonSki(EngineBase):
@@ -325,10 +347,20 @@ class _Run:
     ) -> None:
         self.qa = automaton
         self.buffer = buffer
-        #: Resource guards; ``deadline`` is hoisted so the member loops
-        #: pay one ``is not None`` test when no deadline is set.
         self.limits = limits
         self.deadline = limits.deadline if limits is not None else None
+        #: End of the current step of a suspendable pass (see :meth:`advance`).
+        self.step_end = sys.maxsize
+        #: Member-boundary guard, hoisted into a local by the member
+        #: loops: ``None`` (no deadline, no step budget) costs them one
+        #: ``is not None`` test per member.  Otherwise they call
+        #: :meth:`_boundary` at the first member at or past this position.
+        self.stop_at = None if self.deadline is None else 0
+        #: Suspension frames ``[kind, state, idx, slot, start]``: the ones
+        #: a resumed pass re-enters (outermost first), and the ones a
+        #: suspension unwound (innermost first).
+        self.resume_frames: list[list] = []
+        self.saved_frames: list[list] = []
         self.data = buffer.data
         self.size = len(buffer.data)
         self.ff = make_fastforwarder(buffer)
@@ -371,20 +403,34 @@ class _Run:
             cached = self.names[raw] = decode_name(raw)
         return cached
 
+    def _boundary(self, pos: int) -> int:
+        """A member boundary at or past ``stop_at``: suspend once the step
+        is spent, else check the deadline.  Returns the next ``stop_at``."""
+        if pos >= self.step_end:
+            self.pos = pos
+            raise _Suspend
+        if self.deadline is not None:
+            self.deadline.check(pos)
+        self.stop_at = min(pos + _DEADLINE_STRIDE, self.step_end)
+        return self.stop_at
+
     # -- entry ----------------------------------------------------------
 
     def execute(self) -> MatchList:
-        self.pos = self._skip_ws(0)
-        if self.pos >= self.size:
-            raise JsonSyntaxError("empty input", 0)
-        byte = self.data[self.pos]
-        state = self.qa.start_state
         try:
-            if byte == _LBRACE:
-                self._object(state, 1)
-            elif byte == _LBRACKET:
-                self._array(state, 1)
-            # A primitive root cannot match any path with at least one step.
+            if self.resume_frames:
+                root = self.resume_frames[0]
+                (self._object if root[0] == OBJ else self._array)(root[1], 1, root)
+            else:
+                self.pos = self._skip_ws(0)
+                if self.pos >= self.size:
+                    raise JsonSyntaxError("empty input", 0)
+                byte = self.data[self.pos]
+                if byte == _LBRACE:
+                    self._object(self.qa.start_state, 1)
+                elif byte == _LBRACKET:
+                    self._array(self.qa.start_state, 1)
+                # A primitive root cannot match any path with at least one step.
         except _LimitReached:
             pass
         except RecursionError as exc:
@@ -394,6 +440,57 @@ class _Run:
         if self.stats is not None:
             self.stats.total_length = self.size
         return self.matches
+
+    def advance(self, frames: list[list], max_bytes: int | None) -> list[list] | None:
+        """One step of a suspendable pass.
+
+        Runs the pass — or, given the open frames of a suspended one
+        (outermost first, ``self.pos`` at the innermost frame's next
+        member), continues it — until it completes (returns ``None``) or
+        reaches a member boundary at least ``max_bytes`` past the
+        current position.  There every open ``_object``/``_array``
+        activation appends its frame while :class:`_Suspend` unwinds the
+        recursion, and the frames are returned outermost first.
+        """
+        self.step_end = sys.maxsize if max_bytes is None else self.pos + max(1, max_bytes)
+        self.stop_at = 0 if self.deadline is not None else self.step_end
+        self.resume_frames, self.saved_frames = frames, []
+        try:
+            self.execute()
+        except _Suspend:
+            return self.saved_frames[::-1]
+        return None
+
+    def _reenter(self, depth: int, closer: int, skippable: bool) -> int:
+        """Rebuild the recursion below the resumed frame at ``depth``:
+        continue its open child (which first continues its own), fill
+        the child's reserved slot, then take G4 (``skippable``: the child
+        matched, or it would not have been descended into) or the
+        delimiter.  Returns the next member's position, or -1 once the
+        container closed (``self.pos`` after it)."""
+        frame = self.resume_frames[depth]
+        kind, state, _, slot, start = frame
+        try:
+            (self._object if kind == OBJ else self._array)(state, depth + 1, frame)
+        except _Suspend:
+            self.saved_frames[-1][3] = slot
+            raise
+        pos = self.pos
+        if slot is not None:
+            self._fill(slot, start, pos)
+        if skippable:
+            self.pos = self.ff.go_to_obj_end(pos)  # G4
+            self._record("G4", pos, self.pos)
+            return -1
+        pos = self._skip_ws(pos)
+        byte = self.data[pos] if pos < self.size else -1
+        if byte == _COMMA:
+            return self._skip_ws(pos + 1)
+        if byte == closer:
+            self.pos = pos + 1
+            return -1
+        where = "object" if closer == _RBRACE else "array"
+        raise JsonSyntaxError(f"expected ',' or '{chr(closer)}' in {where}", pos)
 
     def _emit(self, vstart: int, vend: int, key, state: int) -> None:
         """Record a match (and its path / the early-termination limit).
@@ -468,188 +565,220 @@ class _Run:
 
     # -- object (Algorithm 2) --------------------------------------------
 
-    def _object(self, state: int, depth: int = 1) -> None:
+    def _object(self, state: int, depth: int = 1, frame: list | None = None) -> None:
+        """Stream one object; ``frame`` re-enters a suspended one."""
         qa, ff, data = self.qa, self.ff, self.data
         find_next = self.buffer.scanner.find_next
         on_key, status_flags = qa.on_key, qa.status_flags
         if self.limits is not None:
             self.limits.enter(depth, self.pos)
-        deadline = self.deadline
-        members = 0
-        if data[self.pos] != _LBRACE:
-            raise JsonSyntaxError("expected '{'", self.pos)
-        pos = self._skip_ws(self.pos + 1)
-        if pos >= self.size:
-            raise JsonSyntaxError("stream ended inside an object", pos)
-        if data[pos] == _RBRACE:
-            self.pos = pos + 1
-            return
-        if not qa.can_match_in_object(state):
-            # The query selects from an array here; the object is
-            # irrelevant in its entirety.
-            end = ff.go_to_obj_end(pos)
-            self._record("G2", pos, end)
-            self.pos = end
-            return
+        stop_at = self.stop_at
+        if frame is None:
+            origin = self.pos
+            if data[origin] != _LBRACE:
+                raise JsonSyntaxError("expected '{'", origin)
+            pos = self._skip_ws(origin + 1)
+            if pos >= self.size:
+                raise JsonSyntaxError("stream ended inside an object", pos)
+            if data[pos] == _RBRACE:
+                self.pos = pos + 1
+                return
+            if not qa.can_match_in_object(state):
+                # The query selects from an array here; the object is
+                # irrelevant in its entirety.
+                end = ff.go_to_obj_end(pos)
+                self._record("G2", pos, end)
+                self.pos = end
+                return
+        else:
+            origin, pos = frame[4], self.pos
         expected = qa.expected_type(state)
         typed = expected == "object" or expected == "array"
         skippable = qa.object_skippable(state)
-        while True:
-            # ``pos`` is at the start of an attribute name.
-            if pos >= self.size:
-                raise JsonSyntaxError("stream ended inside an object", pos)
-            if deadline is not None:
-                members += 1
-                if (members & 255) == 0:
-                    deadline.check(pos)
-            if typed:
-                ended, p1, name_raw, vstart = ff.go_to_obj_attr(pos, expected)  # G1
-                self._record("G1", pos, p1)
-                if ended:
-                    self.pos = p1
+        try:
+            if frame is not None and depth < len(self.resume_frames):
+                pos = self._reenter(depth, _RBRACE, skippable)
+                if pos < 0:
                     return
-            else:
-                if data[pos] != _QUOTE:
-                    raise JsonSyntaxError("expected attribute name", pos)
-                # Closing quote: memchr is faster than the bitmap when the
-                # preceding byte proves the quote unescaped (the common
-                # case); otherwise fall back to the unescaped-quote bitmap.
-                close = data.find(_QUOTE_B, pos + 1)
-                if close < 0:
-                    raise JsonSyntaxError("unterminated attribute name", pos)
-                if data[close - 1] == _BACKSLASH:
-                    close = find_next(CharClass.QUOTE, pos + 1)
+            while True:
+                # ``pos`` is at the start of an attribute name.
+                if pos >= self.size:
+                    raise JsonSyntaxError("stream ended inside an object", pos)
+                if stop_at is not None and pos >= stop_at:
+                    stop_at = self._boundary(pos)
+                if typed:
+                    ended, p1, name_raw, vstart = ff.go_to_obj_attr(pos, expected)  # G1
+                    self._record("G1", pos, p1)
+                    if ended:
+                        self.pos = p1
+                        return
+                else:
+                    if data[pos] != _QUOTE:
+                        raise JsonSyntaxError("expected attribute name", pos)
+                    # Closing quote: memchr is faster than the bitmap when the
+                    # preceding byte proves the quote unescaped (the common
+                    # case); otherwise fall back to the unescaped-quote bitmap.
+                    close = data.find(_QUOTE_B, pos + 1)
                     if close < 0:
                         raise JsonSyntaxError("unterminated attribute name", pos)
-                # Legal JSON puts the colon right after the name (modulo
-                # whitespace) — two byte reads instead of a bitmap scan.
-                colon = self._skip_ws(close + 1)
-                if colon >= self.size or data[colon] != _COLON:
-                    raise JsonSyntaxError("attribute without ':'", close)
-                name_raw = data[pos + 1 : close]
-                vstart = self._skip_ws(colon + 1)
-            name = self._name(name_raw)
-            state2 = on_key(state, name)
-            flags = status_flags(state2)
-            if vstart >= self.size:
-                raise JsonSyntaxError("stream ended before attribute value", vstart)
-            vbyte = data[vstart]
-            if flags == 0:  # UNMATCHED
-                vend = self._skip_value(vstart, vbyte, "G2", True)
-            elif flags == ACCEPT:
-                vend = self._skip_value(vstart, vbyte, "G3", True)
-                self._emit(vstart, self._emit_end(vstart, vbyte, vend), name, state2)
-            elif flags == ALIVE:  # MATCHED
-                vend = self._descend(state2, vstart, vbyte, True, name, depth + 1)
-            elif self.limit is not None:
-                # ACCEPT|ALIVE under early termination (limit=1): the outer
-                # value is itself the next match in document order, so the
-                # nested matches are never needed — skip instead of recurse.
-                vend = self._skip_value(vstart, vbyte, "G3", True)
-                self._emit(vstart, self._emit_end(vstart, vbyte, vend), name, state2)
-            else:  # ACCEPT | ALIVE: pre-order — reserve before recursing
-                token = self._reserve(name, state2)
-                vend = self._descend(state2, vstart, vbyte, True, name, depth + 1)
-                self._fill(token, vstart, self._emit_end(vstart, vbyte, vend))
-            pos = vend
-            if flags and skippable:
-                end = ff.go_to_obj_end(pos)  # G4
-                self._record("G4", pos, end)
-                self.pos = end
-                return
-            pos = self._skip_ws(pos)
-            byte = data[pos] if pos < self.size else -1
-            if byte == _COMMA:
-                pos = self._skip_ws(pos + 1)
-            elif byte == _RBRACE:
-                self.pos = pos + 1
-                return
-            else:
-                raise JsonSyntaxError("expected ',' or '}' in object", pos)
+                    if data[close - 1] == _BACKSLASH:
+                        close = find_next(CharClass.QUOTE, pos + 1)
+                        if close < 0:
+                            raise JsonSyntaxError("unterminated attribute name", pos)
+                    # Legal JSON puts the colon right after the name (modulo
+                    # whitespace) — two byte reads instead of a bitmap scan.
+                    colon = self._skip_ws(close + 1)
+                    if colon >= self.size or data[colon] != _COLON:
+                        raise JsonSyntaxError("attribute without ':'", close)
+                    name_raw = data[pos + 1 : close]
+                    vstart = self._skip_ws(colon + 1)
+                name = self._name(name_raw)
+                state2 = on_key(state, name)
+                flags = status_flags(state2)
+                if vstart >= self.size:
+                    raise JsonSyntaxError("stream ended before attribute value", vstart)
+                vbyte = data[vstart]
+                if flags == 0:  # UNMATCHED
+                    vend = self._skip_value(vstart, vbyte, "G2", True)
+                elif flags == ACCEPT:
+                    vend = self._skip_value(vstart, vbyte, "G3", True)
+                    self._emit(vstart, self._emit_end(vstart, vbyte, vend), name, state2)
+                elif flags == ALIVE:  # MATCHED
+                    vend = self._descend(state2, vstart, vbyte, True, name, depth + 1)
+                elif self.limit is not None:
+                    # ACCEPT|ALIVE under early termination (limit=1): the outer
+                    # value is itself the next match in document order, so the
+                    # nested matches are never needed — skip instead of recurse.
+                    vend = self._skip_value(vstart, vbyte, "G3", True)
+                    self._emit(vstart, self._emit_end(vstart, vbyte, vend), name, state2)
+                else:  # ACCEPT | ALIVE: pre-order — reserve before recursing
+                    token = self._reserve(name, state2)
+                    try:
+                        vend = self._descend(state2, vstart, vbyte, True, name, depth + 1)
+                    except _Suspend:
+                        self.saved_frames[-1][3] = token
+                        raise
+                    self._fill(token, vstart, self._emit_end(vstart, vbyte, vend))
+                pos = vend
+                if flags and skippable:
+                    end = ff.go_to_obj_end(pos)  # G4
+                    self._record("G4", pos, end)
+                    self.pos = end
+                    return
+                pos = self._skip_ws(pos)
+                byte = data[pos] if pos < self.size else -1
+                if byte == _COMMA:
+                    pos = self._skip_ws(pos + 1)
+                elif byte == _RBRACE:
+                    self.pos = pos + 1
+                    return
+                else:
+                    raise JsonSyntaxError("expected ',' or '}' in object", pos)
+        except _Suspend:
+            self.saved_frames.append([OBJ, state, 0, None, origin])
+            raise
 
     # -- array (Algorithm 2, array side) -----------------------------------
 
-    def _array(self, state: int, depth: int = 1) -> None:
+    def _array(self, state: int, depth: int = 1, frame: list | None = None) -> None:
+        """Stream one array; ``frame`` re-enters a suspended one."""
         qa, ff, data = self.qa, self.ff, self.data
         on_element, status_flags = qa.on_element, qa.status_flags
         if self.limits is not None:
             self.limits.enter(depth, self.pos)
-        deadline = self.deadline
-        if data[self.pos] != _LBRACKET:
-            raise JsonSyntaxError("expected '['", self.pos)
-        pos = self._skip_ws(self.pos + 1)
-        if pos >= self.size:
-            raise JsonSyntaxError("stream ended inside an array", pos)
-        if data[pos] == _RBRACKET:
-            self.pos = pos + 1
-            return
-        if not qa.can_match_in_array(state):
-            end = ff.go_to_ary_end(pos)
-            self._record("G2", pos, end)
-            self.pos = end
-            return
+        stop_at = self.stop_at
+        if frame is None:
+            origin = self.pos
+            if data[origin] != _LBRACKET:
+                raise JsonSyntaxError("expected '['", origin)
+            pos = self._skip_ws(origin + 1)
+            if pos >= self.size:
+                raise JsonSyntaxError("stream ended inside an array", pos)
+            if data[pos] == _RBRACKET:
+                self.pos = pos + 1
+                return
+            if not qa.can_match_in_array(state):
+                end = ff.go_to_ary_end(pos)
+                self._record("G2", pos, end)
+                self.pos = end
+                return
+            idx = 0
+        else:
+            origin, idx, pos = frame[4], frame[2], self.pos
         rng = qa.element_range(state)
         start = stop = None
         if rng is not None:
             start, stop = rng
         expected = qa.expected_type(state)
         want_byte = _LBRACE if expected == "object" else _LBRACKET if expected == "array" else -1
-        idx = 0
-        while True:
-            # ``pos`` is at the start of element ``idx``.
-            if deadline is not None and (idx & 255) == 255:
-                deadline.check(pos)
-            if rng is not None:
-                if stop is not None and idx >= stop:
-                    end = ff.go_to_ary_end(pos)  # G5 (past the range)
-                    self._record("G5", pos, end)
-                    self.pos = end
+        try:
+            if frame is not None and depth < len(self.resume_frames):
+                pos = self._reenter(depth, _RBRACKET, False)
+                if pos < 0:
                     return
-                if idx < start:
-                    ended, p1, skipped = ff.go_over_elems(pos, start - idx)  # G5
-                    self._record("G5", pos, p1)
+                idx += 1
+            while True:
+                # ``pos`` is at the start of element ``idx``.
+                if stop_at is not None and pos >= stop_at:
+                    stop_at = self._boundary(pos)
+                if rng is not None:
+                    if stop is not None and idx >= stop:
+                        end = ff.go_to_ary_end(pos)  # G5 (past the range)
+                        self._record("G5", pos, end)
+                        self.pos = end
+                        return
+                    if idx < start:
+                        ended, p1, skipped = ff.go_over_elems(pos, start - idx)  # G5
+                        self._record("G5", pos, p1)
+                        if ended:
+                            self.pos = p1
+                            return
+                        idx += skipped
+                        pos = p1
+                        continue
+                if pos >= self.size:
+                    raise JsonSyntaxError("stream ended inside an array", pos)
+                vbyte = data[pos]
+                if want_byte >= 0 and vbyte != want_byte:
+                    ended, p1, commas = ff.go_to_ary_elem(pos, expected)  # G1
+                    self._record("G1", pos, p1)
                     if ended:
                         self.pos = p1
                         return
-                    idx += skipped
+                    idx += commas
                     pos = p1
                     continue
-            if pos >= self.size:
-                raise JsonSyntaxError("stream ended inside an array", pos)
-            vbyte = data[pos]
-            if want_byte >= 0 and vbyte != want_byte:
-                ended, p1, commas = ff.go_to_ary_elem(pos, expected)  # G1
-                self._record("G1", pos, p1)
-                if ended:
-                    self.pos = p1
+                state2 = on_element(state, idx)
+                flags = status_flags(state2)
+                vstart = pos
+                if flags == 0:  # UNMATCHED
+                    vend = self._skip_value(vstart, vbyte, "G2", False)
+                elif flags == ACCEPT:
+                    vend = self._skip_value(vstart, vbyte, "G3", False)
+                    self._emit(vstart, self._emit_end(vstart, vbyte, vend), idx, state2)
+                elif flags == ALIVE:  # MATCHED
+                    vend = self._descend(state2, vstart, vbyte, False, idx, depth + 1)
+                elif self.limit is not None:
+                    vend = self._skip_value(vstart, vbyte, "G3", False)
+                    self._emit(vstart, self._emit_end(vstart, vbyte, vend), idx, state2)
+                else:  # ACCEPT | ALIVE
+                    token = self._reserve(idx, state2)
+                    try:
+                        vend = self._descend(state2, vstart, vbyte, False, idx, depth + 1)
+                    except _Suspend:
+                        self.saved_frames[-1][3] = token
+                        raise
+                    self._fill(token, vstart, self._emit_end(vstart, vbyte, vend))
+                pos = self._skip_ws(vend)
+                byte = data[pos] if pos < self.size else -1
+                if byte == _COMMA:
+                    idx += 1
+                    pos = self._skip_ws(pos + 1)
+                elif byte == _RBRACKET:
+                    self.pos = pos + 1
                     return
-                idx += commas
-                pos = p1
-                continue
-            state2 = on_element(state, idx)
-            flags = status_flags(state2)
-            vstart = pos
-            if flags == 0:  # UNMATCHED
-                vend = self._skip_value(vstart, vbyte, "G2", False)
-            elif flags == ACCEPT:
-                vend = self._skip_value(vstart, vbyte, "G3", False)
-                self._emit(vstart, self._emit_end(vstart, vbyte, vend), idx, state2)
-            elif flags == ALIVE:  # MATCHED
-                vend = self._descend(state2, vstart, vbyte, False, idx, depth + 1)
-            elif self.limit is not None:
-                vend = self._skip_value(vstart, vbyte, "G3", False)
-                self._emit(vstart, self._emit_end(vstart, vbyte, vend), idx, state2)
-            else:  # ACCEPT | ALIVE
-                token = self._reserve(idx, state2)
-                vend = self._descend(state2, vstart, vbyte, False, idx, depth + 1)
-                self._fill(token, vstart, self._emit_end(vstart, vbyte, vend))
-            pos = self._skip_ws(vend)
-            byte = data[pos] if pos < self.size else -1
-            if byte == _COMMA:
-                idx += 1
-                pos = self._skip_ws(pos + 1)
-            elif byte == _RBRACKET:
-                self.pos = pos + 1
-                return
-            else:
-                raise JsonSyntaxError("expected ',' or ']' in array", pos)
+                else:
+                    raise JsonSyntaxError("expected ',' or ']' in array", pos)
+        except _Suspend:
+            self.saved_frames.append([ARY, state, idx, None, origin])
+            raise

@@ -251,6 +251,11 @@ class MatchList:
         """``(start, end)`` byte range of every match (never parses)."""
         return [(start, end) for _, start, end in map(self._entry, range(len(self._matches)))]
 
+    def offsets(self) -> list[list[int] | None]:
+        """``[start, end]`` of every match, ``None`` for a reserved slot
+        not yet filled — the JSON shape a suspended run checkpoints."""
+        return [None if entry is None else [entry[1], entry[2]] for entry in self._matches]
+
     def texts(self) -> list[bytes]:
         """Raw text of every match, in document order."""
         return [source[start:end] for source, start, end in map(self._entry, range(len(self._matches)))]

@@ -1,0 +1,204 @@
+"""SuspendableRun: suspension of the recursive JSONSki pass.
+
+A suspended run unwinds ``_Run``'s recursion into frames and rebuilds it
+on the next step.  The contract under test: whatever the step budget,
+scanner mode or serialization in between, the final offsets equal an
+uninterrupted :meth:`JsonSki.run`; checkpoints captured by the earlier
+explicit-stack interpreter still resume; and a state read back from
+outside the program is validated before it is trusted.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import pytest
+
+from repro import JsonSki
+from repro.checkpoint import SuspendableRun
+from repro.data.datasets import DATASETS, large_record
+from repro.errors import CheckpointError, DepthLimitError, RecordTooLargeError
+from repro.resilience.guards import Limits
+
+STATES_FIXTURE = Path(__file__).parent / "data" / "engine_states_v2.json"
+
+#: Per dataset: a descendant query whose container matches hold a
+#: reserved slot open across suspension points, and one over primitives.
+DESCENDANT = {
+    "TT": ("$..user", "$..id"),
+    "BB": ("$..offers", "$..id"),
+    "GMD": ("$..dt", "$..lat"),
+    "NSPL": ("$..co", "$..nm"),
+    "WM": ("$..bmrpr", "$..nm"),
+    "WP": ("$..value", "$..datavalue"),
+}
+
+BUDGETS = (1, 7, 4096, None)
+
+NESTED = (
+    b'{"id": 1, "a": {"b": {"c": [1, {"b": [2, 3, {"d": 4}]}, 6], "s": "q"},'
+    b' "e": [7, {"b": 8}]}, "b": {"z": true}}'
+)
+
+
+def _suspended_offsets(query, data, mode, budget, chunk_size=4096, limits=None):
+    """Drive a suspendable run to the end, round-tripping the state
+    through JSON after every step; also report whether any suspension
+    point held a reserved slot open."""
+    run = SuspendableRun.begin(query, data, mode=mode, chunk_size=chunk_size, limits=limits)
+    held_open = False
+    while not run.step(budget):
+        state = json.loads(json.dumps(run.suspend().to_dict()))
+        held_open = held_open or None in state["matches"]
+        run = SuspendableRun.resume(data, state, limits=limits)
+    return run.match_offsets(), held_open
+
+
+# ---------------------------------------------------------------------------
+# Differential: every budget, both modes, a JSON round trip per step.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.fuzz_smoke
+@pytest.mark.parametrize("name", sorted(DATASETS))
+def test_large_record_suspend_differential(name):
+    data = large_record(name, 40_000, seed=3)
+    container_query = DESCENDANT[name][0]
+    queries = [spec.large for spec in DATASETS[name].queries] + list(DESCENDANT[name])
+    for query in queries:
+        for mode in ("vector", "word"):
+            expected = JsonSki(query, mode=mode).run(data).spans()
+            for budget in BUDGETS:
+                got, held_open = _suspended_offsets(query, data, mode, budget)
+                assert got == expected, (
+                    f"suspended run diverged: dataset={name} query={query!r} "
+                    f"mode={mode} budget={budget}"
+                )
+                if query == container_query and budget == 1:
+                    assert held_open, f"{query!r} never suspended inside a container match"
+
+
+@pytest.mark.fuzz_smoke
+@pytest.mark.parametrize("limits", [None, Limits.unlimited()], ids=["default", "unlimited"])
+@pytest.mark.parametrize("budget", [1, None])
+def test_suspended_nesting_bomb_raises_depth_limit(limits, budget):
+    bomb = b"[" * 50_000 + b"]" * 50_000
+    with pytest.raises(DepthLimitError):
+        _suspended_offsets("$..a", bomb, "vector", budget, limits=limits)
+
+
+# ---------------------------------------------------------------------------
+# Checkpoints written by the explicit-stack interpreter still resume.
+# ---------------------------------------------------------------------------
+
+
+def _fixture_cases():
+    fixture = json.loads(STATES_FIXTURE.read_text())
+    data = fixture["record"].encode()
+    return [
+        pytest.param(data, case, id=f"{case['query']}-{case['mode']}")
+        for case in fixture["cases"]
+    ]
+
+
+def test_fixture_covers_deep_frames_and_open_slots():
+    fixture = json.loads(STATES_FIXTURE.read_text())
+    for mode in ("vector", "word"):
+        states = [s for case in fixture["cases"] if case["mode"] == mode for s in case["states"]]
+        assert all(not state["done"] for state in states)
+        assert any(len(state["frames"]) >= 3 for state in states)
+        assert any(None in state["matches"] for state in states)
+
+
+@pytest.mark.parametrize("data,case", _fixture_cases())
+def test_explicit_stack_states_resume(data, case):
+    expected = JsonSki(case["query"], mode=case["mode"]).run(data).spans()
+    assert [tuple(pair) for pair in case["expected"]] == expected
+    for state in case["states"]:
+        run = SuspendableRun.resume(data, state)
+        run.run_to_completion()
+        assert run.match_offsets() == expected, f"state at pos {state['pos']} diverged"
+
+
+# ---------------------------------------------------------------------------
+# Resume validates what it reads back.
+# ---------------------------------------------------------------------------
+
+
+def _mid_state():
+    """A mid-run ``$..b`` state holding both filled and reserved matches."""
+    run = SuspendableRun.begin("$..b", NESTED)
+    while not run.step(1):
+        state = run.suspend().to_dict()
+        if None in state["matches"] and any(state["matches"]) and len(state["frames"]) >= 3:
+            return state
+    raise AssertionError("no suitable suspension point")
+
+
+def test_mid_state_resumes_unchanged():
+    run = SuspendableRun.resume(NESTED, _mid_state())
+    run.run_to_completion()
+    assert run.match_offsets() == JsonSki("$..b").run(NESTED).spans()
+
+
+def test_resume_enforces_record_size_limit():
+    data = large_record("BB", 23_000, seed=7)
+    run = SuspendableRun.begin("$.pd[*].cp[1:3].id", data)
+    run.step(max_bytes=500)
+    state = run.suspend()
+    tight = Limits(max_record_bytes=100)
+    with pytest.raises(RecordTooLargeError):
+        SuspendableRun.begin("$.pd[*].cp[1:3].id", data, limits=tight)
+    with pytest.raises(RecordTooLargeError):
+        SuspendableRun.resume(data, state, limits=tight)
+
+
+@pytest.mark.parametrize("pos", [-5, len(NESTED) + 1, "7"])
+def test_resume_rejects_position_outside_input(pos):
+    state = _mid_state()
+    state["pos"] = pos
+    with pytest.raises(CheckpointError, match="pos"):
+        SuspendableRun.resume(NESTED, state)
+
+
+def test_resume_rejects_unknown_frame_kind():
+    state = _mid_state()
+    state["frames"][-1]["kind"] = "zz"
+    with pytest.raises(CheckpointError, match="kind"):
+        SuspendableRun.resume(NESTED, state)
+
+
+def test_resume_rejects_negative_index():
+    state = _mid_state()
+    state["frames"][-1]["idx"] = -1
+    with pytest.raises(CheckpointError, match="index"):
+        SuspendableRun.resume(NESTED, state)
+
+
+def test_resume_rejects_slot_past_matches():
+    state = _mid_state()
+    framed = next(f for f in state["frames"] if f["slot"] is not None)
+    framed["slot"] = len(state["matches"])
+    with pytest.raises(CheckpointError, match="slot"):
+        SuspendableRun.resume(NESTED, state)
+
+
+def test_resume_rejects_slot_naming_a_filled_match():
+    state = _mid_state()
+    framed = next(f for f in state["frames"] if f["slot"] is not None)
+    framed["slot"] = next(i for i, m in enumerate(state["matches"]) if m is not None)
+    with pytest.raises(CheckpointError, match="slot"):
+        SuspendableRun.resume(NESTED, state)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [[3], [9, 4], [0, len(NESTED) + 1], [-1, 2], "0,1", [0.0, 1]],
+    ids=["not-a-pair", "reversed", "past-end", "negative", "string", "float"],
+)
+def test_resume_rejects_malformed_match(entry):
+    state = _mid_state()
+    state["matches"][next(i for i, m in enumerate(state["matches"]) if m is not None)] = entry
+    with pytest.raises(CheckpointError, match="match"):
+        SuspendableRun.resume(NESTED, state)
