@@ -10,10 +10,12 @@ Three layers, smallest to largest:
   :class:`EngineState`: the JSONSki evaluation loop in byte-budgeted
   steps whose frames serialize between steps, so a single huge record
   can suspend at a member boundary and resume in a fresh process.
-- :mod:`repro.checkpoint.runs` — record-granularity checkpointing for
-  :func:`repro.resilience.run_with_recovery` and
-  :func:`repro.parallel.run_records_pool_resilient` (durable cursor,
-  exactly-once emission via :class:`JsonlEmitter`).
+- :mod:`repro.checkpoint.runs` — the record-granularity cursor that the
+  two record runners, :func:`repro.resilience.run_with_recovery`
+  (serial) and :func:`repro.parallel.run_records_pool_resilient`
+  (pool), each drive in their one loop: durable with ``checkpoint=``
+  (exactly-once emission via :class:`JsonlEmitter`), a null store that
+  persists nothing without it.
 
 :mod:`repro.checkpoint.validate` checks the whole stack behaviourally:
 interrupt anywhere, resume, assert byte-identical output.
@@ -25,8 +27,6 @@ from repro.checkpoint.runs import (
     SUSPEND_KIND,
     CheckpointInfo,
     JsonlEmitter,
-    checkpointed_pool,
-    checkpointed_recovery,
     stream_fingerprint,
 )
 from repro.checkpoint.store import (
@@ -56,8 +56,6 @@ __all__ = [
     "SUSPEND_KIND",
     "SuspendableRun",
     "as_store",
-    "checkpointed_pool",
-    "checkpointed_recovery",
     "fingerprint",
     "kill_resume_differential",
     "stream_fingerprint",

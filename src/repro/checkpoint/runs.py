@@ -1,8 +1,10 @@
-"""Record-granularity checkpointing for streaming runs.
+"""Record-granularity checkpointing: the cursor both record runners drive.
 
-The record runners (:func:`repro.resilience.run_with_recovery`, serial,
-and :func:`repro.parallel.run_records_pool_resilient`, multi-process)
-gain a durable cursor here: every ``checkpoint_every`` records the run
+Each record runner — :func:`repro.resilience.run_with_recovery`
+(serial) and :func:`repro.parallel.run_records_pool_resilient`
+(multi-process) — is one loop over a :class:`_Checkpointer`.  With
+``checkpoint=`` (a path or :class:`~repro.checkpoint.store.CheckpointStore`)
+the checkpointer is durable: every ``checkpoint_every`` records the run
 commits
 
 - the **cursor** (index of the next unprocessed record),
@@ -11,15 +13,20 @@ commits
 - the **failure report** accumulated so far, and
 - a **metrics snapshot** (:meth:`MetricsRegistry.as_dict`),
 
-to a :class:`~repro.checkpoint.store.CheckpointStore`.  A resumed run
-validates the checkpoint against the stream (record count, payload
-length, sampled CRC32) and the query, skips the completed prefix, and —
-this is the exactly-once part — **defers emission to commit points**:
-match values are buffered between checkpoints and written to the emitter
-immediately *before* the checkpoint that covers them is saved, so the
-persisted ``output_offset`` always equals the bytes actually flushed.
-On resume a seekable emitter is truncated back to that offset, erasing
-any partially-emitted tail from the crash window; the concatenation of
+to the store.  Without ``checkpoint=`` it is the *null* checkpointer:
+it starts at cursor 0, stages and commits nothing, and reports no
+:class:`CheckpointInfo` — so a plain run is the checkpointed run with
+nothing persisted, not a second copy of the loop.
+
+A resumed run validates the checkpoint against the stream (record
+count, payload length, sampled CRC32) and the query, skips the
+completed prefix, and — this is the exactly-once part — **defers
+emission to commit points**: match values are buffered between
+checkpoints and written to the emitter immediately *before* the
+checkpoint that covers them is saved, so the persisted
+``output_offset`` always equals the bytes actually flushed.  On resume
+a seekable emitter is truncated back to that offset, erasing any
+partially-emitted tail from the crash window; the concatenation of
 output across any number of kill/resume cycles is byte-identical to an
 uninterrupted run's output.
 
@@ -32,17 +39,12 @@ history.  See ``docs/robustness.md``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
-from typing import Any, Callable
+from dataclasses import dataclass
+from typing import Any
 
 from repro.checkpoint.store import CheckpointStore, as_store, fingerprint
 from repro.engine.output import Match
-from repro.errors import (
-    CheckpointError,
-    ConfigurationError,
-    DeadlineExceededError,
-    ReproError,
-)
+from repro.errors import CheckpointError, ConfigurationError
 
 #: ``kind`` tags distinguishing checkpoint flavours; resuming a run with
 #: a checkpoint of a different kind is an error, not a silent restart.
@@ -119,28 +121,18 @@ def stream_fingerprint(stream) -> dict:
     }
 
 
-class _Window:
-    """A contiguous slice of a RecordStream (what the pool runner sees)."""
-
-    def __init__(self, stream, start: int, stop: int) -> None:
-        self.stream = stream
-        self.start = start
-        self.stop = stop
-
-    def __len__(self) -> int:
-        return self.stop - self.start
-
-    def record(self, i: int) -> bytes:
-        return self.stream.record(self.start + i)
-
-
 class _Checkpointer:
-    """Shared restore/commit machinery for both record runners."""
+    """Restore/commit machinery for both record runners.
+
+    ``store=None`` is the null checkpointer of a run without
+    ``checkpoint=``: cursor 0, :meth:`stage` and :meth:`commit` do
+    nothing, and :meth:`info` is ``None``.
+    """
 
     def __init__(
         self,
         kind: str,
-        store: CheckpointStore,
+        store: CheckpointStore | None,
         stream,
         query: str | None,
         emitter,
@@ -149,7 +141,7 @@ class _Checkpointer:
     ) -> None:
         self.kind = kind
         self.store = store
-        self.stream_id = stream_fingerprint(stream)
+        self.stream_id = stream_fingerprint(stream) if store is not None else None
         self.query = query
         self.emitter = emitter
         self.metrics = metrics
@@ -163,6 +155,8 @@ class _Checkpointer:
         self.aborted = False
         #: (index, values) pairs awaiting the next commit.
         self._pending: list[tuple[int, list]] = []
+        if store is None:
+            return
         if resume:
             self._restore()
         else:
@@ -214,12 +208,15 @@ class _Checkpointer:
 
     def stage(self, index: int, values: list | None) -> None:
         """Queue one record's match values for the next commit."""
-        if values:
-            self._pending.append((index, values))
+        if values and self.store is not None:
+            # list(): a lazy MatchList is staged as its Match views.
+            self._pending.append((index, list(values)))
             self.emitted += len(values)
 
     def commit(self) -> None:
         """Emit everything staged, then persist a covering checkpoint."""
+        if self.store is None:
+            return
         emitter = self.emitter
         offset = None
         if emitter is not None:
@@ -251,7 +248,9 @@ class _Checkpointer:
         self.store.save(payload)
         self.written += 1
 
-    def info(self, interrupted: bool) -> CheckpointInfo:
+    def info(self, interrupted: bool) -> CheckpointInfo | None:
+        if self.store is None:
+            return None
         return CheckpointInfo(
             resumed_at=self.resumed_at,
             checkpoints_written=self.written,
@@ -261,203 +260,31 @@ class _Checkpointer:
         )
 
 
-def checkpointed_recovery(
-    engine,
+def open_checkpointer(
+    kind: str,
+    checkpoint: CheckpointStore | str | None,
     stream,
+    query: str | None,
     *,
-    checkpoint: CheckpointStore | str,
-    checkpoint_every: int = 1000,
-    resume: bool = False,
-    emitter=None,
-    stop: Callable[[int], bool] | None = None,
-    max_failures: int | None = None,
-    metrics=None,
-    query: str | None = None,
-    materialize: bool = True,
-):
-    """:func:`~repro.resilience.run_with_recovery` with a durable cursor.
+    checkpoint_every: int,
+    resume: bool,
+    emitter,
+    stop,
+    metrics,
+) -> _Checkpointer:
+    """The checkpointer a record runner drives: durable or null.
 
-    Identical per-record semantics (skip-and-report on
-    :class:`~repro.errors.ReproError`, abort on deadline or
-    ``max_failures``), plus a checkpoint every ``checkpoint_every``
-    records and at every exit path.  ``stop`` is consulted at each record
-    boundary with the next cursor; returning truthy commits a final
-    checkpoint and returns early (``result.checkpoint.interrupted``).
-
-    Returns a :class:`~repro.resilience.recovery.RecoveryResult` whose
-    ``values`` cover only records processed *this session* — entries for
-    records completed before a resume are ``None`` (their output already
-    lives in the emitter's sink); ``result.checkpoint.resumed_at`` marks
-    the boundary.
-
-    ``materialize=False`` keeps the run zero-parse end to end: each
-    ``values`` entry is the record's lazy
-    :class:`~repro.engine.output.MatchList`, staged matches are byte
-    ranges, and the emitter splices raw slices instead of re-encoding
-    parsed values.  Exactly-once is unchanged — pending lazy matches are
-    plain ranges over the input, so nothing parse-dependent sits in the
-    crash window — but undecodable match slices are no longer diagnosed
-    (nothing decodes them); leave the default when you need the
-    ``UndecodableMatch`` failure class.
+    ``resume``, ``emitter`` and ``stop`` only mean something against a
+    store, so passing any of them without ``checkpoint`` is a
+    :class:`~repro.errors.ConfigurationError` rather than silently
+    ignored.
     """
-    from repro.resilience.recovery import RecordFailure, RecoveryResult
-
     if checkpoint_every < 1:
         raise ConfigurationError("checkpoint_every must be at least 1")
-    if query is None:
-        # Engines keep their parsed Path; record its canonical text so a
-        # resume against a different query is rejected, not silently mixed.
-        path = getattr(engine, "path", None)
-        query = path.unparse() if hasattr(path, "unparse") else None
-    ck = _Checkpointer(
-        RECOVERY_KIND, as_store(checkpoint), stream, query, emitter, metrics, resume
+    if checkpoint is None:
+        if resume or emitter is not None or stop is not None:
+            raise ConfigurationError("resume=, emitter= and stop= require checkpoint=")
+        return _Checkpointer(kind, None, stream, query, None, metrics, False)
+    return _Checkpointer(
+        kind, as_store(checkpoint), stream, query, emitter, metrics, resume
     )
-    n = len(stream)
-    values: list[list | None] = [None] * n
-    interrupted = False
-    if not ck.done:
-        since_commit = 0
-        while ck.cursor < n:
-            i = ck.cursor
-            if stop is not None and stop(i):
-                interrupted = True
-                break
-            skipped_counter = None
-            try:
-                matches = engine.run(stream.record(i))
-                # The eager path decodes here (and can fail per record);
-                # the lazy path carries views straight to the emitter.
-                values[i] = matches.values() if materialize else matches
-            except ReproError as exc:
-                failure = RecordFailure.from_exception(i, exc)
-                ck.failures.append(failure)
-                skipped_counter = failure.error
-                if isinstance(exc, DeadlineExceededError):
-                    ck.aborted = True
-                if max_failures is not None and len(ck.failures) >= max_failures:
-                    ck.aborted = True
-            except ValueError as exc:
-                failure = RecordFailure(i, "error", "UndecodableMatch", str(exc))
-                ck.failures.append(failure)
-                skipped_counter = failure.error
-                if max_failures is not None and len(ck.failures) >= max_failures:
-                    ck.aborted = True
-            if metrics is not None and skipped_counter is not None:
-                metrics.counter("stream.records_skipped", error=skipped_counter).add(1)
-            staged = values[i]
-            if staged is not None and not materialize:
-                staged = list(staged)
-            ck.stage(i, staged)
-            ck.cursor = i + 1
-            since_commit += 1
-            if ck.aborted:
-                break
-            if since_commit >= checkpoint_every:
-                ck.commit()
-                since_commit = 0
-        if ck.cursor >= n or ck.aborted:
-            ck.done = True
-        if metrics is not None:
-            metrics.counter("stream.records_ok").add(
-                sum(1 for v in values if v is not None)
-            )
-        ck.commit()
-    result = RecoveryResult(values=values, failures=list(ck.failures))
-    result.checkpoint = ck.info(interrupted)
-    return result
-
-
-def checkpointed_pool(
-    query: str,
-    stream,
-    *,
-    checkpoint: CheckpointStore | str,
-    checkpoint_every: int = 1000,
-    resume: bool = False,
-    emitter=None,
-    stop: Callable[[int], bool] | None = None,
-    n_workers: int = 2,
-    batch_size: int = 64,
-    max_retries: int = 2,
-    timeout: float | None = None,
-    backoff: float = 0.05,
-    backoff_jitter: float = 1.0,
-    backoff_rng=None,
-    metrics=None,
-    inject_faults: bool = False,
-    limits=None,
-):
-    """:func:`~repro.parallel.run_records_pool_resilient` with a durable cursor.
-
-    The stream is processed in segments of ``checkpoint_every`` records;
-    each segment runs through the fault-tolerant pool, then its failures
-    (re-indexed to absolute record numbers), match values, and pool
-    counters are committed.  ``stop`` is consulted between segments —
-    segment granularity is the pool's natural commit unit, since records
-    within a segment complete out of order across workers.
-
-    ``limits`` with an already-expired absolute deadline fails fast with
-    :class:`~repro.errors.DeadlineExceededError` before any segment (and
-    before restoring a checkpoint) — a resumed run must convert its
-    remaining budget into a *fresh* deadline rather than inherit an
-    expired one; see :meth:`repro.resilience.Limits.remaining`.
-    """
-    from repro.parallel.real_pool import (
-        PoolResult,
-        check_dispatch_deadline,
-        run_records_pool_resilient,
-    )
-    from repro.resilience.recovery import RecordFailure
-
-    if checkpoint_every < 1:
-        raise ConfigurationError("checkpoint_every must be at least 1")
-    check_dispatch_deadline(limits)
-    ck = _Checkpointer(
-        POOL_KIND, as_store(checkpoint), stream, query, emitter, metrics, resume
-    )
-    n = len(stream)
-    result = PoolResult(values=[None] * n)
-    result.worker_crashes = int(ck.extra.get("worker_crashes", 0))
-    result.batch_retries = int(ck.extra.get("batch_retries", 0))
-    result.failures = list(ck.failures)
-    interrupted = False
-    if not ck.done:
-        while ck.cursor < n:
-            if stop is not None and stop(ck.cursor):
-                interrupted = True
-                break
-            window = _Window(stream, ck.cursor, min(n, ck.cursor + checkpoint_every))
-            segment = run_records_pool_resilient(
-                query,
-                window,
-                n_workers=n_workers,
-                batch_size=batch_size,
-                max_retries=max_retries,
-                timeout=timeout,
-                backoff=backoff,
-                backoff_jitter=backoff_jitter,
-                backoff_rng=backoff_rng,
-                metrics=metrics,
-                inject_faults=inject_faults,
-                limits=limits,
-            )
-            for offset, per_record in enumerate(segment.values):
-                idx = window.start + offset
-                result.values[idx] = per_record
-                ck.stage(idx, per_record)
-            for failure in segment.failures:
-                ck.failures.append(replace(failure, index=failure.index + window.start))
-            result.worker_crashes += segment.worker_crashes
-            result.batch_retries += segment.batch_retries
-            ck.cursor = window.stop
-            ck.extra = {
-                "worker_crashes": result.worker_crashes,
-                "batch_retries": result.batch_retries,
-            }
-            ck.commit()
-        if ck.cursor >= n:
-            ck.done = True
-            ck.commit()
-    result.failures = list(ck.failures)
-    result.checkpoint = ck.info(interrupted)
-    return result

@@ -88,60 +88,42 @@ def kill_resume_differential(
     out_path = workdir / "kill-resume.out.jsonl"
     make_engine = engine_factory or (lambda: JsonSki(query))
 
-    # 1. Reference: uninterrupted run into an in-memory emitter.  The
-    # checkpointed path is used here too (with an unreachable stop) so the
-    # comparison isolates the interruption, not the emission formatting.
-    ref_sink = io.BytesIO()
-    ref_store = ck_base.with_name(ck_base.name + ".ref")
+    # Each call is a "fresh process": fresh engine, fresh store object;
+    # only the files carry state across.
     if runner == "pool":
-        reference = run_records_pool_resilient(
-            query, stream, n_workers=n_workers,
-            checkpoint=ref_store, checkpoint_every=checkpoint_every,
-            emitter=JsonlEmitter(ref_sink),
-        )
+        def run(**kwargs):
+            return run_records_pool_resilient(
+                query, stream, n_workers=n_workers,
+                checkpoint_every=checkpoint_every, **kwargs,
+            )
     else:
-        reference = run_with_recovery(
-            make_engine(), stream,
-            checkpoint=ref_store, checkpoint_every=checkpoint_every,
-            emitter=JsonlEmitter(ref_sink),
-        )
+        def run(**kwargs):
+            return run_with_recovery(
+                make_engine(), stream, checkpoint_every=checkpoint_every, **kwargs
+            )
+
+    # 1. Reference: uninterrupted run into an in-memory emitter.  The
+    # checkpointed path is used here too (with no stop) so the comparison
+    # isolates the interruption, not the emission formatting.
+    ref_sink = io.BytesIO()
+    reference = run(
+        checkpoint=ck_base.with_name(ck_base.name + ".ref"),
+        emitter=JsonlEmitter(ref_sink),
+    )
     expected_bytes = ref_sink.getvalue()
     expected_failures = sorted(map(_failure_key, reference.failures))
 
     # 2. Interrupted run: stop at the chosen cursor.
-    def stopper(cursor: int) -> bool:
-        return cursor >= interrupt_at
-
     with open(out_path, "w+b") as handle:
-        if runner == "pool":
-            first = run_records_pool_resilient(
-                query, stream, n_workers=n_workers,
-                checkpoint=ck_base, checkpoint_every=checkpoint_every,
-                emitter=JsonlEmitter(handle), stop=stopper,
-            )
-        else:
-            first = run_with_recovery(
-                make_engine(), stream,
-                checkpoint=ck_base, checkpoint_every=checkpoint_every,
-                emitter=JsonlEmitter(handle), stop=stopper,
-            )
+        first = run(
+            checkpoint=ck_base, emitter=JsonlEmitter(handle),
+            stop=lambda cursor: cursor >= interrupt_at,
+        )
 
-    # 3. Resume to completion in a "fresh process" (fresh engine, fresh
-    # store object; only the files carry state across).
+    # 3. Resume to completion.
     with open(out_path, "r+b") as handle:
         handle.seek(0, io.SEEK_END)
-        if runner == "pool":
-            second = run_records_pool_resilient(
-                query, stream, n_workers=n_workers,
-                checkpoint=ck_base, checkpoint_every=checkpoint_every,
-                resume=True, emitter=JsonlEmitter(handle),
-            )
-        else:
-            second = run_with_recovery(
-                make_engine(), stream,
-                checkpoint=ck_base, checkpoint_every=checkpoint_every,
-                resume=True, emitter=JsonlEmitter(handle),
-            )
+        second = run(checkpoint=ck_base, resume=True, emitter=JsonlEmitter(handle))
 
     got_bytes = out_path.read_bytes()
     got_failures = sorted(map(_failure_key, second.failures))

@@ -11,6 +11,17 @@ Only decoded values travel across the process boundary (raw-slice
 matches would drag whole payload chunks along), so the result is a list
 of values per record — enough for every aggregation use; use the
 in-process engines when byte offsets are needed.
+
+Two runners: :func:`run_records_pool`, the plain fan-out, and
+:func:`run_records_pool_resilient`, which survives crashing workers and
+poison records.  The resilient runner is one segment loop over the
+checkpoint cursor of :mod:`repro.checkpoint.runs` — a checkpointed run
+commits after every ``checkpoint_every`` records, an unchecked one is
+the same loop with a null store and the whole stream as one segment —
+and each segment goes through one bisect/retry/isolated-trial executor.
+Workers evaluate records with
+:func:`repro.resilience.recovery.evaluate_record`, the same per-record
+error taxonomy as the serial runner.
 """
 
 from __future__ import annotations
@@ -20,10 +31,11 @@ import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor, TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Any
 
 from repro.errors import DeadlineExceededError
+from repro.resilience.recovery import RecordFailure, RecoveryResult
 from repro.stream.records import RecordStream
 
 #: Upper bound on one retry backoff sleep, jittered or not.
@@ -55,6 +67,10 @@ def retry_delay(
     return delay * (1.0 - jitter) + rng.uniform(0.0, delay * jitter)
 
 
+def _deadline_spent(limits) -> bool:
+    return limits is not None and limits.deadline is not None and limits.deadline.expired()
+
+
 def check_dispatch_deadline(limits) -> None:
     """Fail fast when ``limits`` carries an already-expired deadline.
 
@@ -65,7 +81,7 @@ def check_dispatch_deadline(limits) -> None:
     the work to run must convert the remaining budget into a fresh
     deadline first (``Limits.remaining()`` / ``Limits.with_deadline``).
     """
-    if limits is not None and limits.deadline is not None and limits.deadline.expired():
+    if _deadline_spent(limits):
         raise DeadlineExceededError(
             "deadline already expired at pool dispatch; refusing to fan out "
             "(rebuild a fresh deadline from the remaining budget instead)"
@@ -162,11 +178,12 @@ def _run_batch_resilient(
 ) -> list[tuple]:
     """Worker: evaluate each record, capturing per-record failures.
 
-    Returns one tuple per record: ``("ok", values)`` or
-    ``("err", error_class_name, message, position)``.  A record that
-    merely raises stays a data point instead of a process casualty — only
-    genuine interpreter/OS death (or the injected fault sentinels used by
-    the tests) takes the worker down.
+    Returns one :func:`~repro.resilience.recovery.evaluate_record` pair
+    per record: ``(values, None)`` or ``(None, failure)``, the picklable
+    :class:`~repro.resilience.recovery.RecordFailure` indexed within the
+    batch.  A record that merely raises stays a data point instead of a
+    process casualty — only genuine interpreter/OS death (or the
+    injected fault sentinels used by the tests) takes the worker down.
 
     ``limits`` (a :class:`repro.resilience.Limits`, pickled across the
     process boundary; ``Deadline`` anchors to ``CLOCK_MONOTONIC``, which
@@ -185,8 +202,8 @@ def _run_batch_resilient(
                 os._exit(1)  # simulated hard crash: no exception, no cleanup
             if record == HANG_SENTINEL:
                 time.sleep(HANG_SECONDS)
-    from repro.errors import ReproError
     from repro.registry import compile as compile_engine
+    from repro.resilience.recovery import evaluate_record
 
     if limits is not None:
         # Guarded runs skip the per-process cache: the deadline differs
@@ -197,15 +214,7 @@ def _run_batch_resilient(
             _WORKER_ENGINE = compile_engine(query)
             _WORKER_QUERY = query
         engine = _WORKER_ENGINE
-    out: list[tuple] = []
-    for record in records:
-        try:
-            out.append(("ok", engine.run(record).values()))
-        except ReproError as exc:
-            out.append(("err", type(exc).__name__, str(exc), getattr(exc, "position", None)))
-        except ValueError as exc:
-            out.append(("err", "UndecodableMatch", str(exc), None))
-    return out
+    return [evaluate_record(engine, i, record) for i, record in enumerate(records)]
 
 
 @dataclass
@@ -216,43 +225,24 @@ class _Batch:
 
 
 @dataclass
-class PoolResult:
+class PoolResult(RecoveryResult):
     """Outcome of one fault-tolerant pool run.
 
-    ``values[i]`` is the list of match values for record ``i`` or
-    ``None`` when the record was quarantined (see ``failures``).
+    A :class:`~repro.resilience.recovery.RecoveryResult` (``values[i]``
+    is ``None`` when record ``i`` was quarantined, see ``failures``)
+    plus the pool's own health counters.
     """
 
-    values: list[list[Any] | None]
-    failures: list = field(default_factory=list)
     worker_crashes: int = 0
     batch_retries: int = 0
-    #: :class:`repro.checkpoint.runs.CheckpointInfo` when the run was
-    #: checkpointed (``checkpoint=`` was passed); ``None`` otherwise.
-    checkpoint: Any | None = None
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    @property
-    def records_ok(self) -> int:
-        return sum(1 for v in self.values if v is not None)
-
-    def describe(self) -> str:
-        lines = [
+    def _headline(self) -> str:
+        return (
             f"{self.records_ok}/{len(self.values)} records ok, "
             f"{len(self.failures)} quarantined, "
             f"{self.worker_crashes} worker crashes, "
             f"{self.batch_retries} batch retries"
-        ]
-        for failure in self.failures[:20]:
-            lines.append(
-                f"  record {failure.index}: [{failure.kind}] {failure.error}: {failure.message}"
-            )
-        if len(self.failures) > 20:
-            lines.append(f"  ... and {len(self.failures) - 20} more")
-        return "\n".join(lines)
+        )
 
 
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
@@ -264,6 +254,14 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
         except OSError:  # already-dead process: nothing left to kill
             pass
     pool.shutdown(wait=False, cancel_futures=True)
+
+
+def _deadline_failures(indices) -> list[RecordFailure]:
+    """Quarantine records the spent deadline never let a worker start."""
+    return [
+        RecordFailure(i, "error", "DeadlineExceededError", "deadline expired before batch dispatch")
+        for i in indices
+    ]
 
 
 def run_records_pool_resilient(
@@ -314,165 +312,208 @@ def run_records_pool_resilient(
     retry in lockstep; ``0.0`` restores the deterministic schedule and a
     seeded ``backoff_rng`` makes the jittered schedule reproducible.
 
+    The stream is processed in segments: ``checkpoint_every`` records
+    each with ``checkpoint=`` (a path or
+    :class:`~repro.checkpoint.CheckpointStore`), the whole stream as one
+    segment without.  After each segment its values, failures and pool
+    counters are committed (:mod:`repro.checkpoint.runs`); ``stop`` is
+    consulted between segments — records within a segment complete out
+    of order across workers — and ``resume=True`` continues an
+    interrupted run from its last commit, ``emitter`` receiving every
+    match exactly once.  ``resume``, ``emitter`` and ``stop`` without
+    ``checkpoint`` raise :class:`~repro.errors.ConfigurationError`.
+
     ``limits`` threads the uniform resource guards into every worker's
     engine.  A ``limits.deadline`` that is *already expired* fails the
     dispatch immediately with
     :class:`~repro.errors.DeadlineExceededError` — no pool is created,
-    no batch is pickled; a deadline that expires mid-run stops further
-    batch scheduling and quarantines the unprocessed records instead of
-    fanning out work every worker would abort.
-
-    ``checkpoint`` (a path or :class:`~repro.checkpoint.CheckpointStore`)
-    makes the run resumable in segments of ``checkpoint_every`` records;
-    see :func:`repro.checkpoint.runs.checkpointed_pool` for the
-    ``resume`` / ``emitter`` / ``stop`` semantics.
+    no batch is pickled, no checkpoint is restored (a resumed run must
+    convert its remaining budget into a *fresh* deadline; see
+    :meth:`repro.resilience.Limits.remaining`).  A deadline that expires
+    mid-run stops further batch scheduling: at the next segment boundary
+    (or batch dispatch) the unprocessed records are quarantined as
+    ``DeadlineExceededError`` failures and the run ends, committed as
+    done, with every finished record's values intact.
     """
-    from repro.resilience.recovery import RecordFailure
+    from repro.checkpoint.runs import POOL_KIND, open_checkpointer
 
     check_dispatch_deadline(limits)
-    if checkpoint is not None:
-        from repro.checkpoint.runs import checkpointed_pool
-
-        return checkpointed_pool(
-            query,
-            stream,
-            checkpoint=checkpoint,
-            checkpoint_every=checkpoint_every,
-            resume=resume,
-            emitter=emitter,
-            stop=stop,
-            n_workers=n_workers,
-            batch_size=batch_size,
-            max_retries=max_retries,
-            timeout=timeout,
-            backoff=backoff,
-            backoff_jitter=backoff_jitter,
-            backoff_rng=backoff_rng,
-            metrics=metrics,
-            inject_faults=inject_faults,
-            limits=limits,
-        )
-
-    records = [stream.record(i) for i in range(len(stream))]
-    n = len(records)
-    result = PoolResult(values=[None] * n)
-
-    def harvest(start: int, out: list[tuple]) -> None:
-        for offset, item in enumerate(out):
-            idx = start + offset
-            if item[0] == "ok":
-                result.values[idx] = item[1]
+    ck = open_checkpointer(
+        POOL_KIND, checkpoint, stream, query,
+        checkpoint_every=checkpoint_every, resume=resume,
+        emitter=emitter, stop=stop, metrics=metrics,
+    )
+    n = len(stream)
+    segment = checkpoint_every if checkpoint is not None else max(n, 1)
+    result = PoolResult(
+        values=[None] * n,
+        failures=ck.failures,
+        worker_crashes=int(ck.extra.get("worker_crashes", 0)),
+        batch_retries=int(ck.extra.get("batch_retries", 0)),
+    )
+    interrupted = False
+    if not ck.done:
+        while ck.cursor < n:
+            start = ck.cursor
+            if stop is not None and stop(start):
+                interrupted = True
+                break
+            first_failure = len(result.failures)
+            crashes, retries = result.worker_crashes, result.batch_retries
+            if _deadline_spent(limits):
+                end = n
+                result.failures.extend(_deadline_failures(range(start, n)))
+                ck.aborted = True
             else:
-                result.failures.append(
-                    RecordFailure(idx, "error", item[1], item[2], item[3])
+                end = min(n, start + segment)
+                _run_segment(
+                    query, [stream.record(i) for i in range(start, end)], start, result,
+                    n_workers, batch_size, max_retries, timeout, backoff,
+                    backoff_jitter, backoff_rng, inject_faults, limits,
                 )
-
-    use_pool = inject_faults or n_workers > 1
-    if not use_pool:
-        harvest(0, _run_batch_resilient(query, records, limits=limits))
-    else:
-        pending: deque[_Batch] = deque(
-            _Batch(i, records[i : i + batch_size])
-            for i in range(0, n, batch_size)
-        )
-        pool: ProcessPoolExecutor | None = None
-        try:
-            while pending:
-                if limits is not None and limits.deadline is not None and limits.deadline.expired():
-                    # Budget spent mid-run: quarantine what's left instead of
-                    # dispatching batches every worker would abort anyway.
-                    for batch in pending:
-                        for offset in range(len(batch.records)):
-                            result.failures.append(
-                                RecordFailure(
-                                    batch.start + offset,
-                                    "error",
-                                    "DeadlineExceededError",
-                                    "deadline expired before batch dispatch",
-                                )
-                            )
-                    pending.clear()
-                    break
-                if pool is None:
-                    pool = ProcessPoolExecutor(max_workers=max(1, n_workers))
-                # Submit every pending batch so healthy workers stay busy;
-                # collect in order so a broken pool is noticed deterministically.
-                inflight = [
-                    (
-                        batch,
-                        pool.submit(
-                            _run_batch_resilient, query, batch.records, inject_faults, limits
-                        ),
-                    )
-                    for batch in pending
-                ]
-                pending.clear()
-                for pos, (batch, future) in enumerate(inflight):
-                    try:
-                        harvest(batch.start, future.result(timeout=timeout))
-                    except (BrokenProcessPool, FutureTimeoutError, OSError) as exc:
-                        kind = "timeout" if isinstance(exc, FutureTimeoutError) else "crash"
-                        result.worker_crashes += 1
-                        if pool is not None:
-                            _kill_pool(pool)
-                            pool = None
-                        if backoff:
-                            time.sleep(
-                                retry_delay(backoff, batch.attempts, backoff_jitter, backoff_rng)
-                            )
-                        if len(batch.records) > 1:
-                            # Bisect: isolate the culprit, free the innocents.
-                            mid = len(batch.records) // 2
-                            pending.append(
-                                _Batch(batch.start, batch.records[:mid], batch.attempts + 1)
-                            )
-                            pending.append(
-                                _Batch(batch.start + mid, batch.records[mid:], batch.attempts + 1)
-                            )
-                            result.batch_retries += 1
-                        elif batch.attempts < max_retries:
-                            pending.append(
-                                _Batch(batch.start, batch.records, batch.attempts + 1)
-                            )
-                            result.batch_retries += 1
-                        elif _isolated_trial(query, batch, timeout, inject_faults, harvest, limits):
-                            # Exonerated: every attempt so far may have been
-                            # collateral damage — BrokenProcessPool fails all
-                            # in-flight futures, so an innocent record can
-                            # burn its retries on a *sibling's* crash.  Only
-                            # a record that also kills a private one-worker
-                            # pool is quarantined.
-                            result.batch_retries += 1
-                        else:
-                            result.failures.append(
-                                RecordFailure(
-                                    batch.start,
-                                    kind,
-                                    type(exc).__name__,
-                                    f"record repeatedly killed its worker ({kind})",
-                                )
-                            )
-                        # Remaining in-flight futures share the dead pool:
-                        # requeue them for the fresh one without burning an
-                        # attempt (they are casualties, not suspects).
-                        for other, other_future in inflight[pos + 1 :]:
-                            if not _harvest_if_done(other, other_future, harvest):
-                                pending.append(other)
-                        break
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
-
-    if metrics is not None:
-        crashes = sum(1 for f in result.failures if f.kind in ("crash", "timeout"))
-        poison = sum(1 for f in result.failures if f.kind == "error")
-        metrics.counter("pool.worker_crashes").add(result.worker_crashes)
-        metrics.counter("pool.batch_retries").add(result.batch_retries)
-        metrics.counter("pool.poison_records").add(poison)
-        metrics.counter("pool.crashed_records").add(crashes)
-        metrics.counter("pool.records_ok").add(result.records_ok)
-        metrics.counter("pool.records_failed").add(len(result.failures))
+            if metrics is not None:
+                failed = result.failures[first_failure:]
+                for name, value in (
+                    ("pool.worker_crashes", result.worker_crashes - crashes),
+                    ("pool.batch_retries", result.batch_retries - retries),
+                    ("pool.poison_records", sum(f.kind == "error" for f in failed)),
+                    ("pool.crashed_records", sum(f.kind in ("crash", "timeout") for f in failed)),
+                    ("pool.records_ok", sum(v is not None for v in result.values[start:end])),
+                    ("pool.records_failed", len(failed)),
+                ):
+                    metrics.counter(name).add(value)
+            for idx in range(start, end):
+                ck.stage(idx, result.values[idx])
+            ck.cursor = end
+            ck.extra = {
+                "worker_crashes": result.worker_crashes,
+                "batch_retries": result.batch_retries,
+            }
+            ck.commit()
+        if ck.cursor >= n:
+            ck.done = True
+            ck.commit()
+    result.checkpoint = ck.info(interrupted)
     return result
+
+
+def _run_segment(
+    query: str,
+    records: list[bytes],
+    start: int,
+    result: PoolResult,
+    n_workers: int,
+    batch_size: int,
+    max_retries: int,
+    timeout: float | None,
+    backoff: float,
+    backoff_jitter: float,
+    backoff_rng: random.Random | None,
+    inject_faults: bool,
+    limits,
+) -> None:
+    """Evaluate one segment — stream records ``start`` onward — into ``result``.
+
+    The bisect/retry/isolated-trial executor: values land at their
+    absolute stream index, failures are appended re-indexed, and worker
+    crashes and batch retries are added to ``result``'s counters.
+    """
+
+    def harvest(batch_start: int, out: list[tuple]) -> None:
+        for offset, (values, failure) in enumerate(out):
+            if failure is None:
+                result.values[batch_start + offset] = values
+            else:
+                result.failures.append(replace(failure, index=batch_start + offset))
+
+    if not (inject_faults or n_workers > 1):
+        harvest(start, _run_batch_resilient(query, records, limits=limits))
+        return
+    pending: deque[_Batch] = deque(
+        _Batch(start + i, records[i : i + batch_size])
+        for i in range(0, len(records), batch_size)
+    )
+    pool: ProcessPoolExecutor | None = None
+    try:
+        while pending:
+            if _deadline_spent(limits):
+                # Budget spent mid-run: quarantine what's left instead of
+                # dispatching batches every worker would abort anyway.
+                for batch in pending:
+                    result.failures.extend(
+                        _deadline_failures(range(batch.start, batch.start + len(batch.records)))
+                    )
+                pending.clear()
+                break
+            if pool is None:
+                pool = ProcessPoolExecutor(max_workers=max(1, n_workers))
+            # Submit every pending batch so healthy workers stay busy;
+            # collect in order so a broken pool is noticed deterministically.
+            inflight = [
+                (
+                    batch,
+                    pool.submit(
+                        _run_batch_resilient, query, batch.records, inject_faults, limits
+                    ),
+                )
+                for batch in pending
+            ]
+            pending.clear()
+            for pos, (batch, future) in enumerate(inflight):
+                try:
+                    harvest(batch.start, future.result(timeout=timeout))
+                except (BrokenProcessPool, FutureTimeoutError, OSError) as exc:
+                    kind = "timeout" if isinstance(exc, FutureTimeoutError) else "crash"
+                    result.worker_crashes += 1
+                    if pool is not None:
+                        _kill_pool(pool)
+                        pool = None
+                    if backoff:
+                        time.sleep(
+                            retry_delay(backoff, batch.attempts, backoff_jitter, backoff_rng)
+                        )
+                    if len(batch.records) > 1:
+                        # Bisect: isolate the culprit, free the innocents.
+                        mid = len(batch.records) // 2
+                        pending.append(
+                            _Batch(batch.start, batch.records[:mid], batch.attempts + 1)
+                        )
+                        pending.append(
+                            _Batch(batch.start + mid, batch.records[mid:], batch.attempts + 1)
+                        )
+                        result.batch_retries += 1
+                    elif batch.attempts < max_retries:
+                        pending.append(
+                            _Batch(batch.start, batch.records, batch.attempts + 1)
+                        )
+                        result.batch_retries += 1
+                    elif _isolated_trial(query, batch, timeout, inject_faults, harvest, limits):
+                        # Exonerated: every attempt so far may have been
+                        # collateral damage — BrokenProcessPool fails all
+                        # in-flight futures, so an innocent record can
+                        # burn its retries on a *sibling's* crash.  Only
+                        # a record that also kills a private one-worker
+                        # pool is quarantined.
+                        result.batch_retries += 1
+                    else:
+                        result.failures.append(
+                            RecordFailure(
+                                batch.start,
+                                kind,
+                                type(exc).__name__,
+                                f"record repeatedly killed its worker ({kind})",
+                            )
+                        )
+                    # Remaining in-flight futures share the dead pool:
+                    # requeue them for the fresh one without burning an
+                    # attempt (they are casualties, not suspects).
+                    for other, other_future in inflight[pos + 1 :]:
+                        if not _harvest_if_done(other, other_future, harvest):
+                            pending.append(other)
+                    break
+    finally:
+        if pool is not None:
+            pool.shutdown(wait=False, cancel_futures=True)
 
 
 def _isolated_trial(query: str, batch: _Batch, timeout, inject_faults, harvest, limits=None) -> bool:

@@ -16,10 +16,14 @@ answer to what that leaves open:
   blind spot — never crashes, never hangs;
 - :mod:`~repro.resilience.recovery` — record-stream resynchronization:
   skip a malformed record, resume at the next boundary, report it.
+  :func:`~repro.resilience.recovery.evaluate_record` is the one
+  per-record error taxonomy; :func:`run_with_recovery` is the serial
+  record runner, one loop whether or not it is checkpointed.
 
-Fault-tolerant parallel execution (worker replacement, retry with
-backoff, poison-record quarantine) is the pool's side of the same
-contract: :func:`repro.parallel.run_records_pool_resilient`.
+The pool runner, :func:`repro.parallel.run_records_pool_resilient`, is
+the same contract over worker processes (worker replacement, retry with
+backoff, poison-record quarantine), with the same single loop and the
+same per-record evaluator inside its workers.
 """
 
 from repro.resilience.faults import (
@@ -47,6 +51,7 @@ from repro.resilience.guards import (
 from repro.resilience.recovery import (
     RecordFailure,
     RecoveryResult,
+    evaluate_record,
     run_with_recovery,
 )
 
@@ -68,6 +73,7 @@ __all__ = [
     "depth_error_from_recursion",
     "differential_fuzz",
     "effective_limits",
+    "evaluate_record",
     "mutate",
     "run_with_recovery",
 ]

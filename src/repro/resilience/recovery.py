@@ -75,11 +75,11 @@ class RecoveryResult:
         """Matched values across surviving records, in record order."""
         return [v for per_record in self.values if per_record is not None for v in per_record]
 
+    def _headline(self) -> str:
+        return f"{self.records_ok}/{len(self.values)} records ok, {len(self.failures)} skipped"
+
     def describe(self) -> str:
-        lines = [
-            f"{self.records_ok}/{len(self.values)} records ok, "
-            f"{len(self.failures)} skipped"
-        ]
+        lines = [self._headline()]
         for failure in self.failures[:20]:
             where = f" at byte {failure.position}" if failure.position is not None else ""
             lines.append(
@@ -89,6 +89,33 @@ class RecoveryResult:
         if len(self.failures) > 20:
             lines.append(f"  ... and {len(self.failures) - 20} more")
         return "\n".join(lines)
+
+
+def evaluate_record(
+    engine, index: int, record: bytes, materialize: bool = True
+) -> tuple[Any, RecordFailure | None]:
+    """Evaluate one record: ``(values, None)`` or ``(None, failure)``.
+
+    The one home of the per-record error taxonomy, shared by the serial
+    runner, the pool workers and the query service: a
+    :class:`~repro.errors.ReproError` becomes a ``kind="error"``
+    :class:`RecordFailure` named after its class, and a ``ValueError``
+    from decoding a matched slice (``run()`` tolerated a skip-region
+    malformation, but the slice itself is not valid JSON) becomes
+    ``"UndecodableMatch"``.  What a failure *means* — skip, abort the
+    run, end the stream — is the caller's policy.
+
+    ``materialize=False`` returns the lazy
+    :class:`~repro.engine.output.MatchList` instead of decoded values;
+    nothing decodes, so ``UndecodableMatch`` cannot occur.
+    """
+    try:
+        matches = engine.run(record)
+        return (matches.values() if materialize else matches), None
+    except ReproError as exc:
+        return None, RecordFailure.from_exception(index, exc)
+    except ValueError as exc:
+        return None, RecordFailure(index, "error", "UndecodableMatch", str(exc))
 
 
 def run_with_recovery(
@@ -107,23 +134,30 @@ def run_with_recovery(
     """Evaluate ``engine`` over every record, surviving malformed ones.
 
     Each record that raises a :class:`ReproError` becomes a
-    :class:`RecordFailure`; processing resumes at the next record
-    boundary.  A :class:`~repro.errors.DeadlineExceededError` (the
-    cooperative deadline is a property of the whole run, not of one
-    record) and ``max_failures`` overruns abort the run early — the
-    partial result still carries everything processed so far, with the
-    aborting failure last.
+    :class:`RecordFailure` (see :func:`evaluate_record`); processing
+    resumes at the next record boundary.  A
+    :class:`~repro.errors.DeadlineExceededError` (the cooperative
+    deadline is a property of the whole run, not of one record) and
+    ``max_failures`` overruns abort the run early — the partial result
+    still carries everything processed so far, with the aborting failure
+    last.
 
     ``metrics`` receives ``stream.records_ok`` / ``stream.records_skipped``
     counters (per failure class, via the ``error`` label).
 
     ``checkpoint`` (a path or :class:`~repro.checkpoint.CheckpointStore`)
-    makes the run resumable: progress is committed every
-    ``checkpoint_every`` records, ``resume=True`` skips the completed
-    prefix of an interrupted run, ``emitter`` receives match values
-    exactly once across kill/resume cycles, and ``stop`` (called with the
-    next record index) requests a clean early exit.  See
-    :func:`repro.checkpoint.runs.checkpointed_recovery`.
+    makes the run resumable (:mod:`repro.checkpoint.runs`): progress is
+    committed every ``checkpoint_every`` records and at every exit path,
+    ``resume=True`` skips the completed prefix of an interrupted run,
+    ``emitter`` receives match values exactly once across kill/resume
+    cycles, and ``stop`` (called with the next record index) requests a
+    clean early exit (``result.checkpoint.interrupted``).  ``resume``,
+    ``emitter`` and ``stop`` without ``checkpoint`` raise
+    :class:`~repro.errors.ConfigurationError`.  A resumed run's
+    ``values`` cover only records processed *this session* — entries for
+    records completed before the resume are ``None`` (their output
+    already lives in the emitter's sink); ``result.checkpoint.resumed_at``
+    marks the boundary.
 
     ``engine`` may also be query text (or a parsed
     :class:`~repro.jsonpath.ast.Path`), which is compiled through the
@@ -137,65 +171,65 @@ def run_with_recovery(
     ``UndecodableMatch`` failure class disappears in this mode, since
     nothing decodes the matched slices.
     """
-    from repro.errors import DeadlineExceededError
+    from repro.checkpoint.runs import RECOVERY_KIND, open_checkpointer
     from repro.jsonpath.ast import Path
 
     if isinstance(engine, (str, Path)):
         from repro.registry import compile as compile_engine
 
         engine = compile_engine(engine)
-
-    if checkpoint is not None:
-        from repro.checkpoint.runs import checkpointed_recovery
-
-        return checkpointed_recovery(
-            engine,
-            stream,
-            checkpoint=checkpoint,
-            checkpoint_every=checkpoint_every,
-            resume=resume,
-            emitter=emitter,
-            stop=stop,
-            max_failures=max_failures,
-            metrics=metrics,
-            materialize=materialize,
-        )
-
-    values: list[list[Any] | None] = []
-    failures: list[RecordFailure] = []
-    aborted = False
-    for i in range(len(stream)):
-        if aborted:
-            values.append(None)
-            continue
-        try:
-            matches = engine.run(stream.record(i))
-            values.append(matches.values() if materialize else matches)
-        except ReproError as exc:
-            failure = RecordFailure.from_exception(i, exc)
-            failures.append(failure)
-            values.append(None)
-            if metrics is not None:
-                metrics.counter("stream.records_skipped", error=failure.error).add(1)
-            if isinstance(exc, DeadlineExceededError):
-                aborted = True
-            if max_failures is not None and len(failures) >= max_failures:
-                aborted = True
-        except ValueError as exc:
-            # run() tolerated a skip-region malformation but the matched
-            # slice is undecodable; treat like a diagnosed bad record.
-            failure = RecordFailure(i, "error", "UndecodableMatch", str(exc))
-            failures.append(failure)
-            values.append(None)
-            if metrics is not None:
-                metrics.counter("stream.records_skipped", error=failure.error).add(1)
-            if max_failures is not None and len(failures) >= max_failures:
-                aborted = True
-    if metrics is not None:
-        metrics.counter("stream.records_ok").add(
-            sum(1 for v in values if v is not None)
-        )
-    return RecoveryResult(values=values, failures=failures)
+    # Engines keep their parsed Path; a checkpoint records its canonical
+    # text so a resume against a different query is rejected, not mixed.
+    path = getattr(engine, "path", None)
+    query = path.unparse() if hasattr(path, "unparse") else None
+    ck = open_checkpointer(
+        RECOVERY_KIND, checkpoint, stream, query,
+        checkpoint_every=checkpoint_every, resume=resume,
+        emitter=emitter, stop=stop, metrics=metrics,
+    )
+    n = len(stream)
+    values: list[Any] = [None] * n
+    interrupted = False
+    if not ck.done:
+        since_commit = 0
+        while ck.cursor < n:
+            i = ck.cursor
+            if stop is not None and stop(i):
+                interrupted = True
+                break
+            values[i], failure = evaluate_record(engine, i, stream.record(i), materialize)
+            if failure is not None:
+                ck.failures.append(failure)
+                if metrics is not None:
+                    metrics.counter("stream.records_skipped", error=failure.error).add(1)
+                if failure.error == "DeadlineExceededError" or (
+                    max_failures is not None and len(ck.failures) >= max_failures
+                ):
+                    ck.aborted = True
+            ck.stage(i, values[i])
+            ck.cursor = i + 1
+            since_commit += 1
+            if ck.aborted:
+                break
+            if since_commit >= checkpoint_every:
+                ck.commit()
+                since_commit = 0
+        if ck.cursor >= n or ck.aborted:
+            ck.done = True
+        if metrics is not None:
+            metrics.counter("stream.records_ok").add(
+                sum(1 for v in values if v is not None)
+            )
+        ck.commit()
+    return RecoveryResult(
+        values=values, failures=list(ck.failures), checkpoint=ck.info(interrupted)
+    )
 
 
-__all__ = ["RecordFailure", "RecoveryResult", "run_with_recovery", "ResourceLimitError"]
+__all__ = [
+    "RecordFailure",
+    "RecoveryResult",
+    "ResourceLimitError",
+    "evaluate_record",
+    "run_with_recovery",
+]

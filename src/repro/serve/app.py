@@ -40,6 +40,7 @@ from typing import Any, Callable
 from repro.errors import DeadlineExceededError, ReproError
 from repro.observe import MetricsRegistry, render_prometheus
 from repro.resilience.guards import DEFAULT_MAX_DEPTH, Limits
+from repro.resilience.recovery import evaluate_record
 from repro.serve.admission import AdmissionQueue
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.drain import DrainCoordinator
@@ -394,6 +395,9 @@ class QueryService:
         if offset < 0:
             raise BadRequestError('"offset" cannot be negative')
         checkpoint = body.get("checkpoint")
+        resume = bool(body.get("resume", False))
+        if resume and checkpoint is None:
+            raise BadRequestError('"resume" requires "checkpoint"')
         if checkpoint is not None:
             if self.config.checkpoint_dir is None:
                 raise BadRequestError("checkpointed dispatch is not enabled")
@@ -412,7 +416,7 @@ class QueryService:
             "offset": offset,
             "workers": workers,
             "checkpoint": checkpoint,
-            "resume": bool(body.get("resume", False)),
+            "resume": resume,
             "inject_faults": inject_faults,
             "limits": self.base_limits(budget),
         }
@@ -486,26 +490,20 @@ class QueryService:
             out = await loop.run_in_executor(
                 self.executor, _run_record_batch, prepared, records, i, batch_end
             )
-            for j, item in zip(range(i, batch_end), out):
-                if item[0] == "ok":
-                    await stream.send_line({"index": j, "values": item[1]})
-                    emitted += len(item[1])
-                else:
-                    _tag, error, message = item
-                    if error == "DeadlineExceededError":
-                        await stream.finish(
-                            {"error": error, "message": message,
-                             "index": j, "emitted": emitted}
-                        )
-                        return "served"
-                    if mode == "strict":
-                        await stream.finish(
-                            {"error": error, "message": message,
-                             "index": j, "emitted": emitted}
-                        )
-                        return "failed"
-                    skipped += 1
-                    await stream.send_line({"index": j, "skipped": error})
+            for j, (values, failure) in zip(range(i, batch_end), out):
+                if failure is None:
+                    await stream.send_line({"index": j, "values": values})
+                    emitted += len(values)
+                    continue
+                if failure.error == "DeadlineExceededError" or mode == "strict":
+                    await stream.finish(
+                        {"error": failure.error, "message": failure.message,
+                         "index": j, "emitted": emitted}
+                    )
+                    # An expired budget is the client's, not corpus health.
+                    return "served" if failure.error == "DeadlineExceededError" else "failed"
+                skipped += 1
+                await stream.send_line({"index": j, "skipped": failure.error})
             i = batch_end
         await stream.finish(
             {"done": True, "records": n, "emitted": emitted,
@@ -602,14 +600,5 @@ class QueryService:
 
 
 def _run_record_batch(prepared, records, start: int, stop: int) -> list[tuple]:
-    """Executor-side: evaluate one batch, capturing per-record errors."""
-    out: list[tuple] = []
-    for j in range(start, stop):
-        record = records.record(j)
-        try:
-            out.append(("ok", prepared.run(record).values()))
-        except ReproError as exc:
-            out.append(("err", type(exc).__name__, str(exc)))
-        except ValueError as exc:
-            out.append(("err", "UndecodableMatch", str(exc)))
-    return out
+    """Executor-side: one :func:`evaluate_record` pair per record of a batch."""
+    return [evaluate_record(prepared, j, records.record(j)) for j in range(start, stop)]

@@ -12,10 +12,12 @@ from __future__ import annotations
 import io
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -27,8 +29,11 @@ from repro.checkpoint import (
     SuspendableRun,
     kill_resume_differential,
 )
-from repro.errors import CheckpointError, UnsupportedQueryError
-from repro.resilience import run_with_recovery
+from repro.data.datasets import record_stream
+from repro.errors import CheckpointError, ConfigurationError, UnsupportedQueryError
+from repro.observe import MetricsRegistry
+from repro.parallel import run_records_pool_resilient
+from repro.resilience import Deadline, Limits, mutate, run_with_recovery
 from repro.stream.records import RecordStream
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -162,7 +167,66 @@ def _stream(n=20, bad_at=(4, 11)):
     return RecordStream.from_records(records)
 
 
+#: (dataset, small-record query) pairs for the null-store differential.
+DIFFERENTIAL_STREAMS = [("TT", "$.en.urls[*].url"), ("BB", "$.cp[1:3].id")]
+
+
+def _mutated_stream(name: str) -> RecordStream:
+    """A dataset's NDJSON records with every third one ``faults.mutate``d."""
+    base = record_stream(name, 30_000, seed=11)
+    return RecordStream.from_records(
+        [
+            mutate(base.record(i), seed=i).data if i % 3 == 1 else base.record(i)
+            for i in range(len(base))
+        ]
+    )
+
+
+def _failure_tuples(result) -> list[tuple]:
+    return [(f.index, f.kind, f.error, f.message, f.position) for f in result.failures]
+
+
+def _counters(registry: MetricsRegistry, prefix: str) -> list[tuple]:
+    return sorted(
+        (c["name"], sorted(c["labels"].items()), c["value"])
+        for c in registry.as_dict()["counters"]
+        if c["name"].startswith(prefix)
+    )
+
+
 class TestCheckpointedRecovery:
+    @pytest.mark.parametrize("materialize", [True, False])
+    @pytest.mark.parametrize("max_failures", [None, 3])
+    @pytest.mark.parametrize("dataset,query", DIFFERENTIAL_STREAMS)
+    def test_null_store_matches_checkpointed(
+        self, tmp_path, dataset, query, max_failures, materialize
+    ):
+        """``checkpoint=None`` is the checkpointed loop with nothing persisted."""
+        stream = _mutated_stream(dataset)
+
+        def run(**kwargs):
+            registry = MetricsRegistry()
+            result = run_with_recovery(
+                repro.JsonSki(query), stream, max_failures=max_failures,
+                materialize=materialize, metrics=registry, **kwargs,
+            )
+            values = [
+                v if v is None or materialize else v.offsets() for v in result.values
+            ]
+            return values, _failure_tuples(result), _counters(registry, "stream."), result
+
+        plain_values, plain_failures, plain_counters, plain = run()
+        assert plain.checkpoint is None
+        assert len(plain_failures) >= 3  # max_failures=3 really aborts
+        for every in (1, 7, len(stream) + 5):
+            values, failures, counters, ckpt = run(
+                checkpoint=tmp_path / f"run-{every}.ckpt", checkpoint_every=every
+            )
+            assert values == plain_values
+            assert failures == plain_failures
+            assert counters == plain_counters
+            assert ckpt.checkpoint.completed
+
     def test_uninterrupted_matches_plain_recovery(self, tmp_path):
         stream = _stream()
         plain = run_with_recovery(repro.JsonSki("$.a.b"), stream)
@@ -288,6 +352,39 @@ class TestCheckpointedRecovery:
 
 
 class TestCheckpointedPool:
+    @pytest.mark.parametrize("dataset,query", DIFFERENTIAL_STREAMS)
+    def test_null_store_matches_checkpointed(self, tmp_path, dataset, query):
+        """The pool twin: one segment with a null store, or many committed."""
+        stream = _mutated_stream(dataset)
+
+        def run(**kwargs):
+            registry = MetricsRegistry()
+            result = run_records_pool_resilient(
+                query, stream, n_workers=1, metrics=registry, **kwargs
+            )
+            return result.values, _failure_tuples(result), _counters(registry, "pool."), result
+
+        plain_values, plain_failures, plain_counters, plain = run()
+        assert plain.checkpoint is None and plain_failures
+        for every in (1, 7, len(stream) + 5):
+            values, failures, counters, ckpt = run(
+                checkpoint=tmp_path / f"run-{every}.ckpt", checkpoint_every=every
+            )
+            assert values == plain_values
+            assert failures == plain_failures
+            assert counters == plain_counters
+            assert ckpt.checkpoint.completed
+
+    def test_null_store_matches_checkpointed_process_pool(self, tmp_path):
+        stream = _mutated_stream("BB")
+        plain = run_records_pool_resilient("$.cp[1:3].id", stream, n_workers=2, batch_size=5)
+        ckpt = run_records_pool_resilient(
+            "$.cp[1:3].id", stream, n_workers=2, batch_size=5,
+            checkpoint=tmp_path / "run.ckpt", checkpoint_every=7,
+        )
+        assert ckpt.values == plain.values
+        assert _failure_tuples(ckpt) == _failure_tuples(plain)
+
     def test_kill_resume_equality_pool(self, tmp_path):
         report = kill_resume_differential(
             "$.a.b", _stream(), interrupt_at=7, workdir=tmp_path,
@@ -305,7 +402,7 @@ class TestCheckpointedPool:
             "$.a", _Batch(5, [b'{"a": 42}']), 30.0, False,
             lambda start, out: harvested.update({start: out}),
         )
-        assert ok and harvested[5] == [("ok", [42])]
+        assert ok and harvested[5] == [([42], None)]
 
     def test_isolated_trial_convicts_worker_killer(self):
         from repro.parallel.real_pool import _Batch, _isolated_trial
@@ -315,6 +412,149 @@ class TestCheckpointedPool:
             "$.a", _Batch(0, [CRASH_SENTINEL]), 30.0, True, lambda *a: None
         )
         assert not ok
+
+
+def _probe_stream() -> RecordStream:
+    """400 small tweet records (~320 kB of NDJSON)."""
+    base = record_stream("TT", 600_000, seed=0)
+    return RecordStream.from_records([base.record(i) for i in range(400)])
+
+
+class _StepClock:
+    """A fake clock whose time jumps when the run reaches a cursor."""
+
+    def __init__(self, expire_at: int) -> None:
+        self.now = 0.0
+        self.expire_at = expire_at
+
+    def __call__(self) -> float:
+        return self.now
+
+    def stop(self, cursor: int) -> bool:
+        if cursor >= self.expire_at:
+            self.now = 1e9  # the budget runs out at this segment boundary
+        return False
+
+
+class TestDeadlinePolicy:
+    """A deadline expiring mid-run ends it at a segment boundary, never by
+    raising: committed records keep their values, the rest are
+    ``DeadlineExceededError`` failures, and the checkpoint is done."""
+
+    EXPIRE_AT = 225
+
+    def test_pool_keeps_committed_values(self, tmp_path):
+        stream = _probe_stream()
+        reference = run_records_pool_resilient("$.text", stream, n_workers=1)
+        clock = _StepClock(self.EXPIRE_AT)
+        sink = io.BytesIO()
+        ck = tmp_path / "run.ckpt"
+        result = run_records_pool_resilient(
+            "$.text", stream, n_workers=1, checkpoint=ck, checkpoint_every=1,
+            limits=Limits(deadline=Deadline(10.0, clock)),
+            emitter=JsonlEmitter(sink), stop=clock.stop,
+        )
+        assert isinstance(result, repro.PoolResult)
+        cut = self.EXPIRE_AT
+        assert result.values[:cut] == reference.values[:cut]
+        assert result.values[cut:] == [None] * (len(stream) - cut)
+        assert [f.index for f in result.failures] == list(range(cut, len(stream)))
+        assert {f.error for f in result.failures} == {"DeadlineExceededError"}
+        assert result.checkpoint.completed
+        expected = b"".join(
+            json.dumps(v, separators=(",", ":")).encode() + b"\n"
+            for values in reference.values[:cut] for v in values
+        )
+        assert sink.getvalue() == expected
+
+        again = run_records_pool_resilient(
+            "$.text", stream, n_workers=1, checkpoint=ck, checkpoint_every=1,
+            resume=True, limits=Limits(deadline=Deadline.after(30.0)),
+        )
+        assert again.checkpoint.checkpoints_written == 0  # nothing reprocessed
+        assert again.values == [None] * len(stream)
+        assert _failure_tuples(again) == _failure_tuples(result)
+
+    def test_unchecked_pool_quarantines_at_segment_boundary(self):
+        # Live at the dispatch check, spent by the (only) segment boundary.
+        ticks = iter([0.0])
+        limits = Limits(deadline=Deadline(10.0, lambda: next(ticks, 1e9)))
+        stream = _probe_stream()
+        result = run_records_pool_resilient("$.text", stream, n_workers=1, limits=limits)
+        assert result.values == [None] * len(stream)
+        assert [f.index for f in result.failures] == list(range(len(stream)))
+        assert {f.error for f in result.failures} == {"DeadlineExceededError"}
+
+
+class TestArgumentsNeedACheckpoint:
+    """``resume`` / ``emitter`` / ``stop`` mean nothing without a
+    ``checkpoint``, so both runners refuse them instead of ignoring them."""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"resume": True},
+            {"emitter": JsonlEmitter(io.BytesIO())},
+            {"stop": lambda cursor: False},
+        ],
+        ids=["resume", "emitter", "stop"],
+    )
+    @pytest.mark.parametrize("runner", ["recovery", "pool"])
+    def test_rejected_without_checkpoint(self, runner, kwargs):
+        with pytest.raises(ConfigurationError):
+            if runner == "pool":
+                run_records_pool_resilient("$.a.b", _stream(), n_workers=1, **kwargs)
+            else:
+                run_with_recovery(repro.JsonSki("$.a.b"), _stream(), **kwargs)
+
+
+#: Checkpoint generations and partial outputs written by an earlier
+#: version of both runners, each killed mid-stream by a ``stop``
+#: callable that raised; ``<kind>.expected.jsonl`` is that version's
+#: uninterrupted output.  ``manifest.json`` holds the query,
+#: ``checkpoint_every`` and the uninterrupted run's failure report and
+#: counters.  Resuming them pins the payload format across versions.
+LEGACY_CHECKPOINTS = Path(__file__).parent / "data" / "record_checkpoints_v1"
+
+
+class TestLegacyCheckpoints:
+    @pytest.mark.parametrize("kind", ["recovery", "pool"])
+    def test_resume_is_byte_identical(self, tmp_path, kind):
+        shutil.copytree(LEGACY_CHECKPOINTS, tmp_path, dirs_exist_ok=True)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        spec = manifest["runs"][kind]
+        offsets = json.loads((tmp_path / "offsets.json").read_text())
+        stream = RecordStream((tmp_path / "stream.bin").read_bytes(), offsets)
+        registry = MetricsRegistry()
+        options = dict(
+            checkpoint=tmp_path / f"{kind}.ckpt",
+            checkpoint_every=spec["checkpoint_every"],
+            resume=True, metrics=registry,
+        )
+        with open(tmp_path / f"{kind}.out.jsonl", "r+b") as handle:
+            handle.seek(0, io.SEEK_END)
+            if kind == "pool":
+                result = run_records_pool_resilient(
+                    manifest["query"], stream, n_workers=1,
+                    emitter=JsonlEmitter(handle), **options,
+                )
+            else:
+                result = run_with_recovery(
+                    repro.JsonSki(manifest["query"]), stream,
+                    emitter=JsonlEmitter(handle), **options,
+                )
+        assert result.checkpoint.resumed_at > 0 and result.checkpoint.completed
+        got = (tmp_path / f"{kind}.out.jsonl").read_bytes()
+        assert got == (tmp_path / f"{kind}.expected.jsonl").read_bytes()
+        assert _failure_tuples(result) == [tuple(f) for f in spec["failures"]]
+        expected = MetricsRegistry()
+        expected.merge_dict(spec["metrics"])
+        # stream.records_ok is added once, at the end of a session, so a
+        # killed session's share never reaches its checkpoints.
+        skip = {"stream.records_ok"}
+        assert [c for c in _counters(registry, "") if c[0] not in skip] == [
+            c for c in _counters(expected, "") if c[0] not in skip
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""compat shim, MatchList.to_jsonl, and generator seed stability."""
+"""MatchList.to_jsonl and generator seed stability."""
 
 from __future__ import annotations
 
@@ -7,37 +7,8 @@ import json
 import pytest
 
 import repro
-from repro.compat import parse
 from repro.data.datasets import large_record
 from repro.engine.stats import GROUPS
-
-
-class TestCompatShim:
-    DOC = {"a": [{"b": 1}, {"b": 2}], "weird key": 3}
-
-    def test_find(self):
-        data = [d.value for d in parse("$.a[*].b").find(self.DOC)]
-        assert data == [1, 2]
-
-    def test_full_path(self):
-        paths = [d.full_path for d in parse("$.a[*].b").find(self.DOC)]
-        assert paths == ["$.a[0].b", "$.a[1].b"]
-
-    def test_full_path_quotes_weird_keys(self):
-        (datum,) = parse("$['weird key']").find(self.DOC)
-        assert datum.full_path == "$['weird key']"
-
-    def test_values_and_str(self):
-        compiled = parse("$.a[0].b")
-        assert compiled.values(self.DOC) == [1]
-        assert str(compiled) == "$.a[0].b"
-
-    def test_filters_work_on_values(self):
-        assert parse("$.a[?(@.b > 1)].b").values(self.DOC) == [2]
-
-    def test_agrees_with_streaming(self):
-        doc_bytes = json.dumps(self.DOC).encode()
-        assert parse("$.a[*].b").values(self.DOC) == repro.JsonSki("$.a[*].b").run(doc_bytes).values()
 
 
 class TestToJsonl:

@@ -94,12 +94,12 @@ class TestErrorTaxonomy:
         assert issubclass(InvariantError, ValueError)
 
     def test_bad_checkpoint_every_is_configuration_error(self, tmp_path):
-        from repro.checkpoint.runs import checkpointed_recovery
         from repro.errors import ConfigurationError
+        from repro.resilience import run_with_recovery
 
         stream = RecordStream.from_concatenated(b"[1]")
         with pytest.raises(ConfigurationError):
-            checkpointed_recovery(
+            run_with_recovery(
                 repro.JsonSki("$[*]"), stream,
                 checkpoint=str(tmp_path), checkpoint_every=0,
             )

@@ -24,6 +24,7 @@ from repro.resilience import (
     Limits,
     MUTATORS,
     corpus,
+    evaluate_record,
     mutate,
     run_with_recovery,
 )
@@ -194,6 +195,30 @@ class TestRecovery:
         result = run_with_recovery(engine, stream)
         assert result.records_ok == 0
         assert any(f.error == "DeadlineExceededError" for f in result.failures)
+
+    def test_evaluate_record_taxonomy(self):
+        engine = repro.JsonSki("$.a")
+        assert evaluate_record(engine, 4, b'{"a": [1]}') == ([[1]], None)
+        values, failure = evaluate_record(engine, 4, b'{"a": ', materialize=False)
+        assert values is None
+        assert (failure.index, failure.kind, failure.error) == (4, "error", "JsonSyntaxError")
+        lazy, failure = evaluate_record(engine, 4, b'{"a": 7}', materialize=False)
+        assert failure is None and lazy.values() == [7]
+
+        class Undecodable:
+            """run() tolerated the record, but the matched slice is not JSON."""
+
+            def run(self, record):
+                return self
+
+            def values(self):
+                raise ValueError("Expecting value")
+
+        values, failure = evaluate_record(Undecodable(), 2, b"{}")
+        assert values is None
+        assert (failure.index, failure.error, failure.message) == (
+            2, "UndecodableMatch", "Expecting value"
+        )
 
     def test_max_failures_stops_early(self):
         stream = RecordStream.from_records([b"{bad"] * 10)

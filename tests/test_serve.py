@@ -10,6 +10,7 @@ for real or binds a port; the HTTP surface is covered by
 from __future__ import annotations
 
 import asyncio
+import json
 import random
 
 import pytest
@@ -146,6 +147,52 @@ class TestDispatchDeadline:
                 checkpoint=str(tmp_path / "run.ckpt"),
             )
 
+    def test_checkpointed_dispatch_keeps_committed_lines(self, tmp_path):
+        """A budget spent mid-run still streams every committed record.
+
+        The run commits every 2 records; the clock jumps past the budget
+        when the stop check reaches cursor 4, so records 0-3 keep their
+        values, 4-9 are quarantined, and the terminator is ``done``.
+        """
+        clock = FakeClock()
+        registry = CorpusRegistry()
+        corpus = registry.register(
+            "t", b"".join(b'{"a": %d}\n' % i for i in range(10))
+        )
+        svc = QueryService(
+            registry, ServeConfig(checkpoint_dir=str(tmp_path), batch_size=2),
+            clock=clock,
+        )
+
+        class ExpiringDrain:
+            """The stop hook: spends the budget at the third boundary."""
+
+            calls = 0
+
+            @property
+            def interrupting(self) -> bool:
+                self.calls += 1
+                if self.calls == 3:  # cursors 0, 2, then 4
+                    clock.advance(100.0)
+                return False
+
+        svc.drain = ExpiringDrain()
+        limits = svc.base_limits(10.0)
+        spec = {
+            "corpus": corpus, "query": "$.a", "workers": 1, "checkpoint": "job",
+            "resume": False, "inject_faults": False, "limits": limits,
+        }
+        writer = _BufferWriter()
+        outcome = run(svc._dispatch_pool(spec, limits, "strict", writer))
+        lines = writer.ndjson_lines()
+        assert outcome == "served"
+        assert lines[:4] == [{"index": i, "values": [i]} for i in range(4)]
+        assert lines[4:10] == [
+            {"index": i, "skipped": "DeadlineExceededError"} for i in range(4, 10)
+        ]
+        assert lines[-1]["done"] is True
+        assert (lines[-1]["emitted"], lines[-1]["skipped"]) == (4, 6)
+
     def test_live_deadline_threads_into_workers(self):
         stream = RecordStream.from_jsonl(b'{"a": 1}\n{"a": 2}\n')
         result = run_records_pool_resilient(
@@ -161,6 +208,31 @@ class TestDispatchDeadline:
 
 def run(coro):
     return asyncio.run(coro)
+
+
+class _BufferWriter:
+    """An in-memory stand-in for an ``asyncio.StreamWriter``."""
+
+    def __init__(self) -> None:
+        self.data = bytearray()
+
+    def write(self, data: bytes) -> None:
+        self.data += data
+
+    async def drain(self) -> None:
+        pass
+
+    def ndjson_lines(self) -> list[dict]:
+        """Decode the chunked NDJSON body written after the head."""
+        body = bytes(self.data).split(b"\r\n\r\n", 1)[1]
+        lines = []
+        while True:
+            size_text, _, body = body.partition(b"\r\n")
+            size = int(size_text, 16)
+            if size == 0:
+                return lines
+            lines.append(json.loads(body[:size]))
+            body = body[size + 2 :]
 
 
 class TestAdmissionQueue:

@@ -194,6 +194,18 @@ class TestQuery:
             finally:
                 conn.close()
 
+    def test_resume_without_checkpoint_400(self, tmp_path):
+        # Rejected at parse time, before admission: a request the pool
+        # runner would refuse must not count against the corpus breaker.
+        with make_service(checkpoint_dir=str(tmp_path)) as live:
+            status, _, body = live.query(
+                {"corpus": "t", "query": "$.a", "workers": 1, "resume": True}
+            )
+            assert status == 400
+            assert json.loads(body)["error"] == "bad_request"
+            assert "t" not in live.service.breakers
+            assert live.service.metrics.value("serve.rejected", reason="bad_request") == 1
+
     def test_fault_injection_disabled_by_default(self):
         with make_service() as live:
             status, _, body = live.query(
