@@ -50,6 +50,8 @@ from repro.errors import CheckpointError, ConfigurationError
 #: a checkpoint of a different kind is an error, not a silent restart.
 RECOVERY_KIND = "records/recovery"
 POOL_KIND = "records/pool"
+#: Each runner's counter of committed ok records.
+_OK_COUNTER = {RECOVERY_KIND: "stream.records_ok", POOL_KIND: "pool.records_ok"}
 SUSPEND_KIND = "record/suspend"
 
 
@@ -155,6 +157,8 @@ class _Checkpointer:
         self.aborted = False
         #: (index, values) pairs awaiting the next commit.
         self._pending: list[tuple[int, list]] = []
+        #: Ok records staged since the last commit.
+        self._pending_ok = 0
         if store is None:
             return
         if resume:
@@ -208,14 +212,17 @@ class _Checkpointer:
 
     def stage(self, index: int, values: list | None) -> None:
         """Queue one record's match values for the next commit."""
+        self._pending_ok += values is not None
         if values and self.store is not None:
             # list(): a lazy MatchList is staged as its Match views.
             self._pending.append((index, list(values)))
             self.emitted += len(values)
 
     def commit(self) -> None:
-        """Emit everything staged, then persist a covering checkpoint."""
+        """Emit everything staged, count its ok records (once emitted, and
+        in the snapshot a resume restores), then persist a checkpoint."""
         if self.store is None:
+            self._count_ok()
             return
         emitter = self.emitter
         offset = None
@@ -226,6 +233,7 @@ class _Checkpointer:
             tell = getattr(emitter, "tell", None)
             offset = tell() if tell is not None else None
         self._pending.clear()
+        self._count_ok()
         payload = {
             "kind": self.kind,
             "query": self.query,
@@ -247,6 +255,11 @@ class _Checkpointer:
         }
         self.store.save(payload)
         self.written += 1
+
+    def _count_ok(self) -> None:
+        if self.metrics is not None:
+            self.metrics.counter(_OK_COUNTER[self.kind]).add(self._pending_ok)
+        self._pending_ok = 0
 
     def info(self, interrupted: bool) -> CheckpointInfo | None:
         if self.store is None:

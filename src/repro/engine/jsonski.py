@@ -39,6 +39,7 @@ were measurable against the character-at-a-time baselines.
 from __future__ import annotations
 
 import sys
+from typing import Iterator
 
 from repro.bits.classify import CharClass
 from repro.bits.index import DEFAULT_CHUNK_SIZE
@@ -303,20 +304,26 @@ class JsonSki(EngineBase):
         """Whether the record matches at all; stops at the first hit."""
         return self.first(data) is not None
 
+    def record_buffers(
+        self, stream: RecordStream, start: int = 0, stop: int | None = None
+    ) -> Iterator[StreamBuffer]:
+        """:func:`repro.stream.batches.record_buffers` in this engine's
+        mode, chunk size and cache, observed by its tracer and metrics."""
+        return record_buffers(
+            stream, start, stop, mode=self.mode, chunk_size=self.chunk_size,
+            cache_chunks=self.cache_chunks, tracer=self._tracer, metrics=self._metrics,
+        )
+
     def run_records(self, stream: RecordStream) -> MatchList:
         """Stream a small-record sequence; matches accumulate in order.
 
-        Stage 1 runs once per batch of records
-        (:func:`repro.stream.batches.record_buffers`); each record then
-        gets its own :meth:`run` over its own bytes.
+        Stage 1 runs once per batch of records (:meth:`record_buffers`);
+        each record then gets its own :meth:`run` over its own bytes.
         """
         all_matches = MatchList()
         tracer = self._tracer
         total_stats = FastForwardStats() if (self.collect_stats or self._observed) else None
-        buffers = record_buffers(
-            stream, self.mode, self.chunk_size, self.cache_chunks, tracer=tracer, metrics=self._metrics
-        )
-        for i, buffer in enumerate(buffers):
+        for i, buffer in enumerate(self.record_buffers(stream)):
             if tracer.enabled:
                 with tracer.span("record", index=i):
                     matches = self.run(buffer)

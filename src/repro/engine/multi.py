@@ -120,7 +120,8 @@ class JsonSkiMulti:
         :meth:`repro.engine.jsonski.JsonSki.run_records`)."""
         totals = [MatchList() for _ in range(self.n_queries)]
         buffers = record_buffers(
-            stream, self.mode, self.chunk_size, self.cache_chunks, tracer=self._tracer, metrics=self._metrics
+            stream, mode=self.mode, chunk_size=self.chunk_size, cache_chunks=self.cache_chunks,
+            tracer=self._tracer, metrics=self._metrics,
         )
         for buffer in buffers:
             for total, matches in zip(totals, self.run(buffer)):

@@ -12,7 +12,7 @@ genuine serial overheads, not from an analytic model.
 """
 
 from repro.parallel.chunking import TopLevelSplit, split_top_level
-from repro.parallel.real_pool import PoolResult, run_records_pool, run_records_pool_resilient
+from repro.parallel.real_pool import PoolResult, run_records_pool_resilient
 from repro.parallel.records_parallel import ParallelRunResult, parallel_records_run
 from repro.parallel.simulator import MakespanResult, makespan
 from repro.parallel.speculation import speculative_large_run
@@ -24,7 +24,6 @@ __all__ = [
     "TopLevelSplit",
     "makespan",
     "parallel_records_run",
-    "run_records_pool",
     "run_records_pool_resilient",
     "speculative_large_run",
     "split_top_level",

@@ -5,23 +5,24 @@ measured serial work (necessary on the single-core reproduction
 machine, and what the Figure 12 benchmark uses).  On real multi-core
 hosts this module runs the same scenario for real with a process pool:
 records are batched, each worker process compiles the query once and
-streams its batches, and match *values* come back pickled.
+streams its batches (stage 1 in 64 KiB passes), and match *values*
+come back pickled.
 
 Only decoded values travel across the process boundary (raw-slice
 matches would drag whole payload chunks along), so the result is a list
 of values per record — enough for every aggregation use; use the
 in-process engines when byte offsets are needed.
 
-Two runners: :func:`run_records_pool`, the plain fan-out, and
-:func:`run_records_pool_resilient`, which survives crashing workers and
-poison records.  The resilient runner is one segment loop over the
-checkpoint cursor of :mod:`repro.checkpoint.runs` — a checkpointed run
-commits after every ``checkpoint_every`` records, an unchecked one is
-the same loop with a null store and the whole stream as one segment —
-and each segment goes through one bisect/retry/isolated-trial executor.
-Workers evaluate records with
-:func:`repro.resilience.recovery.evaluate_record`, the same per-record
-error taxonomy as the serial runner.
+One runner, :func:`run_records_pool_resilient`, which survives crashing
+workers and poison records.  It is one segment loop over the checkpoint
+cursor of :mod:`repro.checkpoint.runs` — a checkpointed run commits
+after every ``checkpoint_every`` records, an unchecked one is the same
+loop with a null store and the whole stream as one segment — and each
+segment goes through one bisect/retry/isolated-trial executor.  With
+``n_workers=1`` and no fault injection a segment runs in-process, the
+deterministic reference the tests compare against.  Workers evaluate
+records with :func:`repro.resilience.recovery.evaluate_record`, the same
+per-record error taxonomy as the serial runner.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor, TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
-from typing import Any
 
 from repro.errors import DeadlineExceededError
 from repro.resilience.recovery import RecordFailure, RecoveryResult
@@ -93,97 +93,25 @@ _WORKER_ENGINE = None
 _WORKER_QUERY = None
 
 
-def _run_batch(query: str, records: list[bytes]) -> list[list[Any]]:
-    global _WORKER_ENGINE, _WORKER_QUERY
-    if _WORKER_QUERY != query:
-        from repro.registry import compile as compile_engine
-
-        _WORKER_ENGINE = compile_engine(query)
-        _WORKER_QUERY = query
-    return [_WORKER_ENGINE.run(record).values() for record in records]
-
-
-def _run_batch_metered(query: str, records: list[bytes]) -> tuple[list[list[Any]], dict]:
-    """Like :func:`_run_batch`, plus this batch's metrics snapshot.
-
-    Each batch gets a *fresh* worker-local registry (a worker processes
-    many batches; per-batch registries keep the snapshots disjoint so the
-    parent-side merge is a plain sum).  Only the plain-dict snapshot
-    crosses the process boundary.
-    """
-    from repro.observe import MetricsRegistry
-    from repro.registry import compile as compile_engine
-
-    registry = MetricsRegistry()
-    # A fresh engine per batch: the registry is baked into the engine (and
-    # any filter delegate) at construction, so swapping registries on a
-    # cached engine would mis-route counters.  Compilation is microseconds
-    # against a batch of record scans.
-    engine = compile_engine(query, metrics=registry)
-    values = [engine.run(record).values() for record in records]
-    registry.counter("parallel.batch_records").add(len(records))
-    return values, registry.as_dict()
-
-
-def run_records_pool(
-    query: str,
-    stream: RecordStream,
-    n_workers: int,
-    batch_size: int = 64,
-    metrics=None,
-) -> list[list[Any]]:
-    """Evaluate ``query`` over every record using ``n_workers`` processes.
-
-    Returns one list of match values per record, in record order.  With
-    ``n_workers=1`` everything runs in-process (no pool overhead), which
-    is also the deterministic reference the tests compare against.
-
-    ``metrics``, when given a :class:`repro.observe.MetricsRegistry`,
-    receives every worker's counters: each worker accumulates into a
-    local registry, ships a plain-dict snapshot back with its batch, and
-    the parent merges the snapshots with
-    :meth:`~repro.observe.MetricsRegistry.merge_dict` — one registry at
-    the end, as if the run had been serial.
-    """
-    records = [stream.record(i) for i in range(len(stream))]
-    if metrics is None:
-        if n_workers <= 1:
-            return _run_batch(query, records)
-        batches = [records[i : i + batch_size] for i in range(0, len(records), batch_size)]
-        results: list[list[Any]] = []
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            for batch_result in pool.map(_run_batch, [query] * len(batches), batches):
-                results.extend(batch_result)
-        return results
-    if n_workers <= 1:
-        values, snapshot = _run_batch_metered(query, records)
-        metrics.merge_dict(snapshot)
-        return values
-    batches = [records[i : i + batch_size] for i in range(0, len(records), batch_size)]
-    results = []
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        for values, snapshot in pool.map(_run_batch_metered, [query] * len(batches), batches):
-            results.extend(values)
-            metrics.merge_dict(snapshot)
-    return results
-
-
 # ---------------------------------------------------------------------------
 # Fault-tolerant pool
 # ---------------------------------------------------------------------------
 
 
 def _run_batch_resilient(
-    query: str, records: list[bytes], inject_faults: bool = False, limits=None
-) -> list[tuple]:
+    query: str, records: list[bytes], inject_faults: bool = False, limits=None, metered=False
+) -> tuple[list[tuple], dict | None]:
     """Worker: evaluate each record, capturing per-record failures.
 
     Returns one :func:`~repro.resilience.recovery.evaluate_record` pair
-    per record: ``(values, None)`` or ``(None, failure)``, the picklable
-    :class:`~repro.resilience.recovery.RecordFailure` indexed within the
-    batch.  A record that merely raises stays a data point instead of a
-    process casualty — only genuine interpreter/OS death (or the
-    injected fault sentinels used by the tests) takes the worker down.
+    per record (failures indexed within the batch) and, when
+    ``metered``, the snapshot of a registry fresh to this dispatch
+    (``None`` otherwise), so the parent-side merge is a plain sum.  A
+    record that merely raises stays a data point instead of a process
+    casualty — only genuine interpreter/OS death (or the injected fault
+    sentinels used by the tests) takes the worker down.  The records are
+    framed as one ``RecordStream``, so a two-stage engine classifies
+    them in 64 KiB batches.
 
     ``limits`` (a :class:`repro.resilience.Limits`, pickled across the
     process boundary; ``Deadline`` anchors to ``CLOCK_MONOTONIC``, which
@@ -202,19 +130,28 @@ def _run_batch_resilient(
                 os._exit(1)  # simulated hard crash: no exception, no cleanup
             if record == HANG_SENTINEL:
                 time.sleep(HANG_SECONDS)
+    from repro.observe import MetricsRegistry
     from repro.registry import compile as compile_engine
     from repro.resilience.recovery import evaluate_record
+    from repro.stream.batches import record_inputs
 
-    if limits is not None:
-        # Guarded runs skip the per-process cache: the deadline differs
-        # per dispatch and compilation is microseconds against a batch.
-        engine = compile_engine(query, limits=limits)
+    registry = MetricsRegistry() if metered else None
+    if limits is not None or metered:
+        # Guarded or metered runs skip the per-process cache: deadline
+        # and registry are baked into the engine and differ per
+        # dispatch, and compilation is microseconds against a batch.
+        engine = compile_engine(query, limits=limits, metrics=registry)
     else:
         if _WORKER_QUERY != query:
             _WORKER_ENGINE = compile_engine(query)
             _WORKER_QUERY = query
         engine = _WORKER_ENGINE
-    return [evaluate_record(engine, i, record) for i, record in enumerate(records)]
+    inputs = record_inputs(engine, RecordStream.from_records(records))
+    out = [evaluate_record(engine, i, record) for i, record in enumerate(inputs)]
+    if registry is None:
+        return out, None
+    registry.counter("parallel.batch_records").add(len(records))
+    return out, registry.as_dict()
 
 
 @dataclass
@@ -283,9 +220,11 @@ def run_records_pool_resilient(
     stop=None,
     limits=None,
 ) -> PoolResult:
-    """Pool execution that survives crashing workers and poison records.
+    """Evaluate ``query`` over every record using ``n_workers`` processes,
+    surviving crashing workers and poison records.
 
-    The contract of :func:`run_records_pool` hardened for hostile input:
+    ``result.values`` holds one list of match values per record, in
+    record order.  Hostile input is contained:
 
     - a record that raises a :class:`~repro.errors.ReproError` is
       captured *inside* the worker and quarantined (``kind="error"``) —
@@ -305,7 +244,10 @@ def run_records_pool_resilient(
     :data:`~repro.resilience.faults.HANG_SENTINEL`).  ``metrics``
     receives ``pool.worker_crashes``, ``pool.batch_retries``,
     ``pool.poison_records``, ``pool.records_ok`` and
-    ``pool.records_failed`` counters.
+    ``pool.records_failed`` counters, plus the workers' counters as if
+    the run had been serial: each dispatch ships a snapshot of its own
+    registry back with its values (``parallel.batch_records`` counts its
+    records) and the parent merges the ones it harvests.
 
     ``backoff_jitter`` randomizes each restart sleep with full jitter
     (see :func:`retry_delay`) so simultaneously-replaced workers do not
@@ -369,7 +311,7 @@ def run_records_pool_resilient(
                 _run_segment(
                     query, [stream.record(i) for i in range(start, end)], start, result,
                     n_workers, batch_size, max_retries, timeout, backoff,
-                    backoff_jitter, backoff_rng, inject_faults, limits,
+                    backoff_jitter, backoff_rng, inject_faults, limits, metrics,
                 )
             if metrics is not None:
                 failed = result.failures[first_failure:]
@@ -378,7 +320,6 @@ def run_records_pool_resilient(
                     ("pool.batch_retries", result.batch_retries - retries),
                     ("pool.poison_records", sum(f.kind == "error" for f in failed)),
                     ("pool.crashed_records", sum(f.kind in ("crash", "timeout") for f in failed)),
-                    ("pool.records_ok", sum(v is not None for v in result.values[start:end])),
                     ("pool.records_failed", len(failed)),
                 ):
                     metrics.counter(name).add(value)
@@ -411,23 +352,30 @@ def _run_segment(
     backoff_rng: random.Random | None,
     inject_faults: bool,
     limits,
+    metrics,
 ) -> None:
     """Evaluate one segment — stream records ``start`` onward — into ``result``.
 
     The bisect/retry/isolated-trial executor: values land at their
-    absolute stream index, failures are appended re-indexed, and worker
-    crashes and batch retries are added to ``result``'s counters.
+    absolute stream index, failures are appended re-indexed, worker
+    crashes and batch retries are added to ``result``'s counters, and
+    only a harvested dispatch's metrics snapshot is merged into
+    ``metrics``, so a retried or bisected batch counts once.
     """
+    metered = metrics is not None
 
-    def harvest(batch_start: int, out: list[tuple]) -> None:
-        for offset, (values, failure) in enumerate(out):
+    def harvest(batch_start: int, out: tuple[list[tuple], dict | None]) -> None:
+        pairs, snapshot = out
+        if snapshot is not None:
+            metrics.merge_dict(snapshot)
+        for offset, (values, failure) in enumerate(pairs):
             if failure is None:
                 result.values[batch_start + offset] = values
             else:
                 result.failures.append(replace(failure, index=batch_start + offset))
 
     if not (inject_faults or n_workers > 1):
-        harvest(start, _run_batch_resilient(query, records, limits=limits))
+        harvest(start, _run_batch_resilient(query, records, inject_faults, limits, metered))
         return
     pending: deque[_Batch] = deque(
         _Batch(start + i, records[i : i + batch_size])
@@ -453,7 +401,7 @@ def _run_segment(
                 (
                     batch,
                     pool.submit(
-                        _run_batch_resilient, query, batch.records, inject_faults, limits
+                        _run_batch_resilient, query, batch.records, inject_faults, limits, metered
                     ),
                 )
                 for batch in pending
@@ -487,7 +435,9 @@ def _run_segment(
                             _Batch(batch.start, batch.records, batch.attempts + 1)
                         )
                         result.batch_retries += 1
-                    elif _isolated_trial(query, batch, timeout, inject_faults, harvest, limits):
+                    elif _isolated_trial(
+                        query, batch, timeout, inject_faults, harvest, limits, metered
+                    ):
                         # Exonerated: every attempt so far may have been
                         # collateral damage — BrokenProcessPool fails all
                         # in-flight futures, so an innocent record can
@@ -516,7 +466,9 @@ def _run_segment(
             pool.shutdown(wait=False, cancel_futures=True)
 
 
-def _isolated_trial(query: str, batch: _Batch, timeout, inject_faults, harvest, limits=None) -> bool:
+def _isolated_trial(
+    query: str, batch: _Batch, timeout, inject_faults, harvest, limits=None, metered=False
+) -> bool:
     """Final verdict for a suspect record: run it alone in a fresh
     single-worker pool, where no sibling can take the worker down.
     Harvests the result and returns True if the record survives; returns
@@ -524,7 +476,9 @@ def _isolated_trial(query: str, batch: _Batch, timeout, inject_faults, harvest, 
     """
     trial = ProcessPoolExecutor(max_workers=1)
     try:
-        future = trial.submit(_run_batch_resilient, query, batch.records, inject_faults, limits)
+        future = trial.submit(
+            _run_batch_resilient, query, batch.records, inject_faults, limits, metered
+        )
         out = future.result(timeout=timeout)
     except (BrokenProcessPool, FutureTimeoutError, OSError):
         return False

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import ReproError, ResourceLimitError
+from repro.stream.batches import record_inputs
 
 
 @dataclass(frozen=True)
@@ -92,9 +93,12 @@ class RecoveryResult:
 
 
 def evaluate_record(
-    engine, index: int, record: bytes, materialize: bool = True
+    engine, index: int, record: Any, materialize: bool = True
 ) -> tuple[Any, RecordFailure | None]:
     """Evaluate one record: ``(values, None)`` or ``(None, failure)``.
+
+    ``record`` is the record's bytes or its batched buffer, as
+    :func:`repro.stream.batches.record_inputs` gives them.
 
     The one home of the per-record error taxonomy, shared by the serial
     runner, the pool workers and the query service: a
@@ -143,7 +147,8 @@ def run_with_recovery(
     last.
 
     ``metrics`` receives ``stream.records_ok`` / ``stream.records_skipped``
-    counters (per failure class, via the ``error`` label).
+    counters (per failure class, via the ``error`` label); ok records
+    count at each commit, so a session ended by an exception keeps them.
 
     ``checkpoint`` (a path or :class:`~repro.checkpoint.CheckpointStore`)
     makes the run resumable (:mod:`repro.checkpoint.runs`): progress is
@@ -192,12 +197,11 @@ def run_with_recovery(
     interrupted = False
     if not ck.done:
         since_commit = 0
-        while ck.cursor < n:
-            i = ck.cursor
+        for i, record in enumerate(record_inputs(engine, stream, ck.cursor), ck.cursor):
             if stop is not None and stop(i):
                 interrupted = True
                 break
-            values[i], failure = evaluate_record(engine, i, stream.record(i), materialize)
+            values[i], failure = evaluate_record(engine, i, record, materialize)
             if failure is not None:
                 ck.failures.append(failure)
                 if metrics is not None:
@@ -216,10 +220,6 @@ def run_with_recovery(
                 since_commit = 0
         if ck.cursor >= n or ck.aborted:
             ck.done = True
-        if metrics is not None:
-            metrics.counter("stream.records_ok").add(
-                sum(1 for v in values if v is not None)
-            )
         ck.commit()
     return RecoveryResult(
         values=values, failures=list(ck.failures), checkpoint=ck.info(interrupted)

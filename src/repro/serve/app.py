@@ -52,6 +52,7 @@ from repro.serve.errors import (
 )
 from repro.serve.protocol import NdjsonStream, read_request, send_error, send_response
 from repro.serve.registry import Corpus, CorpusRegistry
+from repro.stream.batches import record_inputs
 
 _CHECKPOINT_ID = re.compile(r"^[A-Za-z0-9_.-]{1,64}$")
 
@@ -600,5 +601,7 @@ class QueryService:
 
 
 def _run_record_batch(prepared, records, start: int, stop: int) -> list[tuple]:
-    """Executor-side: one :func:`evaluate_record` pair per record of a batch."""
-    return [evaluate_record(prepared, j, records.record(j)) for j in range(start, stop)]
+    """Executor-side: one :func:`evaluate_record` pair per record of a
+    batch; any batch index (:func:`record_inputs`) dies with the call."""
+    inputs = record_inputs(prepared, records, start, stop)
+    return [evaluate_record(prepared, j, record) for j, record in enumerate(inputs, start)]

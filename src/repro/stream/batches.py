@@ -16,7 +16,8 @@ records larger than :data:`BATCH_BYTES` (their own chunked index keeps
 their memory bounded), empty or out-of-range offsets, and *unbalanced*
 records (see :func:`~repro.bits.posindex.build_record_batch`) — so the
 errors of malformed records come out of the same code as ever.  Word
-mode keeps one standalone buffer per record.
+mode keeps one standalone buffer per record.  Every record path takes
+its inputs from :func:`record_inputs`.
 """
 
 from __future__ import annotations
@@ -39,13 +40,17 @@ BATCH_BYTES = 64 * 1024
 
 def record_buffers(
     stream: RecordStream,
+    start: int = 0,
+    stop: int | None = None,
+    *,
     mode: str = "vector",
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     cache_chunks: int | None = 4,
     tracer: Any = None,
     metrics: Any = None,
 ) -> Iterator[StreamBuffer]:
-    """Yield one :class:`StreamBuffer` per record of ``stream``, in order.
+    """Yield one :class:`StreamBuffer` per record of ``stream`` in
+    ``[start, stop)`` (``stop=None``: to the end), in order.
 
     In vector mode consecutive records are indexed in batches of at most
     :data:`BATCH_BYTES`; each batch is built when its first record is
@@ -54,17 +59,18 @@ def record_buffers(
     apply to the standalone buffers.
     """
     payload = stream.payload
-    n = len(stream)
+    # Local indexes below are relative to ``start``.
+    offsets = stream.offsets[start:stop].tolist()
+    n = len(offsets)
 
     def standalone(i: int) -> StreamBuffer:
-        return StreamBuffer(stream.record(i), mode=mode, chunk_size=chunk_size, cache_chunks=cache_chunks)
+        return StreamBuffer(stream.record(start + i), mode=mode, chunk_size=chunk_size, cache_chunks=cache_chunks)
 
     if mode != "vector":
         for i in range(n):
             yield standalone(i)
         return
     size = len(payload)
-    offsets = stream.offsets.tolist()
     i = 0
     while i < n:
         first, end = offsets[i]
@@ -76,10 +82,10 @@ def record_buffers(
         # the previous one's end and keep the span within BATCH_BYTES.
         j = i + 1
         while j < n:
-            start, stop = offsets[j]
-            if not end <= start < stop <= size or stop - first > BATCH_BYTES:
+            lo, hi = offsets[j]
+            if not end <= lo < hi <= size or hi - first > BATCH_BYTES:
                 break
-            end = stop
+            end = hi
             j += 1
         bounds = np.array(offsets[i:j], dtype=np.int64) - first
         index = RecordBatchIndex(payload[first:end], bounds[:, 0], bounds[:, 1])
@@ -89,10 +95,22 @@ def record_buffers(
         batch = VectorScanner(index)
         balanced = index.balanced.tolist()
         for k in range(i, j):
-            start, stop = offsets[k]
+            lo, hi = offsets[k]
             if balanced[k - i]:
-                window = RecordWindowScanner(batch, start - first, stop - first)
-                yield StreamBuffer.over(payload[start:stop], index, window)
+                window = RecordWindowScanner(batch, lo - first, hi - first)
+                yield StreamBuffer.over(payload[lo:hi], index, window)
             else:
                 yield standalone(k)
         i = j
+
+
+def record_inputs(
+    engine: Any, stream: RecordStream, start: int = 0, stop: int | None = None
+) -> Iterator[Any]:
+    """What ``engine.run`` gets for records ``[start, stop)``, in order: a
+    two-stage (JSONSki) engine's own batched buffers
+    (``JsonSki.record_buffers``), any other engine each record's bytes."""
+    batched = getattr(engine, "record_buffers", None)
+    if batched is not None:
+        return batched(stream, start, stop)
+    return (stream.record(i) for i in range(start, len(stream) if stop is None else stop))

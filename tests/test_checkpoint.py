@@ -227,6 +227,33 @@ class TestCheckpointedRecovery:
             assert counters == plain_counters
             assert ckpt.checkpoint.completed
 
+    def test_records_ok_counts_committed_records(self, tmp_path):
+        """``stream.records_ok`` grows at each commit, so a session that
+        dies (here: its emitter's second write fails) keeps the count of
+        the ok records it committed."""
+
+        class SecondWriteFails:
+            writes = 0
+
+            def emit(self, index, values):
+                pass
+
+            def flush(self):
+                self.writes += 1
+                if self.writes == 2:
+                    raise OSError("disk full")
+
+        registry = MetricsRegistry()
+        with pytest.raises(OSError):
+            run_with_recovery(
+                repro.JsonSki("$.a.b"), _stream(), checkpoint=tmp_path / "run.ckpt",
+                checkpoint_every=5, emitter=SecondWriteFails(), metrics=registry,
+            )
+        # The first commit covered records 0-4, of which record 4 failed.
+        assert registry.value("stream.records_ok") == 4
+        skipped = [c.value for c in registry.counters() if c.name == "stream.records_skipped"]
+        assert skipped == [1]
+
     def test_uninterrupted_matches_plain_recovery(self, tmp_path):
         stream = _stream()
         plain = run_with_recovery(repro.JsonSki("$.a.b"), stream)
@@ -402,7 +429,9 @@ class TestCheckpointedPool:
             "$.a", _Batch(5, [b'{"a": 42}']), 30.0, False,
             lambda start, out: harvested.update({start: out}),
         )
-        assert ok and harvested[5] == [([42], None)]
+        # The worker's output: its evaluate_record pairs, and no metrics
+        # snapshot for an unmetered dispatch.
+        assert ok and harvested[5] == ([([42], None)], None)
 
     def test_isolated_trial_convicts_worker_killer(self):
         from repro.parallel.real_pool import _Batch, _isolated_trial
@@ -549,12 +578,26 @@ class TestLegacyCheckpoints:
         assert _failure_tuples(result) == [tuple(f) for f in spec["failures"]]
         expected = MetricsRegistry()
         expected.merge_dict(spec["metrics"])
-        # stream.records_ok is added once, at the end of a session, so a
-        # killed session's share never reaches its checkpoints.
-        skip = {"stream.records_ok"}
-        assert [c for c in _counters(registry, "") if c[0] not in skip] == [
-            c for c in _counters(expected, "") if c[0] not in skip
-        ]
+        # The manifest pins the runners' own counters.  The version that
+        # wrote these checkpoints added stream.records_ok once, at the end
+        # of a session, so the killed session's share never reached them;
+        # the resumed session counts its own committed ok records.
+        def pinned(counters):
+            return [
+                c for c in counters
+                if c[0].startswith(("pool.", "stream.")) and c[0] != "stream.records_ok"
+            ]
+
+        assert pinned(_counters(registry, "")) == pinned(_counters(expected, ""))
+        session_ok = sum(v is not None for v in result.values)
+        if kind == "pool":
+            # Worker counters (new since these checkpoints) cover the
+            # records this session dispatched.
+            resumed = len(stream) - result.checkpoint.resumed_at
+            assert registry.value("parallel.batch_records") == resumed
+            assert registry.value("engine.runs") == session_ok
+        else:
+            assert registry.value("stream.records_ok") == session_ok
 
 
 # ---------------------------------------------------------------------------

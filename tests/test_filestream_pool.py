@@ -8,7 +8,7 @@ import pytest
 
 import repro
 from repro.data.datasets import record_stream
-from repro.parallel import run_records_pool
+from repro.parallel import run_records_pool_resilient
 from repro.stream.filestream import MappedFile
 
 
@@ -63,17 +63,17 @@ class TestRealPool:
         return record_stream("TT", 25_000, seed=6)
 
     def test_single_worker_reference(self, stream):
-        values = run_records_pool("$.text", stream, 1)
+        values = run_records_pool_resilient("$.text", stream, 1).values
         assert len(values) == len(stream)
         assert all(len(v) == 1 for v in values)
 
     def test_pool_equals_serial(self, stream):
-        serial = run_records_pool("$.text", stream, 1)
-        pooled = run_records_pool("$.text", stream, 2, batch_size=4)
+        serial = run_records_pool_resilient("$.text", stream, 1).values
+        pooled = run_records_pool_resilient("$.text", stream, 2, batch_size=4).values
         assert pooled == serial
 
     def test_order_preserved_across_batches(self, stream):
-        pooled = run_records_pool("$.user.id", stream, 2, batch_size=3)
+        pooled = run_records_pool_resilient("$.user.id", stream, 2, batch_size=3).values
         engine = repro.JsonSki("$.user.id")
         expected = [engine.run(stream.record(i)).values() for i in range(len(stream))]
         assert pooled == expected

@@ -431,14 +431,14 @@ class TestParallelMetrics:
         assert hist.count == 5
 
     def test_worker_registry_snapshots_merge(self):
-        from repro.parallel.real_pool import run_records_pool
+        from repro.parallel.real_pool import run_records_pool_resilient
         from repro.stream.records import RecordStream
 
         stream = RecordStream.from_records([DOC] * 6)
-        serial = run_records_pool("$.a[*].b", stream, n_workers=1)
+        serial = run_records_pool_resilient("$.a[*].b", stream, n_workers=1).values
         reg = MetricsRegistry()
-        values = run_records_pool("$.a[*].b", stream, n_workers=2,
-                                  batch_size=2, metrics=reg)
+        values = run_records_pool_resilient("$.a[*].b", stream, n_workers=2,
+                                            batch_size=2, metrics=reg).values
         assert values == serial
         # every worker's counters arrived: 6 runs, 2 matches each
         assert reg.value("engine.runs") == 6

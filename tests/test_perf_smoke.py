@@ -101,3 +101,33 @@ def test_collect_stats_overhead_is_modest():
     t_off = _best_seconds(lambda: off.run(data))
     t_on = _best_seconds(lambda: on.run(data))
     assert t_on <= t_off * 1.5 + 0.005, (t_off, t_on)
+
+
+def test_lenient_record_paths_stay_near_run_records():
+    """``run_with_recovery`` and the single-worker pool take their record
+    inputs from batched stage 1, as ``run_records`` does, so over the 10
+    small-record queries each stays within 1.3x of ``run_records``
+    (geomean).  Per-record stage 1 measured about 2.7x."""
+    import math
+
+    import repro
+    from repro.data.datasets import DATASETS, record_stream
+    from repro.parallel import run_records_pool_resilient
+    from repro.resilience import run_with_recovery
+
+    ratios: dict[str, list[float]] = {"run_with_recovery": [], "pool": []}
+    for name, spec in DATASETS.items():
+        for query in (q.small for q in spec.queries if q.small):
+            stream = record_stream(name, 200_000, seed=7)
+            engine = repro.compile(query)
+            engine.run_records(stream)  # warm caches
+            base = _best_seconds(lambda: engine.run_records(stream), rounds=3)
+            recovery = _best_seconds(lambda: run_with_recovery(engine, stream), rounds=3)
+            pool = _best_seconds(
+                lambda: run_records_pool_resilient(query, stream, n_workers=1), rounds=3
+            )
+            ratios["run_with_recovery"].append(recovery / base)
+            ratios["pool"].append(pool / base)
+    assert len(ratios["pool"]) == 10
+    geomean = {k: math.exp(sum(map(math.log, v)) / len(v)) for k, v in ratios.items()}
+    assert all(ratio <= 1.3 for ratio in geomean.values()), geomean

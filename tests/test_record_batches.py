@@ -5,7 +5,11 @@ record's stage 2 through a window into the shared batch index.  These
 tests hold it to the per-record path it replaces: a loop of ``run()``
 over ``stream.record(i)`` must give the same ``to_jsonl`` output, the
 same ``(source, start, end)`` per match, and — when a record is bad —
-the same exception type, message and position.
+the same exception type, message and position.  The lenient record
+paths (``run_with_recovery``, the pool workers and the query service's
+NDJSON batches) take the same batched inputs and are held to a loop of
+``evaluate_record`` over ``stream.record(i)``: the same values and the
+same failure tuples.
 """
 
 from __future__ import annotations
@@ -23,8 +27,11 @@ from repro.bits.scanner import NOT_FOUND
 from repro.data.datasets import DATASETS, record_stream
 from repro.engine.multi import JsonSkiMulti
 from repro.engine.output import MatchList
-from repro.resilience import Limits
+from repro.parallel import run_records_pool_resilient
+from repro.resilience import Limits, run_with_recovery
 from repro.resilience.faults import MUTATORS, mutate
+from repro.resilience.recovery import evaluate_record
+from repro.serve.app import _run_record_batch
 from repro.stream.batches import BATCH_BYTES, record_buffers
 from repro.stream.records import RecordStream
 
@@ -270,12 +277,12 @@ def _stream(n: int) -> RecordStream:
     return RecordStream.from_records([BASE[i % 3] for i in range(n)], separator=b"\n")
 
 
-def _expected_batches(stream: RecordStream) -> list[tuple[int, int]]:
-    """``(records, bytes)`` of each batch the iterator forms over a
-    stream of small, ordered records."""
+def _expected_batches(stream: RecordStream, start: int = 0, stop: int | None = None) -> list[tuple[int, int]]:
+    """``(records, bytes)`` of each batch the iterator forms over records
+    ``[start, stop)`` of a stream of small, ordered records."""
     batches: list[tuple[int, int]] = []
     first = count = last_end = 0
-    for start, end in stream.offsets.tolist():
+    for start, end in stream.offsets[start:stop].tolist():
         if count and end - first > BATCH_BYTES:
             batches.append((count, last_end - first))
             count = 0
@@ -323,3 +330,159 @@ class TestObservability:
         buffers = list(record_buffers(stream))
         assert len({id(b.index) for b in buffers}) == 1
         assert [b.data for b in buffers] == [stream.record(i) for i in range(len(stream))]
+
+
+# ---------------------------------------------------------------------------
+# The lenient record paths: run_with_recovery, pool workers, serve batches.
+
+BIG = json.dumps({"a": [{"b": i, "pad": "x" * 40} for i in range(2000)]}).encode()
+
+
+def _hostile_stream() -> RecordStream:
+    """Several batches of small records with every kind of bad record
+    among them: ``faults.mutate``d and unbalanced ones, one over 64 KiB,
+    one whose ``$.a`` match does not decode, and junk between offsets."""
+    kinds = sorted(MUTATORS)
+    records = [
+        mutate(BASE[i % 3], seed=i, kind=kinds[i % len(kinds)]).data if i % 37 == 5 else BASE[i % 3]
+        for i in range(1100)
+    ]
+    records[40:42] = [b'{"a": [1}', b'{"a": "x}']
+    records[300] = b'{"a": tru}'
+    records[700] = BIG
+    junk = b'"\\{[}]" \\ {"a": "'
+    payload = bytearray()
+    offsets = []
+    for i, record in enumerate(records):
+        payload += junk[: i % len(junk)]
+        offsets.append((len(payload), len(payload) + len(record)))
+        payload += record
+    return RecordStream(bytes(payload), np.array(offsets))
+
+
+HOSTILE = _hostile_stream()
+
+
+def _value(values):
+    """A record's values, with a lazy MatchList reduced to its bytes."""
+    if values is None or isinstance(values, list):
+        return values
+    return values.offsets(), values.to_jsonl()
+
+
+def _failure(failure):
+    if failure is None:
+        return None
+    return (failure.index, failure.kind, failure.error, failure.message, failure.position)
+
+
+def _reference(engine, stream, materialize=True, max_failures=None):
+    """``evaluate_record`` over ``stream.record(i)``, record by record,
+    ending where ``run_with_recovery`` aborts: ``(values, failures)``."""
+    values: list = [None] * len(stream)
+    failures = []
+    for i in range(len(stream)):
+        found, failure = evaluate_record(engine, i, stream.record(i), materialize)
+        values[i] = _value(found)
+        if failure is not None:
+            failures.append(_failure(failure))
+            if failure.error == "DeadlineExceededError" or len(failures) == max_failures:
+                break
+    return values, failures
+
+
+def _lenient_outcome(result):
+    return [_value(v) for v in result.values], [_failure(f) for f in result.failures]
+
+
+class TestLenientPathsDifferential:
+    def test_hostile_stream_has_every_failure_class(self):
+        _, failures = _reference(repro.compile("$.a"), HOSTILE)
+        errors = {f[2] for f in failures}
+        assert {"UndecodableMatch", "JsonSyntaxError"} <= errors
+        assert len(HOSTILE.record(700)) > BATCH_BYTES
+        assert len(_expected_batches(HOSTILE, 0, 700)) > 1
+
+    @pytest.mark.parametrize("materialize", [True, False])
+    @pytest.mark.parametrize("max_failures", [None, 2])
+    @pytest.mark.parametrize("query", QUERIES)
+    def test_run_with_recovery(self, query, max_failures, materialize):
+        result = run_with_recovery(
+            repro.compile(query), HOSTILE, max_failures=max_failures, materialize=materialize
+        )
+        reference = _reference(repro.compile(query), HOSTILE, materialize, max_failures)
+        assert _lenient_outcome(result) == reference
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    @pytest.mark.parametrize("query", ["$.a", "$.a[*].b", "$.a[?(@.b == 2)]"])
+    def test_pool(self, query, n_workers):
+        result = run_records_pool_resilient(query, HOSTILE, n_workers=n_workers, batch_size=300)
+        assert _lenient_outcome(result) == _reference(repro.compile(query), HOSTILE)
+
+    @pytest.mark.parametrize("query", QUERIES)
+    def test_serve_record_batches(self, query):
+        prepared = repro.compile(query, limits=Limits())
+        start, step, n = 7, 250, len(HOSTILE)
+        pairs = []
+        for i in range(start, n, step):
+            pairs.extend(_run_record_batch(prepared, HOSTILE, i, min(n, i + step)))
+        values, failures = _reference(repro.compile(query, limits=Limits()), HOSTILE)
+        assert [_value(v) for v, _ in pairs] == values[start:]
+        assert [_failure(f) for _, f in pairs if f is not None] == [
+            f for f in failures if f[0] >= start
+        ]
+
+
+class TestBatchCountGate:
+    """Every lenient record path builds stage 1 once per 64 KiB batch.
+
+    ``index.chunks_built`` counts built indexes, one per batch index
+    (see ``TestObservability``): over small records it must equal the
+    number of batches, not the number of records.
+    """
+
+    STREAM = _stream(1500)
+
+    def test_run_with_recovery(self):
+        registry = repro.MetricsRegistry()
+        run_with_recovery(repro.compile("$.a.b", metrics=registry), self.STREAM)
+        batches = len(_expected_batches(self.STREAM))
+        assert 1 < batches < len(self.STREAM)
+        assert registry.value("index.chunks_built") == batches
+
+    def test_pool_single_worker(self):
+        registry = repro.MetricsRegistry()
+        run_records_pool_resilient("$.a.b", self.STREAM, n_workers=1, metrics=registry)
+        assert registry.value("index.chunks_built") == len(_expected_batches(self.STREAM))
+        assert registry.value("parallel.batch_records") == len(self.STREAM)
+
+    def test_serve_ndjson_request(self):
+        import asyncio
+
+        from repro.serve import CorpusRegistry, QueryService, ServeConfig
+
+        class Writer:
+            def write(self, data: bytes) -> None:
+                pass
+
+            async def drain(self) -> None:
+                pass
+
+        corpora = CorpusRegistry()
+        corpus = corpora.register("t", self.STREAM.payload)
+        service = QueryService(corpora, ServeConfig(batch_size=256))
+        registry = repro.MetricsRegistry()
+        service.registry.compile = lambda query, engine, limits: repro.compile(
+            query, engine=engine, limits=limits, metrics=registry
+        )
+        spec = {"corpus": corpus, "query": "$.a.b", "engine": "jsonski", "offset": 0, "workers": 0}
+        limits = service.base_limits(60.0)
+        outcome = asyncio.run(service._dispatch_streaming(spec, limits, "strict", Writer()))
+        assert outcome == "served"
+        stream = corpus.stream
+        n = len(stream)
+        batches = sum(
+            len(_expected_batches(stream, i, min(n, i + 256))) for i in range(0, n, 256)
+        )
+        assert batches < n
+        assert registry.value("index.chunks_built") == batches

@@ -305,3 +305,50 @@ class TestDeadlineMidStream:
                 assert last.get("error") == "DeadlineExceededError" or "done" in last
             else:
                 assert status == 429  # shed before dispatch: also fine
+
+
+class TestBatchedRecordsByteIdentity:
+    """Batched stage 1 changes no wire byte: each NDJSON response equals
+    the one built from a record-by-record ``evaluate_record`` loop."""
+
+    CORPORA = {"t": RECORDS, "poison": POISON, "ones": b'{"a": 1}\n' * 1500}
+
+    @staticmethod
+    def respond(payload: bytes, query: str, mode: str, offset: int) -> bytes:
+        class Writer:
+            def __init__(self) -> None:
+                self.data = bytearray()
+
+            def write(self, data: bytes) -> None:
+                self.data += data
+
+            async def drain(self) -> None:
+                pass
+
+        registry = CorpusRegistry()
+        corpus = registry.register("c", payload)
+        service = QueryService(registry, ServeConfig(batch_size=2))
+        spec = {"corpus": corpus, "query": query, "engine": "jsonski",
+                "offset": offset, "workers": 0}
+        writer = Writer()
+        asyncio.run(service._dispatch_streaming(spec, service.base_limits(60.0), mode, writer))
+        return bytes(writer.data)
+
+    @pytest.mark.parametrize("offset", [0, 1])
+    @pytest.mark.parametrize("mode", ["strict", "lenient"])
+    @pytest.mark.parametrize("name", sorted(CORPORA))
+    def test_response_bytes(self, monkeypatch, name, mode, offset):
+        from repro.resilience.recovery import evaluate_record
+        from repro.serve import app
+
+        payload = self.CORPORA[name]
+        queries = ("$.a", "$.b", "$.c")
+        batched = [self.respond(payload, q, mode, offset) for q in queries]
+
+        def per_record(prepared, records, start, stop):
+            return [evaluate_record(prepared, j, records.record(j)) for j in range(start, stop)]
+
+        monkeypatch.setattr(app, "_run_record_batch", per_record)
+        reference = [self.respond(payload, q, mode, offset) for q in queries]
+        assert batched == reference
+        assert all(b"\r\n0\r\n\r\n" in body for body in batched)
