@@ -10,6 +10,10 @@ traffic at it in phases:
 - **slow-loris** — clients that dribble header bytes and stall, which
   must be cut off within the client timeout without wedging healthy
   traffic;
+- **stalled reader** — clients that read a response head and then stop
+  consuming an answer larger than the socket buffers; each handler must
+  give up within the client timeout (``serve.aborted_connections``)
+  and free its admission slot for the next request;
 - **poison corpus** — repeated failing queries drive the per-corpus
   breaker CLOSED -> DEGRADED -> OPEN while a healthy corpus keeps
   serving 200s;
@@ -64,7 +68,9 @@ def build_corpora(workdir: Path, quick: bool) -> dict[str, Path]:
         b'{"a": %d, "pad": "%s"}\n' % (i, pad.encode())
         for i in range(800 if quick else 2000)
     )
-    big = b'{"a": 1, "pad": "%s"}\n' % pad.encode() * 20000
+    # ~8 MB of answer for the stalled-reader and SIGTERM phases: more
+    # than the socket buffers between server and a stopped client absorb.
+    wide = b'{"a": "%s"}\n' % (b"w" * 2048) * 4000
     poison = b'{"a": 1\n{"a": \n{broken\n' * 4
     crashy = b"".join(
         CRASH_SENTINEL + b"\n" if i % 40 == 7 else b'{"a": %d}\n' % i
@@ -72,7 +78,7 @@ def build_corpora(workdir: Path, quick: bool) -> dict[str, Path]:
     )
     paths = {}
     for name, payload in (
-        ("burst", burst), ("big", big), ("poison", poison), ("crashy", crashy)
+        ("burst", burst), ("wide", wide), ("poison", poison), ("crashy", crashy)
     ):
         path = workdir / f"{name}.jsonl"
         path.write_bytes(payload)
@@ -216,6 +222,85 @@ def phase_slow_loris(port: int, outcomes: Outcomes, count: int,
             sock.close()
 
 
+def aborted_connections(port: int) -> int:
+    """``serve.aborted_connections`` as the server's ``/metrics`` reports it."""
+    conn = HTTPConnection("127.0.0.1", port, timeout=STALL_LIMIT)
+    try:
+        conn.request("GET", "/metrics")
+        text = conn.getresponse().read().decode()
+    finally:
+        conn.close()
+    for line in text.splitlines():
+        if line.startswith("repro_serve_aborted_connections "):
+            return int(float(line.split()[1]))
+    return 0
+
+
+def send_wide_query(port: int) -> socket.socket:
+    """POST ``$.a`` over the ``wide`` corpus from a socket with a 4 KiB
+    receive buffer, so the answer stalls wherever the caller stops
+    reading; returns the socket before any of the response is read."""
+    payload = json.dumps({"corpus": "wide", "query": "$.a"}).encode()
+    sock = socket.socket()
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    sock.settimeout(STALL_LIMIT)
+    sock.connect(("127.0.0.1", port))
+    sock.sendall(
+        b"POST /query HTTP/1.1\r\nhost: chaos\r\n"
+        + b"content-length: %d\r\n\r\n" % len(payload) + payload
+    )
+    return sock
+
+
+def phase_stalled_reader(port: int, outcomes: Outcomes, count: int,
+                         client_timeout: float) -> None:
+    """``count`` clients (one per admission slot) read the response head
+    of a large answer, then stop reading."""
+    before = aborted_connections(port)
+    socks = []
+    try:
+        for _ in range(count):
+            sock = send_wide_query(port)
+            socks.append(sock)
+            head = b""
+            while b"\r\n\r\n" not in head:
+                data = sock.recv(1)
+                if not data:
+                    break
+                head += data
+            if not head.startswith(b"HTTP/1.1 200"):
+                outcomes.violations.append(
+                    f"stalled-reader: expected a 200 head, got {head[:40]!r}"
+                )
+                return
+        # Every handler must give up on its own, client_timeout after its
+        # last drain stalled; the engine time to fill the buffers is slack.
+        cutoff = client_timeout + 10
+        start = time.monotonic()
+        while aborted_connections(port) < before + count:
+            if time.monotonic() - start > cutoff:
+                outcomes.stall(
+                    "stalled-reader",
+                    f"handlers not cut off in {cutoff:.0f}s "
+                    f"({aborted_connections(port) - before}/{count} aborted)",
+                )
+                return
+            time.sleep(0.05)
+        # The stalled requests held every slot; they must be free again.
+        try:
+            status, headers, body, dt = query(port, {"corpus": "burst", "query": "$.a"})
+            outcomes.classify("stalled-bystander", status, headers, body, dt)
+            if status != 200:
+                outcomes.violations.append(
+                    f"stalled-reader: next query got {status}, slots not released"
+                )
+        except (TimeoutError, OSError) as exc:
+            outcomes.stall("stalled-bystander", repr(exc))
+    finally:
+        for sock in socks:
+            sock.close()
+
+
 def phase_breaker(port: int, outcomes: Outcomes) -> None:
     opened = False
     for _ in range(8):
@@ -307,14 +392,11 @@ def check_loopguard(proc: subprocess.Popen, outcomes: Outcomes) -> None:
 
 
 def phase_sigterm(proc: subprocess.Popen, port: int, outcomes: Outcomes) -> None:
-    payload = json.dumps({"corpus": "big", "query": "$.a"}).encode()
-    sock = socket.create_connection(("127.0.0.1", port), timeout=STALL_LIMIT)
-    sock.sendall(
-        b"POST /query HTTP/1.1\r\nhost: chaos\r\n"
-        + b"content-length: %d\r\n\r\n" % len(payload) + payload
-    )
+    sock = send_wide_query(port)
     start = time.monotonic()
-    sock.recv(4096)  # headers + first lines: the stream is in flight
+    # Headers + first lines; the rest stalls in the socket buffers, so
+    # the stream is still in flight when the signal lands.
+    sock.recv(4096)
     time.sleep(0.2)
     proc.send_signal(signal.SIGTERM)
     time.sleep(0.3)
@@ -384,12 +466,13 @@ def main() -> int:
     rounds = 1 if args.quick else 3
     loris = 3 if args.quick else 6
     client_timeout = 2.0
+    max_active = 2
 
     with tempfile.TemporaryDirectory(prefix="serve-chaos-") as tmp:
         corpora = build_corpora(Path(tmp), args.quick)
         proc, port = boot(
             corpora,
-            "--max-active", "2", "--max-queued", "2",
+            "--max-active", str(max_active), "--max-queued", "2",
             "--client-timeout", str(client_timeout),
             "--default-budget", "20", "--max-budget", "60",
             "--drain-grace", "30", "--batch-size", "128",
@@ -407,6 +490,8 @@ def main() -> int:
             print("  doc: single-document path served")
             phase_slow_loris(port, outcomes, loris, client_timeout)
             print("  slow-loris: cut off")
+            phase_stalled_reader(port, outcomes, max_active, client_timeout)
+            print("  stalled-reader: cut off, slots released")
             phase_breaker(port, outcomes)
             print("  breaker: opened and isolated")
             phase_worker_kills(port, outcomes, rounds=1 if args.quick else 2)

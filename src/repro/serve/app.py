@@ -17,9 +17,10 @@
 - ``GET /metrics`` — Prometheus text from the shared registry.
 - ``GET /corpora`` — registered corpus names and record counts.
 
-Engine work runs on a thread-pool executor batch by batch; between
-batches the handler streams the batch's NDJSON lines (client-paced
-writes bounded by ``client_timeout``) and re-checks deadline and drain
+Engine work runs on a thread-pool executor batch by batch, and the
+executor also encodes and frames each batch's NDJSON lines; between
+batches the handler writes that batch as one buffer (one client-paced
+drain bounded by ``client_timeout``) and re-checks deadline and drain
 state — so a slow client, an expiring budget, or a SIGTERM all take
 effect at the next batch boundary instead of hanging a worker.
 """
@@ -40,7 +41,7 @@ from typing import Any, Callable
 from repro.errors import DeadlineExceededError, ReproError
 from repro.observe import MetricsRegistry, render_prometheus
 from repro.resilience.guards import DEFAULT_MAX_DEPTH, Limits
-from repro.resilience.recovery import evaluate_record
+from repro.resilience.recovery import RecordFailure, evaluate_record
 from repro.serve.admission import AdmissionQueue
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.drain import DrainCoordinator
@@ -50,7 +51,13 @@ from repro.serve.errors import (
     DrainingError,
     ServiceError,
 )
-from repro.serve.protocol import NdjsonStream, read_request, send_error, send_response
+from repro.serve.protocol import (
+    NdjsonStream,
+    frame_line,
+    read_request,
+    send_error,
+    send_response,
+)
 from repro.serve.registry import Corpus, CorpusRegistry
 from repro.stream.batches import record_inputs
 
@@ -74,7 +81,8 @@ class ServeConfig:
     client_timeout: float = 10.0
     #: Seconds in-flight streams get to finish after SIGTERM.
     drain_grace: float = 5.0
-    #: Records per executor hop (and per drain/deadline re-check).
+    #: Records per executor hop (and per socket write, drain and
+    #: deadline re-check).
     batch_size: int = 256
     #: Circuit breaker thresholds (consecutive failed requests).
     degrade_after: int = 3
@@ -448,9 +456,12 @@ class QueryService:
                 # corpus.indexed() may run the stage-1 build plus the
                 # sidecar's flock/mmap dance on a cold cache — disk I/O
                 # that belongs on the executor, not the loop thread.
-                values = await loop.run_in_executor(
+                framed, emitted, _, stop_at = await loop.run_in_executor(
                     self.executor,
-                    lambda: prepared.run(corpus.indexed(prepared)).values(),
+                    lambda: _frame_pairs(
+                        [evaluate_record(prepared, 0, corpus.indexed(prepared))],
+                        0, strict=True,
+                    ),
                 )
             except ReproError as exc:
                 await stream.start()
@@ -459,9 +470,11 @@ class QueryService:
                 )
                 return self._classify_error(exc)
             await stream.start()
-            await stream.send_line({"index": 0, "values": values})
+            await stream.send_framed(framed)
+            if stop_at is not None:
+                return await self._end_on_failure(stream, stop_at, emitted)
             await stream.finish(
-                {"done": True, "records": 1, "emitted": len(values),
+                {"done": True, "records": 1, "emitted": emitted,
                  "skipped": 0, "mode": mode}
             )
             return "served"
@@ -488,23 +501,15 @@ class QueryService:
                 )
                 return "served"  # the *client's* budget, not corpus health
             batch_end = min(n, i + self.config.batch_size)
-            out = await loop.run_in_executor(
-                self.executor, _run_record_batch, prepared, records, i, batch_end
+            framed, batch_emitted, batch_skipped, stop_at = await loop.run_in_executor(
+                self.executor, _frame_record_batch, prepared, records, i, batch_end,
+                mode == "strict",
             )
-            for j, (values, failure) in zip(range(i, batch_end), out):
-                if failure is None:
-                    await stream.send_line({"index": j, "values": values})
-                    emitted += len(values)
-                    continue
-                if failure.error == "DeadlineExceededError" or mode == "strict":
-                    await stream.finish(
-                        {"error": failure.error, "message": failure.message,
-                         "index": j, "emitted": emitted}
-                    )
-                    # An expired budget is the client's, not corpus health.
-                    return "served" if failure.error == "DeadlineExceededError" else "failed"
-                skipped += 1
-                await stream.send_line({"index": j, "skipped": failure.error})
+            await stream.send_framed(framed)
+            emitted += batch_emitted
+            skipped += batch_skipped
+            if stop_at is not None:
+                return await self._end_on_failure(stream, stop_at, emitted)
             i = batch_end
         await stream.finish(
             {"done": True, "records": n, "emitted": emitted,
@@ -537,6 +542,7 @@ class QueryService:
                 / f"{corpus.name}-{spec['checkpoint']}.ckpt"
             )
         drain = self.drain
+        batch = max(self.config.batch_size, 1)
 
         def run_pool():
             # Checkpoint-dir mkdir and store recovery touch the disk;
@@ -545,7 +551,7 @@ class QueryService:
             if ck_path is not None:
                 ck_path.parent.mkdir(parents=True, exist_ok=True)
                 store = CheckpointStore(ck_path)
-            return run_records_pool_resilient(
+            result = run_records_pool_resilient(
                 spec["query"],
                 records,
                 n_workers=spec["workers"],
@@ -557,10 +563,24 @@ class QueryService:
                 resume=spec["resume"],
                 stop=(lambda cursor: drain.interrupting) if ck_path is not None else None,
             )
+            # Value lines, then skipped lines, framed here and sent
+            # ``batch`` lines per write.
+            lines = [
+                frame_line({"index": idx, "values": values})
+                for idx, values in enumerate(result.values)
+                if values is not None
+            ]
+            lines += [
+                frame_line({"index": failure.index, "skipped": failure.error})
+                for failure in result.failures
+            ]
+            emitted = sum(len(values) for values in result.values if values is not None)
+            chunks = [b"".join(lines[k:k + batch]) for k in range(0, len(lines), batch)]
+            return result, chunks, emitted
 
         stream = NdjsonStream(writer, self.config.client_timeout)
         try:
-            result = await loop.run_in_executor(self.executor, run_pool)
+            result, chunks, emitted = await loop.run_in_executor(self.executor, run_pool)
         except ReproError as exc:
             await stream.start()
             await stream.finish(
@@ -568,15 +588,8 @@ class QueryService:
             )
             return self._classify_error(exc)
         await stream.start()
-        emitted = 0
-        for idx, values in enumerate(result.values):
-            if values is not None:
-                await stream.send_line({"index": idx, "values": values})
-                emitted += len(values)
-        for failure in result.failures:
-            await stream.send_line(
-                {"index": failure.index, "skipped": failure.error}
-            )
+        for chunk in chunks:
+            await stream.send_framed(chunk)
         info = result.checkpoint
         if info is not None and info.interrupted:
             await stream.finish(
@@ -599,9 +612,54 @@ class QueryService:
         """Deadline errors are the client's budget; the rest vote failure."""
         return "served" if isinstance(exc, DeadlineExceededError) else "failed"
 
+    @staticmethod
+    async def _end_on_failure(
+        stream: NdjsonStream, failure: RecordFailure, emitted: int
+    ) -> str:
+        """Close the stream with the error terminator of the record that
+        ended it; returns the request's breaker verdict."""
+        await stream.finish(
+            {"error": failure.error, "message": failure.message,
+             "index": failure.index, "emitted": emitted}
+        )
+        # An expired budget is the client's, not corpus health.
+        return "served" if failure.error == "DeadlineExceededError" else "failed"
+
 
 def _run_record_batch(prepared, records, start: int, stop: int) -> list[tuple]:
     """Executor-side: one :func:`evaluate_record` pair per record of a
     batch; any batch index (:func:`record_inputs`) dies with the call."""
     inputs = record_inputs(prepared, records, start, stop)
     return [evaluate_record(prepared, j, record) for j, record in enumerate(inputs, start)]
+
+
+def _frame_pairs(
+    pairs, start: int, strict: bool
+) -> tuple[bytes, int, int, RecordFailure | None]:
+    """Executor-side: frame :func:`evaluate_record` pairs numbered from
+    ``start`` as NDJSON chunks (:func:`frame_line`).
+
+    Returns ``(framed, emitted, skipped, stop_at)``.  ``stop_at`` is the
+    first failure that ends the stream — a deadline, or any failure in
+    strict mode — and ``framed`` holds only the lines before it; a
+    lenient failure becomes a ``skipped`` line.
+    """
+    parts = []
+    emitted = skipped = 0
+    for j, (values, failure) in enumerate(pairs, start):
+        if failure is None:
+            parts.append(frame_line({"index": j, "values": values}))
+            emitted += len(values)
+        elif strict or failure.error == "DeadlineExceededError":
+            return b"".join(parts), emitted, skipped, failure
+        else:
+            skipped += 1
+            parts.append(frame_line({"index": j, "skipped": failure.error}))
+    return b"".join(parts), emitted, skipped, None
+
+
+def _frame_record_batch(
+    prepared, records, start: int, stop: int, strict: bool
+) -> tuple[bytes, int, int, RecordFailure | None]:
+    """Executor-side: run records ``[start, stop)`` and frame their lines."""
+    return _frame_pairs(_run_record_batch(prepared, records, start, stop), start, strict)

@@ -145,19 +145,30 @@ async def send_error(
     await send_response(writer, status, body, timeout, retry_after=retry_after)
 
 
+def frame_line(obj: Any) -> bytes:
+    """One NDJSON line as its own HTTP chunk: compact ``json.dumps`` and a
+    newline, behind its hex length header.  Pure, so executor threads
+    frame a whole batch and the loop only writes the joined bytes."""
+    data = json.dumps(obj, separators=(",", ":")).encode("utf-8")
+    return b"%x\r\n%s\n\r\n" % (len(data) + 1, data)
+
+
 class NdjsonStream:
-    """A 200 chunked NDJSON response: lines in, terminator, done.
+    """A 200 chunked NDJSON response: framed lines in, terminator, done.
 
     Usage::
 
         stream = NdjsonStream(writer, timeout)
         await stream.start()
-        await stream.send_line({"index": 0, "values": [...]})
+        await stream.send_framed(frame_line({"index": 0, "values": [...]}))
         await stream.finish({"done": True, "records": 1})
 
-    ``finish`` writes the terminator line *and* the closing zero-length
-    chunk; a client that sees the final chunk without a terminator line
-    (or vice versa) is looking at a bug, not a flaky network.
+    ``send_framed`` takes any number of :func:`frame_line` chunks joined
+    into one buffer and makes one ``write`` and one drain bounded by
+    ``timeout``, so a whole batch costs one client-paced wait.  ``finish``
+    writes the terminator line *and* the closing zero-length chunk; a
+    client that sees the final chunk without a terminator line (or vice
+    versa) is looking at a bug, not a flaky network.
     """
 
     def __init__(self, writer: asyncio.StreamWriter, timeout: float) -> None:
@@ -179,9 +190,10 @@ class NdjsonStream:
         await asyncio.wait_for(self.writer.drain(), self.timeout)
         self.started = True
 
-    async def send_line(self, obj: Any) -> None:
-        data = json.dumps(obj, separators=(",", ":")).encode("utf-8") + b"\n"
-        self.writer.write(f"{len(data):x}\r\n".encode("latin-1") + data + b"\r\n")
+    async def send_framed(self, data: bytes) -> None:
+        if not data:
+            return
+        self.writer.write(data)
         await asyncio.wait_for(self.writer.drain(), self.timeout)
 
     async def finish(self, terminator: dict) -> None:
@@ -193,6 +205,5 @@ class NdjsonStream:
         # pass the guard too and emit a duplicate terminator + final
         # chunk.  Claiming early also makes a failed send at-most-once.
         self.finished = True
-        await self.send_line(terminator)
-        self.writer.write(b"0\r\n\r\n")
+        self.writer.write(frame_line(terminator) + b"0\r\n\r\n")
         await asyncio.wait_for(self.writer.drain(), self.timeout)

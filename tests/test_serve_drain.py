@@ -58,9 +58,16 @@ def boot(tmp_path: Path, corpus: bytes, *extra: str):
 
 
 def start_streaming_query(port: int, body: dict) -> socket.socket:
-    """Send a /query and return the raw socket mid-response."""
+    """Send a /query and return the raw socket mid-response.
+
+    The socket's receive buffer is shrunk to 4 KiB, so a response larger
+    than the server's send buffer stalls until the caller reads it.
+    """
     payload = json.dumps(body).encode()
-    sock = socket.create_connection(("127.0.0.1", port), timeout=30)
+    sock = socket.socket()
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    sock.settimeout(30)
+    sock.connect(("127.0.0.1", port))
     sock.sendall(
         b"POST /query HTTP/1.1\r\nhost: t\r\ncontent-type: application/json\r\n"
         + f"content-length: {len(payload)}\r\n\r\n".encode()
@@ -107,7 +114,10 @@ def probe(port: int, method: str, path: str, body: dict | None = None):
         conn.close()
 
 
-BIG_CORPUS = b'{"a": 1, "pad": "xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx"}\n' * 20000
+# ~8.5 MB of ``$.a`` answer: twice a 4 MiB TCP send buffer (the usual
+# Linux ceiling), so a client that stops reading keeps the stream in
+# flight however fast the server frames it.
+BIG_CORPUS = b'{"a": "%s"}\n' % (b"x" * 400) * 20000
 
 
 class TestSigtermDrain:
