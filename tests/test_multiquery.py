@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 
@@ -9,10 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.data.datasets import DATASETS, large_record
 from repro.data.synth import random_json, random_path
 from repro.engine import JsonSki, JsonSkiMulti
 from repro.query.multi import MultiQueryAutomaton
 from repro.reference import evaluate_bytes
+
+
+@functools.lru_cache(maxsize=None)
+def _large(name: str) -> bytes:
+    return large_record(name, 200_000, seed=1)
 
 
 class TestBasics:
@@ -97,3 +104,25 @@ class TestDifferential:
         results = JsonSkiMulti(queries).run(data)
         for query, got in zip(queries, results):
             assert got.values() == JsonSki(query).run(data).values(), query
+
+
+class TestSingleQueryEquivalence:
+    """``JsonSkiMulti([q])`` is ``JsonSki(q)``: same matches, same skips."""
+
+    CASES = [
+        (spec.name, q.large, mode)
+        for spec in DATASETS.values()
+        for q in spec.queries
+        for mode in ("vector", "word")
+    ]
+
+    @pytest.mark.parametrize("name,query,mode", CASES)
+    def test_table5_query(self, name, query, mode):
+        data = _large(name)
+        single = JsonSki(query, mode=mode, collect_stats=True)
+        multi = JsonSkiMulti([query], mode=mode, collect_stats=True)
+        expected = single.run(data)
+        (got,) = multi.run(data)
+        assert [(m.start, m.end) for m in got] == [(m.start, m.end) for m in expected]
+        assert dict(multi.last_stats.chars) == dict(single.last_stats.chars)
+        assert sum(single.last_stats.chars.values()) > 0
