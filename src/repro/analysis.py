@@ -74,8 +74,8 @@ def analyze(sample: bytes | str, query: str | Path) -> AnalysisReport:
     assert stats is not None
     skipped = sum(end - start for _, start, end in events)
     return AnalysisReport(
-        query=engine.automaton.path.unparse(),
-        plan=explain(engine.automaton.path),
+        query=engine.path.unparse(),
+        plan=explain(engine.path),
         sample_bytes=stats.total_length,
         n_matches=len(matches),
         ratios={g: stats.ratio(g) for g in GROUPS},

@@ -39,7 +39,7 @@ were measurable against the character-at-a-time baselines.
 from __future__ import annotations
 
 import sys
-from typing import Iterator
+from typing import Callable, Iterator, Sequence
 
 from repro.bits.classify import CharClass
 from repro.bits.index import DEFAULT_CHUNK_SIZE
@@ -81,7 +81,151 @@ class _Suspend(Exception):
     :meth:`_Run.advance`)."""
 
 
-class JsonSki(EngineBase):
+class _Pass:
+    """The streaming pass :class:`JsonSki` and
+    :class:`~repro.engine.multi.JsonSkiMulti` share: buffer setup, one
+    plain or observed ``_Run``, and the batched record loop.  Subclasses
+    compile :attr:`automaton` and shape each run's matches."""
+
+    #: ``engine`` attribute of the ``scan`` span.
+    _engine_name = "jsonski"
+
+    def __init__(
+        self,
+        mode: str,
+        chunk_size: int,
+        cache_chunks: int | None,
+        collect_stats: bool,
+        tracer,
+        metrics: MetricsRegistry | None,
+        limits: Limits | None,
+    ) -> None:
+        self._tracer = tracer if tracer is not None else NOOP_TRACER
+        self._metrics = metrics
+        self.limits = effective_limits(limits)
+        #: Observed mode: any per-run bookkeeping beyond ``collect_stats``.
+        self._observed = self._tracer.enabled or metrics is not None
+        self.automaton: QueryAutomaton | None = None
+        self.mode = mode
+        self.chunk_size = chunk_size
+        self.cache_chunks = cache_chunks
+        self.collect_stats = collect_stats
+        self.last_stats: FastForwardStats | None = None
+        #: Raw attribute name -> decoded text, shared across runs (dataset
+        #: keys repeat massively).
+        self._name_cache: dict[bytes, str] = {}
+
+    def _buffer(self, data: bytes | str | StreamBuffer) -> StreamBuffer:
+        buffer = as_stream_buffer(data, mode=self.mode, chunk_size=self.chunk_size, cache_chunks=self.cache_chunks)
+        self.limits.check_record_size(len(buffer.data))
+        if self._observed:
+            if self._tracer.enabled:
+                buffer.index.tracer = self._tracer
+            if self._metrics is not None:
+                buffer.index.attach_metrics(self._metrics)
+                buffer.scanner.attach_metrics(self._metrics)
+        return buffer
+
+    def _finish_observed(self, run: "_Run") -> None:
+        """Flush one observed run into the tracer and registry."""
+        tracer = self._tracer
+        if tracer.enabled:
+            if run.trace:
+                for group, start, end in run.trace:
+                    tracer.event("fastforward", group=group, start=start, end=end, bytes=end - start)
+            for matches in run.per_query:
+                for match in matches:
+                    tracer.event("match_emit", start=match.start, end=match.end)
+        registry = self._metrics
+        if registry is not None:
+            if run.stats is not None:
+                registry.merge(run.stats.registry)
+            registry.counter("engine.runs").add(1)
+            registry.counter("engine.matches").add(sum(map(len, run.per_query)))
+            registry.counter("engine.bytes_consumed").add(run.pos)
+
+    def _execute(
+        self,
+        data: bytes | str | StreamBuffer,
+        track_paths: bool = False,
+        trace: bool = False,
+        limit: int | None = None,
+        run_type: "type[_Run] | None" = None,
+    ) -> "_Run":
+        """The single match-iteration core behind every run view.
+
+        Builds the buffer, performs one streaming pass (a ``run_type``,
+        default ``_Run``) with the requested bookkeeping, flushes
+        observability (tracer span, fast-forward events, registry
+        counters) when the engine is observed, and leaves
+        :attr:`last_stats` set.  The public views differ only in which
+        ``_Run`` options they enable and how they shape the result.
+        """
+        buffer = self._buffer(data)
+        observed = self._observed
+        tracer = self._tracer
+        run = (run_type or _Run)(
+            self.automaton,
+            buffer,
+            self.collect_stats or observed,
+            self._name_cache,
+            track_paths=track_paths,
+            limit=limit,
+            trace=trace or (observed and tracer.enabled),
+            limits=self.limits,
+        )
+        if observed and tracer.enabled:
+            with tracer.span("scan", engine=self._engine_name, bytes=len(buffer.data)) as span:
+                run.execute()
+                span.set(matches=sum(map(len, run.per_query)))
+        else:
+            run.execute()
+        if observed:
+            self._finish_observed(run)
+        self.last_stats = run.stats
+        return run
+
+    def record_buffers(
+        self, stream: RecordStream, start: int = 0, stop: int | None = None
+    ) -> Iterator[StreamBuffer]:
+        """:func:`repro.stream.batches.record_buffers` in this engine's
+        mode, chunk size and cache, observed by its tracer and metrics."""
+        return record_buffers(
+            stream, start, stop, mode=self.mode, chunk_size=self.chunk_size,
+            cache_chunks=self.cache_chunks, tracer=self._tracer, metrics=self._metrics,
+        )
+
+    def _run_records(
+        self,
+        stream: RecordStream,
+        totals: list[MatchList],
+        run: Callable[[StreamBuffer], Sequence[MatchList]],
+    ) -> None:
+        """Stream a small-record sequence; matches accumulate in order.
+
+        Stage 1 runs once per batch of records (:meth:`record_buffers`);
+        each record then gets its own ``run`` over its own bytes, whose
+        match lists (one per query) extend ``totals``.  :attr:`last_stats`
+        ends as the sum over all records.
+        """
+        tracer = self._tracer
+        total_stats = FastForwardStats() if (self.collect_stats or self._observed) else None
+        for i, buffer in enumerate(self.record_buffers(stream)):
+            if tracer.enabled:
+                with tracer.span("record", index=i):
+                    per_query = run(buffer)
+            else:
+                per_query = run(buffer)
+            for total, matches in zip(totals, per_query):
+                total.extend(matches)
+            if total_stats is not None and self.last_stats is not None:
+                total_stats.merge(self.last_stats)
+        if self._metrics is not None:
+            self._metrics.counter("engine.records").add(len(stream))
+        self.last_stats = total_stats
+
+
+class JsonSki(_Pass, EngineBase):
     """The JSONSki streaming engine for one compiled query.
 
     Parameters
@@ -140,11 +284,7 @@ class JsonSki(EngineBase):
         metrics: MetricsRegistry | None = None,
         limits: Limits | None = None,
     ) -> None:
-        self._tracer = tracer if tracer is not None else NOOP_TRACER
-        self._metrics = metrics
-        self.limits = effective_limits(limits)
-        #: Observed mode: any per-run bookkeeping beyond ``collect_stats``.
-        self._observed = self._tracer.enabled or metrics is not None
+        super().__init__(mode, chunk_size, cache_chunks, collect_stats, tracer, metrics, limits)
         with self._tracer.span("compile", engine="jsonski"):
             path = query if isinstance(query, Path) else None
             if path is None:
@@ -163,89 +303,11 @@ class JsonSki(EngineBase):
                     cache_chunks=cache_chunks, collect_stats=collect_stats,
                     tracer=tracer, metrics=metrics, limits=limits,
                 )
-                self.automaton = None
             else:
                 # Process-wide LRU: every engine compiled from the same
                 # path shares one automaton (repro.engine.prepared).
                 self.automaton = cached_automaton(path)
         self.path = path
-        self.mode = mode
-        self.chunk_size = chunk_size
-        self.cache_chunks = cache_chunks
-        self.collect_stats = collect_stats
-        self.last_stats: FastForwardStats | None = None
-        #: Raw attribute name -> decoded text, shared across runs (dataset
-        #: keys repeat massively).
-        self._name_cache: dict[bytes, str] = {}
-
-    # ------------------------------------------------------------------
-
-    def _buffer(self, data: bytes | str | StreamBuffer) -> StreamBuffer:
-        buffer = as_stream_buffer(data, mode=self.mode, chunk_size=self.chunk_size, cache_chunks=self.cache_chunks)
-        self.limits.check_record_size(len(buffer.data))
-        if self._observed:
-            if self._tracer.enabled:
-                buffer.index.tracer = self._tracer
-            if self._metrics is not None:
-                buffer.index.attach_metrics(self._metrics)
-                buffer.scanner.attach_metrics(self._metrics)
-        return buffer
-
-    def _finish_observed(self, run: "_Run") -> None:
-        """Flush one observed run into the tracer and registry."""
-        tracer = self._tracer
-        if tracer.enabled:
-            if run.trace:
-                for group, start, end in run.trace:
-                    tracer.event("fastforward", group=group, start=start, end=end, bytes=end - start)
-            for match in run.matches:
-                tracer.event("match_emit", start=match.start, end=match.end)
-        registry = self._metrics
-        if registry is not None:
-            if run.stats is not None:
-                registry.merge(run.stats.registry)
-            registry.counter("engine.runs").add(1)
-            registry.counter("engine.matches").add(len(run.matches))
-            registry.counter("engine.bytes_consumed").add(run.pos)
-
-    def _execute(
-        self,
-        data: bytes | str | StreamBuffer,
-        track_paths: bool = False,
-        trace: bool = False,
-        limit: int | None = None,
-    ) -> "tuple[_Run, MatchList]":
-        """The single match-iteration core behind every run view.
-
-        Builds the buffer, performs one streaming pass with the requested
-        bookkeeping, flushes observability (tracer span, fast-forward
-        events, registry counters) when the engine is observed, and
-        leaves :attr:`last_stats` set.  The public views differ only in
-        which ``_Run`` options they enable and how they shape the result.
-        """
-        buffer = self._buffer(data)
-        observed = self._observed
-        tracer = self._tracer
-        run = _Run(
-            self.automaton,
-            buffer,
-            self.collect_stats or observed,
-            self._name_cache,
-            track_paths=track_paths,
-            limit=limit,
-            trace=trace or (observed and tracer.enabled),
-            limits=self.limits,
-        )
-        if observed and tracer.enabled:
-            with tracer.span("scan", engine="jsonski", bytes=len(buffer.data)) as span:
-                matches = run.execute()
-                span.set(matches=len(matches))
-        else:
-            matches = run.execute()
-        if observed:
-            self._finish_observed(run)
-        self.last_stats = run.stats
-        return run, matches
 
     def run(self, data: bytes | str | StreamBuffer) -> MatchList:
         """Stream one JSON record and return its matches.
@@ -256,7 +318,7 @@ class JsonSki(EngineBase):
             matches = self._delegate.run(data)
             self.last_stats = self._delegate.last_stats
             return matches
-        return self._execute(data)[1]
+        return self._execute(data).matches
 
     def run_with_paths(self, data: bytes | str | StreamBuffer) -> list[tuple[tuple, "object"]]:
         """Stream one record; return ``(normalized_path, Match)`` pairs.
@@ -269,9 +331,9 @@ class JsonSki(EngineBase):
             from repro.errors import UnsupportedQueryError
 
             raise UnsupportedQueryError("run_with_paths is not available for filter queries")
-        run, matches = self._execute(data, track_paths=True)
+        run = self._execute(data, track_paths=True)
         assert run.match_paths is not None
-        return [(path, matches[i]) for i, path in enumerate(run.match_paths)]
+        return [(path, run.matches[i]) for i, path in enumerate(run.match_paths)]
 
     def trace_run(self, data: bytes | str | StreamBuffer):
         """Stream one record and return ``(matches, events)`` where
@@ -283,8 +345,8 @@ class JsonSki(EngineBase):
             from repro.errors import UnsupportedQueryError
 
             raise UnsupportedQueryError("trace_run is not available for filter queries")
-        run, matches = self._execute(data, trace=True)
-        return matches, run.trace
+        run = self._execute(data, trace=True)
+        return run.matches, run.trace
 
     def first(self, data: bytes | str | StreamBuffer):
         """First match in document order, or ``None`` — *early
@@ -293,7 +355,7 @@ class JsonSki(EngineBase):
         if self._delegate is not None:
             matches = self._delegate.run(data)
             return matches[0] if len(matches) else None
-        run, matches = self._execute(data, limit=1)
+        matches = self._execute(data, limit=1).matches
         if self._metrics is not None and len(matches):
             # The early-termination proof: streaming stopped at the
             # first hit, leaving the tail of the record unconsumed.
@@ -304,38 +366,15 @@ class JsonSki(EngineBase):
         """Whether the record matches at all; stops at the first hit."""
         return self.first(data) is not None
 
-    def record_buffers(
-        self, stream: RecordStream, start: int = 0, stop: int | None = None
-    ) -> Iterator[StreamBuffer]:
-        """:func:`repro.stream.batches.record_buffers` in this engine's
-        mode, chunk size and cache, observed by its tracer and metrics."""
-        return record_buffers(
-            stream, start, stop, mode=self.mode, chunk_size=self.chunk_size,
-            cache_chunks=self.cache_chunks, tracer=self._tracer, metrics=self._metrics,
-        )
-
     def run_records(self, stream: RecordStream) -> MatchList:
         """Stream a small-record sequence; matches accumulate in order.
 
         Stage 1 runs once per batch of records (:meth:`record_buffers`);
         each record then gets its own :meth:`run` over its own bytes.
         """
-        all_matches = MatchList()
-        tracer = self._tracer
-        total_stats = FastForwardStats() if (self.collect_stats or self._observed) else None
-        for i, buffer in enumerate(self.record_buffers(stream)):
-            if tracer.enabled:
-                with tracer.span("record", index=i):
-                    matches = self.run(buffer)
-            else:
-                matches = self.run(buffer)
-            all_matches.extend(matches)
-            if total_stats is not None and self.last_stats is not None:
-                total_stats.merge(self.last_stats)
-        if self._metrics is not None:
-            self._metrics.counter("engine.records").add(len(stream))
-        self.last_stats = total_stats
-        return all_matches
+        matches = MatchList()
+        self._run_records(stream, [matches], lambda buffer: (self.run(buffer),))
+        return matches
 
 
 class _Run:
@@ -372,6 +411,9 @@ class _Run:
         self.size = len(buffer.data)
         self.ff = make_fastforwarder(buffer)
         self.matches = MatchList()
+        #: Matches per query, in query order (one query here; see
+        #: :class:`repro.engine.multi.JsonSkiMulti`).
+        self.per_query = [self.matches]
         self.stats = FastForwardStats() if collect_stats else None
         self.names = name_cache
         self.pos = 0

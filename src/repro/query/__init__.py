@@ -8,6 +8,5 @@ this package exposes *pure* transition functions over opaque state ids.
 
 from repro.query.automaton import MatchStatus, QueryAutomaton, compile_query
 from repro.query.explain import QueryPlan, explain
-from repro.query.multi import MultiQueryAutomaton
 
-__all__ = ["MatchStatus", "MultiQueryAutomaton", "QueryAutomaton", "QueryPlan", "compile_query", "explain"]
+__all__ = ["MatchStatus", "QueryAutomaton", "QueryPlan", "compile_query", "explain"]

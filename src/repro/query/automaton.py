@@ -2,19 +2,24 @@
 
 A path of ``n`` steps yields the linear automaton of Figure 5: state ``q``
 means "the first ``q`` steps are matched", state ``n`` is ACCEPT, and the
-dead state is "no continuation possible".  The per-level stack of Figure 5
-(rules [Key]/[Val]/[Ary-S]/[Ary-E]) lives on the engines' call stacks, so
-this class exposes *pure* transitions:
+dead state is "no continuation possible".  Several paths share one pass
+through one automaton: their steps share one integer space, path ``i``
+occupying ``offset_i .. offset_i + len_i`` with its accept position
+last, so a single path's positions are exactly its step indices.
+
+The per-level stack of Figure 5 (rules [Key]/[Val]/[Ary-S]/[Ary-E])
+lives on the engines' call stacks, so this class exposes *pure*
+transitions:
 
 - :meth:`on_key` — rule [Key]: consume an attribute name at the current
   level;
 - :meth:`on_element` — rules [Ary-S]/[Com]: consume the array element at a
   given counter value (the engine maintains the counter).
 
-To support the descendant extension ``..name`` the state is internally a
-*frontier* (set of step indices, the standard NFA-to-DFA powerset, built
-lazily); linear queries always have singleton frontiers, so nothing is
-paid for the common case.
+To support the descendant extension ``..name`` and several paths, the
+state is internally a *frontier* (set of step positions, the standard
+NFA-to-DFA powerset, built lazily); one linear query always has
+singleton frontiers, so nothing is paid for the common case.
 
 Beyond matching, the automaton answers the questions fast-forwarding needs
 (Section 3.2):
@@ -25,6 +30,13 @@ Beyond matching, the automaton answers the questions fast-forwarding needs
   apply;
 - :meth:`can_match_in_object` / :meth:`can_match_in_array` — whether the
   current container is relevant at all.
+
+Across several paths the guidance is what *every* live path allows: a
+G1 type only when all agree, G4 only when all wait for the same concrete
+name, and the G5 window is the envelope of their windows.  For one path
+these are the single-query rules of the paper, so an extra query never
+corrupts results — it only (and exactly when necessary) disables the
+sharper fast-forwards.
 """
 
 from __future__ import annotations
@@ -39,9 +51,11 @@ from repro.jsonpath.ast import (
     MultiName,
     Path,
     Slice,
+    Step,
     WildcardChild,
     WildcardIndex,
 )
+from repro.jsonpath.parser import parse_path
 
 
 class MatchStatus(enum.Enum):
@@ -79,7 +93,11 @@ _FLAGS_TO_STATUS = {
 
 
 class QueryAutomaton:
-    """Lazily-determinized matching automaton for one :class:`Path`.
+    """Lazily-determinized matching automaton for one or more paths.
+
+    ``QueryAutomaton(p)`` matches one :class:`Path` (or JSONPath text);
+    ``QueryAutomaton(p1, p2, ...)`` matches several in one pass, and
+    :meth:`accepting` tells which ones a value matches.
 
     All per-state guidance (status flags, expected type, G4/G5
     applicability) is memoized in lists indexed by state id — the engines
@@ -87,8 +105,11 @@ class QueryAutomaton:
     run.
     """
 
-    def __init__(self, path: Path) -> None:
-        if path.has_filter:
+    def __init__(self, *paths: Path | str) -> None:
+        if not paths:
+            raise ValueError("at least one query is required")
+        self.paths = tuple(parse_path(p) if isinstance(p, str) else p for p in paths)
+        if any(p.has_filter for p in self.paths):
             from repro.errors import UnsupportedQueryError
 
             raise UnsupportedQueryError(
@@ -96,29 +117,44 @@ class QueryAutomaton:
                 "JsonSki (and by the tree baselines); the token-level "
                 "automaton engines do not support them"
             )
-        self.path = path
-        self.steps = path.steps
-        self._n = len(path.steps)
+        #: Per position: the step waiting there (``None`` at a path's
+        #: accept position), its path id, and the kind a value matched
+        #: there must have (``None`` at an accept position, ``'unknown'``
+        #: under a descendant step).
+        self._steps: list[Step | None] = []
+        self._query_of: list[int] = []
+        self._kinds: list[str | None] = []
+        starts = []
+        for qid, path in enumerate(self.paths):
+            starts.append(len(self._steps))
+            for depth, step in enumerate(path.steps):
+                self._steps.append(step)
+                self._query_of.append(qid)
+                self._kinds.append("unknown" if isinstance(step, Descendant) else path.value_kind(depth))
+            self._steps.append(None)
+            self._query_of.append(qid)
+            self._kinds.append(None)
         self._state_ids: dict[frozenset[int], int] = {}
         self._frontiers: list[frozenset[int]] = []
         #: Per-state key-transition maps: {name_or_None: next_state}.
         self._key_maps: dict[int, dict[str | None, int]] = {}
         #: Per-state memo lists, grown on intern.
         self._flags: list[int] = []
+        self._accepting: list[tuple[int, ...]] = []
         self._expected: list[str | None] = []
         self._skippable: list[bool | None] = []
         self._elem_memo: dict[tuple[int, int], int] = {}
         self._elem_range: dict[int, tuple[int, int | None] | None] = {}
         self._can_obj: dict[int, bool] = {}
         self._can_ary: dict[int, bool] = {}
-        #: Names that appear in the query; all other names are equivalent.
-        self._names = {
-            s.name for s in self.steps if isinstance(s, (Child, Descendant))
-        }
-        for step in self.steps:
-            if isinstance(step, MultiName):
+        #: Names that appear in the queries; all other names are equivalent.
+        self._names: set[str] = set()
+        for step in self._steps:
+            if isinstance(step, (Child, Descendant)):
+                self._names.add(step.name)
+            elif isinstance(step, MultiName):
                 self._names.update(step.names)
-        self.start_state = self._intern(frozenset([0]))
+        self.start_state = self._intern(frozenset(starts))
         self.dead_state = self._intern(frozenset())
 
     # ------------------------------------------------------------------
@@ -130,35 +166,37 @@ class QueryAutomaton:
             state = len(self._frontiers)
             self._state_ids[frontier] = state
             self._frontiers.append(frontier)
-            flags = 0
-            if self._n in frontier:
-                flags |= ACCEPT
-            if any(q < self._n for q in frontier):
+            steps = self._steps
+            accepting = tuple(sorted(self._query_of[q] for q in frontier if steps[q] is None))
+            flags = ACCEPT if accepting else 0
+            if any(steps[q] is not None for q in frontier):
                 flags |= ALIVE
             self._flags.append(flags)
+            self._accepting.append(accepting)
             self._expected.append(None)
             self._skippable.append(None)
         return state
 
     def frontier(self, state: int) -> frozenset[int]:
-        """The step-index frontier behind an opaque state id."""
+        """The step-position frontier behind an opaque state id."""
         return self._frontiers[state]
 
     def state_for_frontier(self, frontier) -> int:
-        """State id for a step-index frontier — the inverse of :meth:`frontier`.
+        """State id for a step-position frontier — the inverse of :meth:`frontier`.
 
         State *ids* are interning-order dependent (they differ between two
         processes that streamed different prefixes), so a suspended run is
         serialized as frontiers and re-entered through this method
-        (:mod:`repro.checkpoint.suspend`).  Unknown step indices are
+        (:mod:`repro.checkpoint.suspend`).  Unknown step positions are
         rejected so a checkpoint from a different query cannot silently
         produce a plausible-looking state.
         """
         members = frozenset(frontier)
+        last = len(self._steps) - 1
         for q in members:
-            if not isinstance(q, int) or not 0 <= q <= self._n:
+            if not isinstance(q, int) or not 0 <= q <= last:
                 raise ValueError(
-                    f"frontier member {q!r} is outside this query's steps (0..{self._n})"
+                    f"frontier member {q!r} is outside this query's steps (0..{last})"
                 )
         return self._intern(members)
 
@@ -176,9 +214,7 @@ class QueryAutomaton:
             return cached
         nxt: set[int] = set()
         for q in self._frontiers[state]:
-            if q >= self._n:
-                continue
-            step = self.steps[q]
+            step = self._steps[q]
             if isinstance(step, Child):
                 if step.name == name:
                     nxt.add(q + 1)
@@ -208,9 +244,7 @@ class QueryAutomaton:
             memo_key = None
         nxt: set[int] = set()
         for q in self._frontiers[state]:
-            if q >= self._n:
-                continue
-            step = self.steps[q]
+            step = self._steps[q]
             if isinstance(step, Index):
                 if index == step.index:
                     nxt.add(q + 1)
@@ -239,12 +273,16 @@ class QueryAutomaton:
     def status(self, state: int) -> MatchStatus:
         return _FLAGS_TO_STATUS[self._flags[state]]
 
+    def accepting(self, state: int) -> tuple[int, ...]:
+        """Ids (argument order) of the paths this state accepts."""
+        return self._accepting[state]
+
     def can_match_in_object(self, state: int) -> bool:
         """Can any attribute of an object at this state make progress?"""
         cached = self._can_obj.get(state)
         if cached is None:
             cached = self._can_obj[state] = any(
-                q < self._n and isinstance(self.steps[q], (Child, WildcardChild, MultiName, Descendant))
+                isinstance(self._steps[q], (Child, WildcardChild, MultiName, Descendant))
                 for q in self._frontiers[state]
             )
         return cached
@@ -254,8 +292,7 @@ class QueryAutomaton:
         cached = self._can_ary.get(state)
         if cached is None:
             cached = self._can_ary[state] = any(
-                q < self._n
-                and isinstance(self.steps[q], (Index, Slice, WildcardIndex, MultiIndex, Descendant))
+                isinstance(self._steps[q], (Index, Slice, WildcardIndex, MultiIndex, Descendant))
                 for q in self._frontiers[state]
             )
         return cached
@@ -264,79 +301,71 @@ class QueryAutomaton:
         """Type a matching attribute/element value must have (G1 inference).
 
         Returns ``'object'``, ``'array'``, or ``'unknown'``.  The answer is
-        the unique :meth:`Path.value_kind` across the frontier, or
+        the unique :meth:`Path.value_kind` across the live frontier, or
         ``'unknown'`` when the frontier disagrees or contains a descendant
         step (the paper's stated limitation for ``..``).
         """
         cached = self._expected[state]
-        if cached is not None:
-            return cached
-        kinds: set[str] = set()
-        for q in self._frontiers[state]:
-            if q >= self._n:
-                continue
-            if isinstance(self.steps[q], Descendant):
-                kinds = {"unknown"}
-                break
-            kinds.add(self.path.value_kind(q))
-        result = kinds.pop() if len(kinds) == 1 else "unknown"
-        self._expected[state] = result
-        return result
+        if cached is None:
+            kinds = {self._kinds[q] for q in self._frontiers[state]}
+            kinds.discard(None)
+            cached = self._expected[state] = kinds.pop() if len(kinds) == 1 else "unknown"
+        return cached
 
     def object_skippable(self, state: int) -> bool:
         """G4 applicability: once one attribute matches, can the rest of
         the object be skipped?
 
-        True iff every active step is a concrete :class:`Child` — object
-        attribute names are unique, so at most one attribute can match.
+        True iff every live step is a :class:`Child` of one and the same
+        name — object attribute names are unique, so at most one
+        attribute can match, and that match consumed every live step.
         Wildcards and descendants can match several attributes, so they
         disable G4.
         """
         cached = self._skippable[state]
         if cached is None:
             frontier = self._frontiers[state]
-            cached = bool(frontier) and all(
-                q >= self._n or isinstance(self.steps[q], Child) for q in frontier
-            )
-            self._skippable[state] = cached
+            steps = [self._steps[q] for q in frontier]
+            names = {step.name if isinstance(step, Child) else None for step in steps if step is not None}
+            cached = self._skippable[state] = bool(frontier) and None not in names and len(names) <= 1
         return cached
 
     def element_range(self, state: int) -> tuple[int, int | None] | None:
         """G5 applicability: the index window relevant in an array here.
 
-        Returns ``(start, stop)`` (stop ``None`` = unbounded) when a single
-        index-type step governs the array, else ``None`` (no constraint to
-        exploit).
+        Returns ``(start, stop)`` (stop ``None`` = unbounded), the
+        envelope of the live index-type steps' windows, or ``None`` when
+        none is live or a descendant step is (no constraint to exploit).
         """
         if state in self._elem_range:
             return self._elem_range[state]
-        ranges: list[tuple[int, int | None]] = []
+        windows: list[tuple[int, int | None]] = []
+        result: tuple[int, int | None] | None = None
         for q in self._frontiers[state]:
-            if q >= self._n:
-                continue
-            step = self.steps[q]
+            step = self._steps[q]
             if isinstance(step, Index):
-                ranges.append((step.index, step.index + 1))
+                windows.append((step.index, step.index + 1))
             elif isinstance(step, Slice):
-                ranges.append((step.start, step.stop))
+                windows.append((step.start, step.stop))
             elif isinstance(step, WildcardIndex):
-                ranges.append((0, None))
+                windows.append((0, None))
             elif isinstance(step, MultiIndex):
                 # The G5 window of a union is its envelope: everything
                 # before the smallest and after the largest index skips.
-                ranges.append((step.indices[0], step.indices[-1] + 1))
+                windows.append((step.indices[0], step.indices[-1] + 1))
             elif isinstance(step, Descendant):
-                self._elem_range[state] = None
-                return None
-        result = ranges[0] if len(ranges) == 1 else None
+                break
+        else:
+            if windows:
+                stops = [stop for _, stop in windows]
+                result = (
+                    min(start for start, _ in windows),
+                    None if None in stops else max(stop for stop in stops if stop is not None),
+                )
         self._elem_range[state] = result
         return result
 
 
 def compile_query(path: Path | str) -> QueryAutomaton:
     """Compile a path (or JSONPath text) into a :class:`QueryAutomaton`."""
-    from repro.jsonpath.parser import parse_path
-
-    if isinstance(path, str):
-        path = parse_path(path)
     return QueryAutomaton(path)

@@ -9,10 +9,10 @@ ids, ``expected_type`` (G1), ``object_skippable`` (G4), ``element_range``
 (G5), ``can_match_in_object``/``can_match_in_array`` and, for single
 queries, the sorted frontier (the suspended-run checkpoint format).
 
-The file was recorded before the single- and multi-query automata were
-merged into one class; any change to a guidance answer fails here.
-Regenerate (deliberately) with ``PYTHONPATH=src python
-tests/test_automaton_guidance.py``.
+The answers were recorded by the separate single- and multi-query
+automata that ``QueryAutomaton(*paths)`` replaced, so a change to any
+guidance answer fails here.  Regenerate (only deliberately) with
+``PYTHONPATH=src python tests/test_automaton_guidance.py``.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ import pytest
 from repro.data.datasets import DATASETS
 from repro.jsonpath.ast import Child, Descendant, Index, MultiIndex, MultiName, Slice
 from repro.jsonpath.parser import parse_path
-from repro.query.automaton import ACCEPT, compile_query
-from repro.query.multi import MultiQueryAutomaton
+from repro.query.automaton import QueryAutomaton
 
 FIXTURE = Path(__file__).parent / "data" / "automaton_guidance_v1.json"
 
@@ -49,23 +48,11 @@ def _all_query_lists() -> list[list[str]]:
     return table5 + [[s] for s in SHAPES] + QUERY_SETS
 
 
-def _automaton(queries: list[str]):
-    if len(queries) == 1:
-        return compile_query(queries[0])
-    return MultiQueryAutomaton(queries)
-
-
-def _accepting(qa, state: int) -> list[int]:
-    if isinstance(qa, MultiQueryAutomaton):
-        return list(qa.accepting(state))
-    return [0] if qa.status_flags(state) & ACCEPT else []
-
-
-def _answers(qa, state: int, single: bool) -> list:
+def _answers(qa: QueryAutomaton, state: int, single: bool) -> list:
     window = qa.element_range(state)
     return [
         qa.status_flags(state),
-        _accepting(qa, state),
+        list(qa.accepting(state)),
         qa.expected_type(state),
         qa.object_skippable(state),
         None if window is None else list(window),
@@ -75,7 +62,7 @@ def _answers(qa, state: int, single: bool) -> list:
     ]
 
 
-def _apply(qa, state: int, action: list) -> int:
+def _apply(qa: QueryAutomaton, state: int, action: list) -> int:
     kind, arg = action
     if kind == "start":
         return qa.start_state
@@ -101,7 +88,7 @@ def _record(queries: list[str], seed: int, n_steps: int = 120) -> list:
             elif isinstance(step, Slice):
                 indices.update(i for i in (step.start, step.stop) if i is not None)
     name_pool, index_pool = sorted(names), sorted(indices)
-    qa = _automaton(queries)
+    qa = QueryAutomaton(*queries)
     single = len(queries) == 1
     state, depth = qa.start_state, 0
     steps = [[["start", None], _answers(qa, state, single)]]
@@ -147,7 +134,7 @@ def test_fixture_covers_every_query_list():
 def test_replayed_guidance_matches(index):
     walk = _walks()[index]
     queries = walk["queries"]
-    qa = _automaton(queries)
+    qa = QueryAutomaton(*queries)
     single = len(queries) == 1
     state = qa.start_state
     for i, (action, expected) in enumerate(walk["steps"]):

@@ -1,5 +1,5 @@
 """Tests for the extension surface: unions, explain, stdlib engine,
-record-boundary detection, debug rendering."""
+record-boundary detection."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ import random
 import pytest
 
 import repro
-from repro.bits import debug
 from repro.data.synth import random_json
 from repro.jsonpath.ast import MultiIndex, MultiName
 from repro.query.explain import explain
@@ -117,31 +116,3 @@ class TestFromConcatenated:
 
     def test_empty_payload(self):
         assert len(RecordStream.from_concatenated(b"  \n ")) == 0
-
-
-class TestDebugRendering:
-    DOC = b'{"a{": ",", "b": [1]}'
-
-    def test_render_classes_filters_strings(self):
-        text = debug.render_classes(self.DOC)
-        lines = text.splitlines()
-        lbrace_row = next(l for l in lines if l.endswith("LBRACE"))
-        assert lbrace_row[0] == "^"
-        assert "^" not in lbrace_row[1:10]  # the '{' inside "a{" is masked
-
-    def test_render_string_mask(self):
-        text = debug.render_string_mask(self.DOC)
-        mask_row = text.splitlines()[-1]
-        assert mask_row[1] == "#"  # opening quote of "a{"
-
-    def test_render_interval(self):
-        text = debug.render_interval(b"abc:def", 0, 3)
-        assert "[==" in text
-
-    def test_render_trace_and_coverage(self):
-        data = b'{"skip": [1, 2, 3], "a": 9}'
-        matches, events = repro.JsonSki("$.a").trace_run(data)
-        rendered = debug.render_trace(data, events)
-        assert "G2" in rendered
-        summary = debug.coverage_summary(data, events)
-        assert "fast-forwarded" in summary

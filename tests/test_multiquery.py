@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from repro.data.datasets import DATASETS, large_record
 from repro.data.synth import random_json, random_path
 from repro.engine import JsonSki, JsonSkiMulti
-from repro.query.multi import MultiQueryAutomaton
+from repro.query.automaton import QueryAutomaton
 from repro.reference import evaluate_bytes
 
 
@@ -47,6 +47,30 @@ class TestBasics:
         assert a.values() == [1, 3]
         assert b.values() == [2, 4]
 
+    def test_accepts_a_generator_of_queries(self):
+        engine = JsonSkiMulti(q for q in ["$.a", "$.b"])
+        a, b = engine.run(b'{"a": 1, "b": 2}')
+        assert (a.values(), b.values()) == ([1], [2])
+
+    def test_run_records_matches_single_engine_bookkeeping(self):
+        from repro.observe import MetricsRegistry, Tracer
+        from repro.stream.records import RecordStream
+
+        stream = RecordStream.from_records([b'{"a":{"x":1},"b":[1,2,3]}'] * 3)
+        for query in ("$.a.x", "$.b[1:]"):
+            single_reg, multi_reg = MetricsRegistry(), MetricsRegistry()
+            single_tracer, multi_tracer = Tracer(), Tracer()
+            single = JsonSki(query, collect_stats=True, metrics=single_reg, tracer=single_tracer)
+            multi = JsonSkiMulti([query], collect_stats=True, metrics=multi_reg, tracer=multi_tracer)
+            expected = single.run_records(stream)
+            (got,) = multi.run_records(stream)
+            assert got.values() == expected.values()
+            assert multi.last_stats.total_length == single.last_stats.total_length == 75
+            assert dict(multi.last_stats.chars) == dict(single.last_stats.chars)
+            assert multi_reg.value("engine.records") == single_reg.value("engine.records") == 3
+            assert multi_reg.value("engine.matches") == single_reg.value("engine.matches")
+            assert len(multi_tracer.named("record")) == len(single_tracer.named("record")) == 3
+
     def test_descendant_query_in_mix(self):
         engine = JsonSkiMulti(["$..c", "$.a"])
         c, a = engine.run(b'{"a": {"c": 1}, "c": 2}')
@@ -56,28 +80,28 @@ class TestBasics:
 
 class TestGuidanceConjunction:
     def test_g4_shared_name_still_skips(self):
-        qa = MultiQueryAutomaton(["$.a.x", "$.a.y"])
+        qa = QueryAutomaton("$.a.x", "$.a.y")
         assert qa.object_skippable(qa.start_state)  # both wait for 'a'
 
     def test_g4_divergent_names_disable_skip(self):
-        qa = MultiQueryAutomaton(["$.a.x", "$.b.y"])
+        qa = QueryAutomaton("$.a.x", "$.b.y")
         assert not qa.object_skippable(qa.start_state)
 
     def test_expected_type_conflict_is_unknown(self):
-        qa = MultiQueryAutomaton(["$.a.x", "$.a[0]"])
+        qa = QueryAutomaton("$.a.x", "$.a[0]")
         s = qa.on_key(qa.start_state, "a")
         assert qa.expected_type(s) == "unknown"
 
     def test_expected_type_agreement_survives(self):
-        qa = MultiQueryAutomaton(["$.a.x", "$.a.y"])
+        qa = QueryAutomaton("$.a.x", "$.a.y")
         assert qa.expected_type(qa.start_state) == "object"
 
     def test_element_range_envelope(self):
-        qa = MultiQueryAutomaton(["$[2:4]", "$[7]"])
+        qa = QueryAutomaton("$[2:4]", "$[7]")
         assert qa.element_range(qa.start_state) == (2, 8)
 
     def test_accepting_ids(self):
-        qa = MultiQueryAutomaton(["$.a", "$.b", "$.a.c"])
+        qa = QueryAutomaton("$.a", "$.b", "$.a.c")
         s = qa.on_key(qa.start_state, "a")
         assert qa.accepting(s) == (0,)
         s2 = qa.on_key(s, "c")
