@@ -11,6 +11,7 @@ outside the program is validated before it is trusted.
 from __future__ import annotations
 
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ import pytest
 from repro import JsonSki
 from repro.checkpoint import SuspendableRun
 from repro.data.datasets import DATASETS, large_record
-from repro.errors import CheckpointError, DepthLimitError, RecordTooLargeError
+from repro.errors import CheckpointError, DepthLimitError, RecordTooLargeError, ReproError
 from repro.resilience.guards import Limits
 
 STATES_FIXTURE = Path(__file__).parent / "data" / "engine_states_v2.json"
@@ -77,6 +78,43 @@ def test_large_record_suspend_differential(name):
                 )
                 if query == container_query and budget == 1:
                     assert held_open, f"{query!r} never suspended inside a container match"
+
+
+#: Bytes the stray-byte differential inserts: each one shifts the string
+#: parity, the escape state or the structural depth of everything after it.
+STRAY_BYTES = b'"\\{]'
+
+
+def _outcome(compute):
+    """Offsets, or the class of the error the evaluation raised."""
+    try:
+        return compute()
+    except ReproError as exc:
+        return type(exc)
+
+
+@pytest.mark.fuzz_smoke
+@pytest.mark.parametrize("name", sorted(DATASETS))
+def test_stray_byte_suspend_differential(name):
+    """One stray byte puts every later byte in a different string, escape
+    or depth state; a run resumed from any suspension point after it must
+    still end exactly like the uninterrupted run."""
+    base = large_record(name, 16_000, seed=2)
+    rng = random.Random(f"stray-{name}")
+    queries = [spec.large for spec in DATASETS[name].queries] + ["$..id"]
+    for _ in range(25):
+        at = rng.randrange(len(base))
+        data = base[:at] + bytes([rng.choice(STRAY_BYTES)]) + base[at:]
+        for query in queries:
+            for mode in ("vector", "word"):
+                expected = _outcome(lambda: JsonSki(query, mode=mode).run(data).spans())
+                got = _outcome(
+                    lambda: _suspended_offsets(query, data, mode, 300, chunk_size=1024)[0]
+                )
+                assert got == expected, (
+                    f"suspended run diverged: dataset={name} query={query!r} "
+                    f"mode={mode} insert at {at}"
+                )
 
 
 @pytest.mark.fuzz_smoke
