@@ -42,6 +42,7 @@ from repro.bits.strings import INITIAL_CARRY, StringCarry, compute_string_mask
 DEFAULT_CHUNK_SIZE = 1 << 20
 
 _WORD_BITS = 64
+_BACKSLASH = 0x5C
 
 
 @dataclass
@@ -189,6 +190,9 @@ class BufferIndex:
         # carry_out per built chunk id; tiny, retained forever so an evicted
         # chunk can be rebuilt without rescanning from the stream start.
         self._carries: list[StringCarry] = []
+        # (position, entry carry) of a resumed run's entry chunk
+        # (seed_cursor); consumed by its build.
+        self._resume: tuple[int, Any] | None = None
         # Observability counters (always on: one integer add per chunk
         # build/eviction, i.e. once per MiB of input).  An attached
         # engine copies the deltas into its MetricsRegistry per run.
@@ -230,10 +234,12 @@ class BufferIndex:
         """The cross-chunk string-mask carries of every chunk built so far,
         as plain ``(escape, in_string)`` pairs (JSON-serializable).
 
-        This is the *only* state a fresh process needs to rebuild any
-        already-visited chunk's bitmaps without rescanning the stream from
-        byte zero — two bits per chunk, the suspension payoff of the
-        forward-chained index design.
+        With them a fresh process rebuilds any already-visited chunk's
+        bitmaps without rescanning the stream from byte zero — two bits
+        per chunk, the suspension payoff of the forward-chained index
+        design.  A resumed run that re-enters a chunk mid-way also needs
+        the state at the re-entry point itself, :meth:`carry_at`, so it
+        classifies that chunk from there instead of from its start.
         """
         return [(carry.escape, carry.in_string) for carry in self._carries]
 
@@ -242,7 +248,9 @@ class BufferIndex:
 
         Must be called on a fresh index (nothing built yet).  Afterwards
         chunk ``i`` for any ``i <= len(carries)`` is buildable directly
-        from its own bytes, because its carry-in is already known.
+        from its own bytes, because its carry-in is already known; a
+        cursor from :meth:`carry_at` (:meth:`seed_cursor`) narrows the
+        first build to the bytes from the resume position on.
         """
         if self._carries or self._cache:
             raise ValueError("seed_carries requires a fresh index (no chunks built)")
@@ -252,6 +260,67 @@ class BufferIndex:
                 f"{len(carries)} carries for an input of {self.n_chunks} chunks"
             )
         self._carries = [StringCarry(int(escape), int(in_string)) for escape, in_string in carries]
+
+    def carry_at(self, pos: int) -> tuple[int, ...] | None:
+        """The index's own carry at ``pos`` — ``(escape, in_string)``:
+        whether the byte at ``pos`` is escaped, and whether the bytes
+        before it leave the scan inside a string (a position index adds
+        its depth counters; the shape :meth:`carries_snapshot` uses).
+
+        A chunk classified from ``pos`` with this carry holds exactly the
+        positions at or after ``pos`` of the chunk classified from its
+        start.  ``None`` when the chunk holding ``pos`` is not cached:
+        building it only to read the carry would cost what the cursor
+        saves.
+        """
+        chunk = self._cache.get(self.chunk_of(pos))
+        if chunk is None or not chunk.start <= pos < chunk.end:
+            return None
+        return self._cursor_at(chunk, pos)
+
+    def _cursor_at(self, chunk: Any, pos: int) -> tuple[int, ...]:
+        # The in-string mask covers the bytes through ``pos - 1``.
+        offset = pos - chunk.start
+        if offset == 0:
+            return (self._escape_at(chunk, pos), chunk.carry_in.in_string)
+        return (self._escape_at(chunk, pos), (chunk.in_string >> (offset - 1)) & 1)
+
+    def _escape_at(self, chunk: Any, pos: int) -> int:
+        """Whether the byte at ``pos`` is escaped: the backslash run
+        ending just before it has odd length, counting only from the
+        chunk start, where the chunk's carry-in may escape the first."""
+        data, lo = self.data, chunk.start
+        run = 0
+        while pos - run > lo and data[pos - run - 1] == _BACKSLASH:
+            run += 1
+        if pos - run == lo:
+            run -= chunk.carry_in.escape
+        return run & 1
+
+    def seed_cursor(self, pos: int, cursor: Iterable[int]) -> None:
+        """Build the chunk holding ``pos`` from ``pos`` on, entered with
+        ``cursor`` — a :meth:`carry_at` value captured over the same
+        data.  Must be called on a fresh index, after
+        :meth:`seed_carries`.  The chunk's positions before ``pos`` are
+        then absent until a backward lookup needs them
+        (:meth:`widen`).
+        """
+        if self._cache:
+            raise ValueError("seed_cursor requires a fresh index (no chunks built)")
+        self._resume = (pos, self._entry_from(tuple(cursor)))
+
+    def widen(self, chunk_id: int) -> Any:
+        """Chunk ``chunk_id`` classified from its own start.
+
+        Only a resumed index's entry chunk (:meth:`seed_cursor`) starts
+        later; a backward lookup that reaches below its start rebuilds
+        it whole from the chained carries.
+        """
+        chunk = self.get(chunk_id)
+        if chunk.start != self.chunk_start(chunk_id):
+            del self._cache[chunk_id]
+            chunk = self.get(chunk_id)
+        return chunk
 
     def chunk_start(self, chunk_id: int) -> int:
         return chunk_id * self.chunk_size
@@ -273,21 +342,39 @@ class BufferIndex:
             self._build(cid)
         return self._build(chunk_id)
 
-    def _build_chunk(self, chunk: bytes, start: int, carry: StringCarry) -> Any:
+    def _entry(self, chunk_id: int) -> Any:
+        """The carry a build of chunk ``chunk_id`` from its start enters
+        with (subclasses chain more state; see :meth:`_entry_from`)."""
+        return INITIAL_CARRY if chunk_id == 0 else self._carries[chunk_id - 1]
+
+    def _entry_from(self, cursor: tuple[int, ...]) -> Any:
+        """:meth:`_entry`'s form of a :meth:`carry_at` cursor."""
+        escape, in_string = cursor
+        return StringCarry(escape, in_string)
+
+    def _build_chunk(self, chunk: bytes, start: int, entry: Any) -> Any:
         """Per-chunk build; subclasses may produce a different chunk type
         (see :class:`repro.bits.posindex.PositionBufferIndex`)."""
-        return build_chunk_index(chunk, start, carry)
+        return build_chunk_index(chunk, start, entry)
 
     def _build(self, chunk_id: int) -> Any:
         start = self.chunk_start(chunk_id)
-        carry = INITIAL_CARRY if chunk_id == 0 else self._carries[chunk_id - 1]
-        raw = self.data[start : start + self.chunk_size]
+        end = start + self.chunk_size
+        resume = self._resume
+        if resume is not None and self.chunk_of(resume[0]) == chunk_id:
+            # A resumed run's entry chunk: classify from the suspension
+            # point, not from the chunk start.
+            self._resume = None
+            start, entry = resume
+        else:
+            entry = self._entry(chunk_id)
+        raw = self.data[start:end]
         tracer = self.tracer
         if tracer is not None and tracer.enabled:
             with tracer.span("index_build", **self._span_attrs(chunk_id, len(raw))):
-                chunk = self._build_chunk(raw, start, carry)
+                chunk = self._build_chunk(raw, start, entry)
         else:
-            chunk = self._build_chunk(raw, start, carry)
+            chunk = self._build_chunk(raw, start, entry)
         if chunk_id == len(self._carries):
             self._carries.append(chunk.carry_out)
         words = (chunk.length + _WORD_BITS - 1) // _WORD_BITS

@@ -547,11 +547,21 @@ class PositionBufferIndex(BufferIndex):
         super().__init__(data, chunk_size=chunk_size, cache_chunks=cache_chunks)
         self._depth_carries: list[DepthCarry] = []
 
-    def _build_chunk(self, chunk: bytes, start: int, carry: StringCarry) -> PositionChunk:
-        chunk_id = start // self.chunk_size
-        depth_in = DEPTH_ZERO if chunk_id == 0 else self._depth_carries[chunk_id - 1]
+    def _entry(self, chunk_id: int) -> tuple[StringCarry, DepthCarry]:
+        if chunk_id == 0:
+            return INITIAL_CARRY, DEPTH_ZERO
+        return self._carries[chunk_id - 1], self._depth_carries[chunk_id - 1]
+
+    def _entry_from(self, cursor: tuple[int, ...]) -> tuple[StringCarry, DepthCarry]:
+        escape, in_string, depth, brace, bracket = cursor
+        return StringCarry(escape, in_string), DepthCarry(depth, brace, bracket)
+
+    def _build_chunk(
+        self, chunk: bytes, start: int, entry: tuple[StringCarry, DepthCarry]
+    ) -> PositionChunk:
+        carry, depth_in = entry
         built = build_position_chunk(chunk, start, carry, depth_in=depth_in)
-        if chunk_id == len(self._depth_carries):
+        if start // self.chunk_size == len(self._depth_carries):
             self._depth_carries.append(built.depth_out)
         return built
 
@@ -559,7 +569,8 @@ class PositionBufferIndex(BufferIndex):
         """Per-chunk carries as ``(escape, in_string, depth, brace,
         bracket)`` 5-tuples — the string carry plus the depth carry the
         vector hot path needs (the "array cursors" of the two-stage
-        suspension contract)."""
+        suspension contract).  :meth:`carry_at` gives the same 5-tuple
+        at any position of a cached chunk."""
         return [
             (string.escape, string.in_string, depth.depth, depth.brace, depth.bracket)
             for string, depth in zip(self._carries, self._depth_carries)
@@ -576,6 +587,19 @@ class PositionBufferIndex(BufferIndex):
             DepthCarry(int(depth), int(brace), int(bracket))
             for _, _, depth, brace, bracket in carries
         ]
+
+    def _cursor_at(self, chunk: PositionChunk, pos: int) -> tuple[int, ...]:
+        """``(escape, in_string, depth, brace, bracket)`` at ``pos``: the
+        string state from the unescaped quotes before ``pos``, the depth
+        counters from the structural characters before it."""
+        in_string = chunk.carry_in.in_string ^ (int(np.searchsorted(chunk.quotes, pos)) & 1)
+        before = chunk.keep_vals[: int(np.searchsorted(chunk.keep, pos))]
+        net_brace = int(_BRACE_DELTA[before].sum())
+        net_bracket = int(_BRACKET_DELTA[before].sum())
+        depth_in = chunk.depth_in
+        depth = depth_in.depth + net_brace + net_bracket
+        brace, bracket = depth_in.brace + net_brace, depth_in.bracket + net_bracket
+        return (self._escape_at(chunk, pos), in_string, depth, brace, bracket)
 
 
 class RecordBatchIndex(PositionBufferIndex):
@@ -602,7 +626,7 @@ class RecordBatchIndex(PositionBufferIndex):
         #: Per-record balanced mask; set by the chunk build.
         self.balanced: np.ndarray | None = None
 
-    def _build_chunk(self, chunk: bytes, start: int, carry: StringCarry) -> PositionChunk:
+    def _build_chunk(self, chunk: bytes, start: int, entry: object) -> PositionChunk:
         built, self.balanced = build_record_batch(chunk, self.starts, self.ends)
         return built
 

@@ -124,7 +124,14 @@ class Scanner(ABC):
             return NOT_FOUND
         for chunk_id in range(self.index.chunk_of(pos), -1, -1):
             chunk = self.index.get(chunk_id)
-            found = self._chunk_find_prev(chunk, cls, min(pos, chunk.end - 1))
+            found = NOT_FOUND
+            if pos >= chunk.start:
+                found = self._chunk_find_prev(chunk, cls, min(pos, chunk.end - 1))
+            if found == NOT_FOUND and chunk.start != self.index.chunk_start(chunk_id):
+                # A resumed index's entry chunk starts at the suspension
+                # point; the answer may lie before it.
+                chunk = self.index.widen(chunk_id)
+                found = self._chunk_find_prev(chunk, cls, min(pos, chunk.end - 1))
             if found != NOT_FOUND:
                 return found
         return NOT_FOUND
@@ -307,6 +314,14 @@ class VectorScanner(Scanner):
         for chunk_id in range(pos // self._chunk_size, -1, -1):
             positions = self._list(cls, chunk_id)
             idx = bisect_right(positions, pos)
+            if idx == 0 and self.index.get(chunk_id).start != chunk_id * self._chunk_size:
+                # A resumed index's entry chunk starts at the suspension
+                # point; the answer may lie before it.  The cursors hold
+                # the narrow chunk's lists, so they go too.
+                self._cursor.clear()
+                self._dt_cursor = None
+                positions = self.index.widen(chunk_id).positions_list(cls)
+                idx = bisect_right(positions, pos)
             if idx > 0:
                 return positions[idx - 1]
         return NOT_FOUND

@@ -26,6 +26,20 @@ the final match list is byte-identical to an uninterrupted
 :meth:`JsonSki.run`.  Nesting is bounded as there: a nesting bomb raises
 :class:`~repro.errors.DepthLimitError`, also under ``Limits.unlimited()``.
 
+The state's optional ``cursor`` is the index's own carry at the scan
+position (:meth:`~repro.bits.index.BufferIndex.carry_at`:
+``(escape, in_string)`` in word mode, plus ``(depth, brace, bracket)``
+in vector mode).  Seeded with it
+(:meth:`~repro.bits.index.BufferIndex.seed_cursor`), the resumed run
+classifies the chunk it re-enters from the scan position on instead of
+from the chunk start, so a resume classifies only the rest of that
+chunk.  The cursor is read off the index, never derived from the
+frames: the two disagree once a stray byte has shifted the string or
+depth state.  A state without it — written before the field existed,
+or suspended where the chunk holding the scan position was no longer
+cached — resumes from the chunk start as before; readers that predate
+the field ignore it, so ``STATE_VERSION`` stays 2.
+
 Not supported here: filter queries (they evaluate by engine composition,
 not by one automaton), ``run_with_paths``, early termination, and the
 per-run statistics/trace instruments (see docs/robustness.md).
@@ -66,6 +80,9 @@ class EngineState:
     matches: list[list[int] | None]
     carries: list[list[int]]
     done: bool
+    #: The structural index's carry at ``pos`` (optional; see the module
+    #: docstring).
+    cursor: list[int] | None = None
     version: int = STATE_VERSION
 
     def to_dict(self) -> dict:
@@ -78,17 +95,39 @@ class EngineState:
                 f"engine state version {data.get('version')!r} is not {STATE_VERSION}"
             )
         try:
-            return cls(**{name: data[name] for name in _STATE_FIELDS})
+            required = {name: data[name] for name in _STATE_FIELDS if name != "cursor"}
         except KeyError as exc:
             raise CheckpointError(f"engine state is missing field {exc}") from None
+        return cls(**required, cursor=data.get("cursor"))
 
 
 _STATE_FIELDS = [field.name for field in fields(EngineState) if field.name != "version"]
+
+#: Cursor length per scanner mode: the string carry, plus the depth
+#: counters in vector mode (the shape of the mode's per-chunk carries).
+_CURSOR_ARITY = {"vector": 5, "word": 2}
 
 
 def _offset(value, size: int) -> bool:
     """Whether ``value`` is a byte offset into (or just past) the input."""
     return type(value) is int and 0 <= value <= size
+
+
+def _cursor_problem(cursor, mode: str) -> str | None:
+    """Why ``cursor`` is no index carry a ``mode`` run could have
+    captured, or ``None`` when it is one."""
+    arity = _CURSOR_ARITY.get(mode)
+    if not isinstance(cursor, (list, tuple)) or len(cursor) != arity:
+        return f"is not a list of {arity} ints for mode {mode!r}"
+    if any(type(value) is not int for value in cursor):
+        return "holds a non-int entry"
+    if cursor[0] not in (0, 1) or cursor[1] not in (0, 1):
+        return "has an escape or in_string flag outside {0, 1}"
+    if arity == 5:
+        depth, brace, bracket = cursor[2:]
+        if depth < 0 or depth != brace + bracket:
+            return "has a negative depth or one that is not brace + bracket"
+    return None
 
 
 class SuspendableRun:
@@ -197,10 +236,15 @@ class SuspendableRun:
         size, data = self.size, self._run.data
         if not _offset(state.pos, size):
             raise CheckpointError(f"engine state pos {state.pos!r} is outside the input (0..{size})")
-        add, reserve = self._run.matches.add, self._run.matches.reserve
+        if state.cursor is not None:
+            if state.done:
+                raise CheckpointError("engine state is done but carries a cursor")
+            problem = _cursor_problem(state.cursor, state.mode)
+            if problem is not None:
+                raise CheckpointError(f"engine state cursor {state.cursor!r} {problem}")
+        # One validation pass, then one bulk load: no per-match call.
         for entry in state.matches:
             if entry is None:
-                reserve()
                 continue
             try:
                 start, end = entry
@@ -210,7 +254,7 @@ class SuspendableRun:
                 raise CheckpointError(
                     f"engine state match {entry!r} is not a [start, end] pair within the input"
                 )
-            add(data, start, end)
+        self._run.matches.extend(MatchList.from_offsets(data, state.matches))
         open_slots = {i for i, entry in enumerate(state.matches) if entry is None}
         for frame in state.frames:
             try:
@@ -232,6 +276,8 @@ class SuspendableRun:
             self._frames.append([kind, automaton_state, idx, slot, start])
         self._run.pos = state.pos
         self.done = state.done
+        if state.cursor is not None:
+            self.buffer.index.seed_cursor(state.pos, state.cursor)
 
     def suspend(self) -> EngineState:
         """Capture the current state (only legal between :meth:`step` calls)."""
@@ -257,7 +303,19 @@ class SuspendableRun:
             matches=self._run.matches.offsets(),
             carries=[list(pair) for pair in self.buffer.index.carries_snapshot()],
             done=self.done,
+            cursor=self._cursor(),
         )
+
+    def _cursor(self) -> list[int] | None:
+        """The index's carry at the suspension point, when its chunk is
+        still cached and the carry is one :meth:`resume` accepts (a
+        stray closer can drive the depth negative)."""
+        if self.done:
+            return None
+        cursor = self.buffer.index.carry_at(self.pos)
+        if cursor is None or _cursor_problem(cursor, self.mode) is not None:
+            return None
+        return list(cursor)
 
     # -- driving --------------------------------------------------------
 

@@ -191,6 +191,17 @@ class MatchList:
     def add(self, source: bytes, start: int, end: int) -> None:
         self._matches.append((source, start, end))
 
+    @classmethod
+    def from_offsets(cls, source: bytes, offsets: list) -> "MatchList":
+        """The list :meth:`offsets` describes, over ``source``, built in
+        one pass (``None`` stays a reserved slot).  The caller vouches
+        that every pair lies within ``source``."""
+        matches = cls()
+        matches._matches = [
+            None if pair is None else (source, pair[0], pair[1]) for pair in offsets
+        ]
+        return matches
+
     def add_match(self, match: Match) -> None:
         """Adopt an existing view, preserving its memoized value.
 

@@ -105,3 +105,57 @@ class TestBufferIndex:
             mask = (1 << chunk.length) - 1
             assert chunk.in_string & mask == want.in_string
             carry = want.carry_out
+
+
+class TestResumeCursor:
+    """An index entered mid-chunk with :meth:`BufferIndex.carry_at`'s
+    cursor (a resumed suspendable run) answers like the whole index."""
+
+    CLASSES = [cls for cls in CharClass if cls is not CharClass.BACKSLASH]
+
+    @staticmethod
+    def _pair(data: bytes, pos: int, mode: str):
+        from repro.stream.buffer import StreamBuffer
+
+        whole = StreamBuffer(data, mode=mode, chunk_size=64, cache_chunks=None)
+        for cid in range(whole.index.n_chunks):
+            whole.index.get(cid)
+        resumed = StreamBuffer(data, mode=mode, chunk_size=64, cache_chunks=None)
+        resumed.index.seed_carries(whole.index.carries_snapshot())
+        resumed.index.seed_cursor(pos, whole.index.carry_at(pos))
+        return whole, resumed
+
+    @given(
+        data=st.binary(min_size=1, max_size=300).map(
+            lambda raw: bytes(b'"\\{}[]:, a'[b % 10] for b in raw)
+        ),
+        at=st.floats(min_value=0, max_value=1, exclude_max=True),
+        mode=st.sampled_from(["vector", "word"]),
+    )
+    def test_entry_chunk_matches_whole_index(self, data, at, mode):
+        pos = int(at * len(data))
+        whole, resumed = self._pair(data, pos, mode)
+        cid = pos // 64
+        entry, reference = resumed.index.get(cid), whole.index.get(cid)
+        assert entry.start == pos and entry.carry_out == reference.carry_out
+        for cls in self.CLASSES:
+            expected = reference.positions(cls)
+            assert list(entry.positions(cls)) == list(expected[expected >= pos])
+        assert resumed.index.carry_at(pos) == whole.index.carry_at(pos)
+        if mode == "vector":
+            assert entry.depth_out == reference.depth_out
+
+    @given(
+        data=st.binary(min_size=65, max_size=300).map(
+            lambda raw: bytes(b'"\\{}[]:, a'[b % 10] for b in raw)
+        ),
+        mode=st.sampled_from(["vector", "word"]),
+    )
+    def test_backward_lookup_below_entry_point_widens(self, data, mode):
+        pos = len(data) - 1
+        whole, resumed = self._pair(data, pos, mode)
+        for cls in (CharClass.QUOTE, CharClass.LBRACE, CharClass.COMMA):
+            assert resumed.scanner.find_next(cls, pos) == whole.scanner.find_next(cls, pos)
+            for probe in range(len(data) - 1, -1, -7):
+                assert resumed.scanner.find_prev(cls, probe) == whole.scanner.find_prev(cls, probe)
+        assert resumed.index.get(pos // 64).start == (pos // 64) * 64

@@ -17,10 +17,12 @@ from pathlib import Path
 import pytest
 
 from repro import JsonSki
+from repro.bits.classify import CharClass
 from repro.checkpoint import SuspendableRun
 from repro.data.datasets import DATASETS, large_record
 from repro.errors import CheckpointError, DepthLimitError, RecordTooLargeError, ReproError
 from repro.resilience.guards import Limits
+from repro.stream.buffer import StreamBuffer
 
 STATES_FIXTURE = Path(__file__).parent / "data" / "engine_states_v2.json"
 
@@ -115,6 +117,22 @@ def test_stray_byte_suspend_differential(name):
                     f"suspended run diverged: dataset={name} query={query!r} "
                     f"mode={mode} insert at {at}"
                 )
+
+
+def test_negative_depth_suspension_point_resumes_without_cursor():
+    """A stray closer leaves the index depth negative at a suspension
+    point; such a state holds no cursor (resume would reject it) and
+    resumes from the chunk start."""
+    data = b'{"a": [1}, {"b": "x]]}}"}, "q]}"}], "c": {"d": ["}]", 2]}}'
+    expected = JsonSki("$..b").run(data).spans()
+    run = SuspendableRun.begin("$..b", data, chunk_size=64)
+    dropped = 0
+    while not run.step(1):
+        state = json.loads(json.dumps(run.suspend().to_dict()))
+        dropped += state["cursor"] is None and run.buffer.index.carry_at(run.pos) is not None
+        run = SuspendableRun.resume(data, state)
+    assert dropped
+    assert run.match_offsets() == expected
 
 
 @pytest.mark.fuzz_smoke
@@ -240,3 +258,126 @@ def test_resume_rejects_malformed_match(entry):
     state["matches"][next(i for i, m in enumerate(state["matches"]) if m is not None)] = entry
     with pytest.raises(CheckpointError, match="match"):
         SuspendableRun.resume(NESTED, state)
+
+
+def _word_mid_state():
+    """A mid-run word-mode state of the typed query ``$.a.b.c[*]``."""
+    run = SuspendableRun.begin("$.a.b.c[*]", NESTED, mode="word")
+    assert not run.step(1)
+    return run.suspend().to_dict()
+
+
+@pytest.mark.parametrize(
+    "mode,cursor",
+    [("vector", [0, 0]), ("vector", [0, 0, 1, 1, 0, 0]), ("word", [0, 0, 1, 1, 0]), ("vector", 3)],
+    ids=["vector-pair", "vector-six", "word-five", "not-a-list"],
+)
+def test_resume_rejects_cursor_of_wrong_arity(mode, cursor):
+    state = _mid_state() if mode == "vector" else _word_mid_state()
+    state["cursor"] = cursor
+    with pytest.raises(CheckpointError, match="cursor"):
+        SuspendableRun.resume(NESTED, state)
+
+
+@pytest.mark.parametrize(
+    "cursor",
+    [[0, 0, 1.0, 1, 0], [0, "0", 1, 1, 0], [True, 0, 1, 1, 0]],
+    ids=["float", "string", "bool"],
+)
+def test_resume_rejects_cursor_with_non_int_entry(cursor):
+    state = _mid_state()
+    state["cursor"] = cursor
+    with pytest.raises(CheckpointError, match="cursor"):
+        SuspendableRun.resume(NESTED, state)
+
+
+@pytest.mark.parametrize(
+    "cursor", [[2, 0, 1, 1, 0], [0, -1, 1, 1, 0]], ids=["escape", "in-string"]
+)
+def test_resume_rejects_cursor_flag_outside_bit(cursor):
+    state = _mid_state()
+    state["cursor"] = cursor
+    with pytest.raises(CheckpointError, match="cursor"):
+        SuspendableRun.resume(NESTED, state)
+
+
+@pytest.mark.parametrize(
+    "cursor", [[0, 0, -1, -1, 0], [0, 0, 3, 1, 1]], ids=["negative", "not-brace-plus-bracket"]
+)
+def test_resume_rejects_cursor_depth(cursor):
+    state = _mid_state()
+    state["cursor"] = cursor
+    with pytest.raises(CheckpointError, match="cursor"):
+        SuspendableRun.resume(NESTED, state)
+
+
+def test_resume_rejects_cursor_on_done_state():
+    run = SuspendableRun.begin("$..b", NESTED)
+    run.run_to_completion()
+    state = run.suspend().to_dict()
+    assert state["done"] and state["cursor"] is None
+    state["cursor"] = [0, 0, 0, 0, 0]
+    with pytest.raises(CheckpointError, match="cursor"):
+        SuspendableRun.resume(NESTED, state)
+
+
+# ---------------------------------------------------------------------------
+# Stage 1 of a resumed run starts at the suspension point.
+# ---------------------------------------------------------------------------
+
+#: Words the resumed indexes below classified when every resumed run
+#: rebuilt the chunk holding its suspension point from the chunk start
+#: (same in both modes).
+WORDS_FROM_CHUNK_START = 28_932
+
+STAGE1_CLASSES = [cls for cls in CharClass if cls is not CharClass.BACKSLASH]
+
+
+@pytest.mark.parametrize("mode", ["vector", "word"])
+def test_resume_classifies_from_the_suspension_point(mode):
+    data = large_record("TT", 400_000, seed=1)
+    query = DATASETS["TT"].queries[0].large
+    whole = StreamBuffer(data, mode=mode, chunk_size=65536, cache_chunks=None).index
+    run = SuspendableRun.begin(query, data, mode=mode, chunk_size=65536)
+    words = resumes = 0
+    done = run.step(16 * 1024)
+    while not done:
+        state = json.loads(json.dumps(run.suspend().to_dict()))
+        pos = state["pos"]
+        whole.get(whole.chunk_of(pos))
+        assert state["cursor"] == list(whole.carry_at(pos))
+        run = SuspendableRun.resume(data, state)
+        index = run.buffer.index
+        built = []
+        build_chunk = index._build_chunk
+
+        def spy(raw, start, entry, build_chunk=build_chunk, built=built):
+            built.append(build_chunk(raw, start, entry))
+            return built[-1]
+
+        index._build_chunk = spy
+        done = run.step(16 * 1024)
+        first = built[0]
+        assert first.start == pos
+        reference = whole.get(whole.chunk_of(pos))
+        for cls in STAGE1_CLASSES:
+            expected = reference.positions(cls)
+            assert list(first.positions(cls)) == list(expected[expected >= pos]), cls
+        words += index.words_built
+        resumes += 1
+    assert resumes > 20
+    assert words < WORDS_FROM_CHUNK_START, words
+
+
+def test_state_without_cursor_resumes_as_before():
+    data = large_record("BB", 30_000, seed=5)
+    query = DATASETS["BB"].queries[0].large
+    expected = JsonSki(query).run(data).spans()
+    run = SuspendableRun.begin(query, data, chunk_size=4096)
+    cursors = 0
+    while not run.step(700):
+        state = run.suspend().to_dict()
+        cursors += state.pop("cursor") is not None
+        run = SuspendableRun.resume(data, state)
+    assert cursors > 0
+    assert run.match_offsets() == expected
