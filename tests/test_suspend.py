@@ -269,43 +269,27 @@ def _word_mid_state():
 
 @pytest.mark.parametrize(
     "mode,cursor",
-    [("vector", [0, 0]), ("vector", [0, 0, 1, 1, 0, 0]), ("word", [0, 0, 1, 1, 0]), ("vector", 3)],
-    ids=["vector-pair", "vector-six", "word-five", "not-a-list"],
+    [
+        ("vector", [0, 0]),
+        ("vector", [0, 0, 1, 1, 0, 0]),
+        ("word", [0, 0, 1, 1, 0]),
+        ("vector", 3),
+        ("vector", [0, 0, 1.0, 1, 0]),
+        ("vector", [0, "0", 1, 1, 0]),
+        ("vector", [True, 0, 1, 1, 0]),
+        ("vector", [2, 0, 1, 1, 0]),
+        ("vector", [0, -1, 1, 1, 0]),
+        ("vector", [0, 0, -1, -1, 0]),
+        ("vector", [0, 0, 3, 1, 1]),
+    ],
+    ids=[
+        "arity-vector-pair", "arity-vector-six", "arity-word-five", "not-a-list",
+        "float", "string", "bool", "escape-flag", "in-string-flag",
+        "negative-depth", "depth-not-brace-plus-bracket",
+    ],
 )
-def test_resume_rejects_cursor_of_wrong_arity(mode, cursor):
+def test_resume_rejects_malformed_cursor(mode, cursor):
     state = _mid_state() if mode == "vector" else _word_mid_state()
-    state["cursor"] = cursor
-    with pytest.raises(CheckpointError, match="cursor"):
-        SuspendableRun.resume(NESTED, state)
-
-
-@pytest.mark.parametrize(
-    "cursor",
-    [[0, 0, 1.0, 1, 0], [0, "0", 1, 1, 0], [True, 0, 1, 1, 0]],
-    ids=["float", "string", "bool"],
-)
-def test_resume_rejects_cursor_with_non_int_entry(cursor):
-    state = _mid_state()
-    state["cursor"] = cursor
-    with pytest.raises(CheckpointError, match="cursor"):
-        SuspendableRun.resume(NESTED, state)
-
-
-@pytest.mark.parametrize(
-    "cursor", [[2, 0, 1, 1, 0], [0, -1, 1, 1, 0]], ids=["escape", "in-string"]
-)
-def test_resume_rejects_cursor_flag_outside_bit(cursor):
-    state = _mid_state()
-    state["cursor"] = cursor
-    with pytest.raises(CheckpointError, match="cursor"):
-        SuspendableRun.resume(NESTED, state)
-
-
-@pytest.mark.parametrize(
-    "cursor", [[0, 0, -1, -1, 0], [0, 0, 3, 1, 1]], ids=["negative", "not-brace-plus-bracket"]
-)
-def test_resume_rejects_cursor_depth(cursor):
-    state = _mid_state()
     state["cursor"] = cursor
     with pytest.raises(CheckpointError, match="cursor"):
         SuspendableRun.resume(NESTED, state)
