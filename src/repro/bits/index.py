@@ -3,8 +3,9 @@
 The index is the chunked, lazily-built store of string-filtered
 metacharacter bitmaps that every fast-forward algorithm reads.  It is the
 reproduction's stand-in for the paper's "build the bitmaps for the current
-word on demand": we classify a whole *chunk* (default 64 KiB) at a time
-with numpy — the SIMD substitute — and expose the result both as mirrored
+word on demand": we classify a whole *chunk* (default 1 MiB,
+:data:`DEFAULT_CHUNK_SIZE`) at a time with numpy — the SIMD substitute —
+and expose the result both as mirrored
 ``uint64`` words (for the paper-faithful word-at-a-time scanner) and as
 sorted position arrays (for the vectorized scanner).
 

@@ -5,12 +5,17 @@ what the paper's word-at-a-time algorithms consume.  The vectorized
 scanner, however, only ever needs each class's *sorted positions*, so
 this module builds those directly from one classification pass:
 
-1. one table lookup marks every metacharacter, quote and backslash;
+1. ``bytes.translate`` over the chunk's own bytes marks every
+   metacharacter, quote and backslash with 1; viewed as ``bool``, one
+   ``flatnonzero`` turns that mask into the *interesting stream* (the
+   positions of those bytes, and one gather their values);
 2. backslash runs are reduced to (start, end, length) triples, giving
    each quote's escaped/unescaped status (odd-run rule, carried across
    chunks exactly like :func:`repro.bits.words.escaped_positions`);
-3. the in-string parity of every structural character is a single
-   ``searchsorted`` against the unescaped-quote positions;
+3. the in-string parity of every structural character is a prefix
+   count (``cumsum``) of the unescaped quotes along the interesting
+   stream — the sparse-stream form of simdjson's prefix-XOR string
+   mask;
 4. per-class position lists are then lazy boolean selections.
 
 The result is semantically identical to filtering the word bitmaps (the
@@ -55,9 +60,9 @@ from repro.bits.classify import CharClass
 from repro.bits.index import DEFAULT_CHUNK_SIZE, BufferIndex
 from repro.bits.strings import INITIAL_CARRY, StringCarry
 
-_INTERESTING = np.zeros(256, dtype=bool)
-for _c in b'{}[]:,"\\':
-    _INTERESTING[_c] = True
+#: ``bytes.translate`` table marking every metacharacter, quote and
+#: backslash with 1 — the interesting-byte mask, read back as ``bool``.
+_INTERESTING = bytes(c in b'{}[]:,"\\' for c in range(256))
 
 _QUOTE, _BACKSLASH = 0x22, 0x5C
 _LBRACE, _RBRACE = 0x7B, 0x7D
@@ -97,27 +102,40 @@ class DepthCarry(NamedTuple):
 
 DEPTH_ZERO = DepthCarry(0, 0, 0)
 
+_INT16_MIN, _INT16_MAX = np.iinfo(np.int16).min, np.iinfo(np.int16).max
+
+
+def _q_array(values: np.ndarray) -> "array[int]":
+    """``values`` as an ``array('q')``: one copy, read through a byte
+    view of the int64 buffer."""
+    arr: "array[int]" = array("q")
+    arr.frombytes(np.ascontiguousarray(values, dtype=np.int64).view(np.uint8))
+    return arr
+
 
 def _group_by_depth(pos: np.ndarray, depth: np.ndarray) -> dict[int, "array[int]"]:
     """``{depth: sorted positions at that depth}`` from parallel arrays.
 
     A stable argsort keeps each depth group in ascending position order;
     groups are stored as ``array('q')`` so lookups are plain ``bisect``
-    calls (no numpy scalar boxing on the hot path).
+    calls (no numpy scalar boxing on the hot path).  The sort key is
+    int16 whenever the chunk's depths fit (numpy's stable sort is then a
+    radix sort), int64 otherwise — an input property, not a setting.
     """
     groups: dict[int, "array[int]"] = {}
     if not len(pos):
         return groups
-    order = np.argsort(depth, kind="stable")
+    key = depth
+    if _INT16_MIN <= int(depth.min()) and int(depth.max()) <= _INT16_MAX:
+        key = depth.astype(np.int16)
+    order = np.argsort(key, kind="stable")
     sorted_depth = depth[order]
     sorted_pos = pos[order]
     bounds = np.flatnonzero(sorted_depth[1:] != sorted_depth[:-1]) + 1
     starts = np.concatenate(([0], bounds))
     ends = np.concatenate((bounds, [len(sorted_depth)]))
     for s, e in zip(starts, ends):
-        arr: "array[int]" = array("q")
-        arr.frombytes(np.ascontiguousarray(sorted_pos[s:e]).tobytes())
-        groups[int(sorted_depth[s])] = arr
+        groups[int(sorted_depth[s])] = _q_array(sorted_pos[s:e])
     return groups
 
 
@@ -139,10 +157,8 @@ class PairTable:
         is_open = ev_vals == open_byte
         after = depth_in + np.cumsum(np.where(is_open, 1, -1))
         self.depth_in = depth_in
-        self.events: "array[int]" = array("q")
-        self.events.frombytes(np.ascontiguousarray(events).tobytes())
-        self.after: "array[int]" = array("q")
-        self.after.frombytes(np.ascontiguousarray(after).tobytes())
+        self.events = _q_array(events)
+        self.after = _q_array(after)
         self.closes_by_depth = _group_by_depth(events[~is_open], after[~is_open])
         #: Open positions and their after-depths (consumed by the paired
         #: interval table, :func:`repro.bits.intervals.build_interval_table`).
@@ -191,10 +207,8 @@ class DepthTables:
     def __init__(self, pos: np.ndarray, vals: np.ndarray, depth_in: DepthCarry) -> None:
         after = depth_in.depth + np.cumsum(_DELTA[vals])
         self.depth_in = depth_in
-        self.events: "array[int]" = array("q")
-        self.events.frombytes(np.ascontiguousarray(pos).tobytes())
-        self.after: "array[int]" = array("q")
-        self.after.frombytes(np.ascontiguousarray(after).tobytes())
+        self.events = _q_array(pos)
+        self.after = _q_array(after)
         self._pos = pos
         self._vals = vals
         self._after_np = after
@@ -335,9 +349,7 @@ class PositionChunk:
         """
         cached = self._lists.get(cls)
         if cached is None:
-            cached = array("q")
-            cached.frombytes(np.ascontiguousarray(self.positions(cls)).tobytes())
-            self._lists[cls] = cached
+            cached = self._lists[cls] = _q_array(self.positions(cls))
         return cached
 
 
@@ -359,24 +371,30 @@ class _Classified(NamedTuple):
 
 
 def _classify_segments(
-    buf: np.ndarray,
+    raw: bytes,
     carry: StringCarry,
     starts: np.ndarray = _NO_SEGMENTS,
     ends: np.ndarray = _NO_SEGMENTS,
 ) -> _Classified:
     """The stage-1 classification kernel.
 
+    ``raw`` is the chunk's bytes; a ``bytes`` object (what both callers
+    pass) is read in place, any other buffer is copied first.
+
     With ``starts``/``ends`` (sorted, disjoint ``[start, end)`` segments
-    of ``buf``) every segment is classified as if it stood alone:
+    of ``raw``) every segment is classified as if it stood alone:
     bytes outside the segments are ignored, and backslash runs and
     string parity restart at every segment start (depth restarts in
     :func:`build_record_batch`).
     Without them the whole buffer is one segment entered with
     ``carry`` — the chunk-at-a-time case.  ``carry`` is the state at
-    byte 0, so it only ever applies to a segment starting there.
+    byte 0: its escape can only reach a segment starting there, and its
+    in-string bit is the parity every segment starts from.
     """
     segmented = starts.size > 0
-    idx = np.flatnonzero(_INTERESTING[buf])
+    raw = bytes(raw)
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    idx = np.flatnonzero(np.frombuffer(raw.translate(_INTERESTING), dtype=bool))
     seg = _NO_SEGMENTS
     if segmented:
         seg = np.searchsorted(starts, idx, side="right") - 1
@@ -409,11 +427,13 @@ def _classify_segments(
     else:
         run_starts = run_ends = run_lens = np.empty(0, dtype=np.int64)
 
+    # Unescaped quotes: their positions and their mask over the stream.
+    uq, unescaped = q, quote_mask
     q_seg = seg[quote_mask] if segmented else _NO_SEGMENTS
-    if q.size:
-        ri = np.searchsorted(run_ends, q - 1)
-        ri_c = np.minimum(ri, max(len(run_ends) - 1, 0))
+    if q.size and (run_ends.size or pending_in):
         if run_ends.size:
+            ri = np.searchsorted(run_ends, q - 1)
+            ri_c = np.minimum(ri, len(run_ends) - 1)
             has_run = run_ends[ri_c] == q - 1
             if segmented:
                 # A run in the previous segment does not escape a quote
@@ -425,11 +445,13 @@ def _classify_segments(
             escaped = np.zeros(q.size, dtype=bool)
         if pending_in:
             escaped |= q == 0  # a carry-escape consumes the first char
-        uq = q[~escaped]
-        if segmented:
-            q_seg = q_seg[~escaped]
-    else:
-        uq = q
+        if escaped.any():
+            kept = np.logical_not(escaped)
+            uq = q[kept]
+            if segmented:
+                q_seg = q_seg[kept]
+            unescaped = quote_mask.copy()
+            unescaped[np.flatnonzero(quote_mask)[escaped]] = False
 
     # --- escape carry out ----------------------------------------------
     n = len(buf)
@@ -441,22 +463,18 @@ def _classify_segments(
         pending_out = pending_in
 
     # --- in-string filtering of structural characters -------------------
-    structural = ~quote_mask & ~backslash_mask
-    s_idx = idx[structural]
-    s_vals = vals[structural]
-    s_seg = seg[structural] if segmented else _NO_SEGMENTS
-    if s_idx.size:
-        rank = np.searchsorted(uq, s_idx)
-        if segmented:
-            # Parity restarts at each segment: count only its own quotes.
-            rank -= np.searchsorted(uq, starts)[s_seg]
-        outside = (rank + carry.in_string) % 2 == 0
-        keep = s_idx[outside]
-        keep_vals = s_vals[outside]
-        if segmented:
-            s_seg = s_seg[outside]
-    else:
-        keep, keep_vals = s_idx, s_vals
+    # A structural character is inside a string when an odd number of
+    # unescaped quotes precede it: a prefix count over the interesting
+    # stream.  Only its parity matters, so the count runs in uint8
+    # (wrapping mod 256 keeps the parity).
+    parity = np.cumsum(unescaped, dtype=np.uint8)
+    if segmented:
+        # Parity restarts at each segment: count only its own quotes.
+        parity -= np.searchsorted(uq, starts).astype(np.uint8)[seg]
+    outside = ~quote_mask & ~backslash_mask & ((parity & 1) == carry.in_string)
+    keep = idx[outside]
+    keep_vals = vals[outside]
+    s_seg = seg[outside] if segmented else _NO_SEGMENTS
     in_string_out = int((len(uq) + carry.in_string) % 2)
     return _Classified(keep, keep_vals, uq, s_seg, q_seg, StringCarry(int(pending_out), in_string_out))
 
@@ -468,7 +486,7 @@ def build_position_chunk(
     depth_in: DepthCarry = DEPTH_ZERO,
 ) -> PositionChunk:
     """Classify one chunk into string-filtered position arrays."""
-    out = _classify_segments(np.frombuffer(chunk, dtype=np.uint8), carry)
+    out = _classify_segments(chunk, carry)
     keep_vals = out.keep_vals
     net_brace = int(np.count_nonzero(keep_vals == _LBRACE)) - int(np.count_nonzero(keep_vals == _RBRACE))
     net_bracket = int(np.count_nonzero(keep_vals == _LBRACKET)) - int(np.count_nonzero(keep_vals == _RBRACKET))
@@ -504,7 +522,7 @@ def build_record_batch(region: bytes, starts: np.ndarray, ends: np.ndarray) -> t
     each record start, exactly as a standalone index of that record
     would.  Unbalanced records are left for the caller to index alone.
     """
-    out = _classify_segments(np.frombuffer(region, dtype=np.uint8), INITIAL_CARRY, starts, ends)
+    out = _classify_segments(region, INITIAL_CARRY, starts, ends)
     n_records = len(starts)
     keep, keep_vals, quotes = out.keep, out.keep_vals, out.quotes
     brace = np.bincount(out.keep_seg, weights=_BRACE_DELTA[keep_vals], minlength=n_records)

@@ -16,7 +16,11 @@ Two implementations are provided:
 - :class:`WordScanner` walks mirrored 64-bit words one at a time with the
   bit tricks of Algorithm 3 — the paper-faithful mode.
 - :class:`VectorScanner` answers from per-chunk sorted position arrays
-  with ``numpy.searchsorted`` — the wide-SIMD stand-in.
+  and depth tables with ``bisect`` — the wide-SIMD stand-in.  It also
+  fuses each of stage 2's G1/G5 moves into one leveled lookup
+  (:meth:`VectorScanner.leveled_obj_attr_named`,
+  :meth:`VectorScanner.leveled_ary_elem`,
+  :meth:`VectorScanner.leveled_skip_elems`).
 
 Both are exact; the property-based test suite asserts they agree
 everywhere, and ablation A2 measures the performance gap.
@@ -35,6 +39,11 @@ from repro.bits.words import WORD_BITS, WORD_MASK, lowest_bit_position, popcount
 
 #: Sentinel returned when no further occurrence exists in the stream.
 NOT_FOUND = -1
+
+_LBRACE, _RBRACE = CharClass.LBRACE, CharClass.RBRACE
+_LBRACKET, _RBRACKET = CharClass.LBRACKET, CharClass.RBRACKET
+#: A per-chunk cursor that matches no chunk.
+_NO_CURSOR: tuple[int, Any] = (-1, None)
 
 
 class Scanner(ABC):
@@ -258,11 +267,13 @@ class WordScanner(Scanner):
 class VectorScanner(Scanner):
     """Vectorized scanner over per-chunk sorted position lists.
 
-    Each class bitmap is decoded once per chunk (``np.unpackbits`` +
-    ``np.flatnonzero`` — the batch, SIMD-like step); every query then
-    becomes a scalar binary search over the decoded positions.  The
-    public methods are overridden with flat ``bisect`` loops because the
-    fast-forward algorithms issue these queries millions of times.
+    Each class's positions are decoded once per chunk (a selection of
+    the position index's classified stream, or ``np.unpackbits`` +
+    ``np.flatnonzero`` over a word-bitmap chunk — the batch, SIMD-like
+    step); every query then becomes a scalar binary search over the
+    decoded positions.  The public methods are overridden with flat
+    ``bisect`` loops because the fast-forward algorithms issue these
+    queries millions of times.
     """
 
     def __init__(self, index: BufferIndex) -> None:
@@ -280,6 +291,14 @@ class VectorScanner(Scanner):
         # word-bitmap index the scanner falls back to the interval walk.
         self.leveled = isinstance(index, PositionBufferIndex)
         self._dt_cursor: tuple[int, Any] | None = None
+        # Per pair class: (chunk_id, PairTable) of the chunk the last
+        # depth-table pair_close started in, and the quote list of the
+        # last G1 name lookup — the state that lets the in-chunk cases
+        # answer without a tables fetch (attributes, not a dict: an
+        # enum-keyed lookup costs a Python-level hash).
+        self._brace_cursor: tuple[int, Any] = _NO_CURSOR
+        self._bracket_cursor: tuple[int, Any] = _NO_CURSOR
+        self._quote_cursor: tuple[int, Any] = _NO_CURSOR
 
     def _tables(self, chunk_id: int) -> Any:
         cursor = self._dt_cursor
@@ -320,6 +339,7 @@ class VectorScanner(Scanner):
                 # the narrow chunk's lists, so they go too.
                 self._cursor.clear()
                 self._dt_cursor = None
+                self._brace_cursor = self._bracket_cursor = self._quote_cursor = _NO_CURSOR
                 positions = self.index.widen(chunk_id).positions_list(cls)
                 idx = bisect_right(positions, pos)
             if idx > 0:
@@ -374,36 +394,56 @@ class VectorScanner(Scanner):
         walk's outstanding count first reaches zero — on well-formed and
         malformed byte streams alike.  Depths are absolute, so a miss
         continues into later chunks with the same target.
+
+        The in-chunk case — every G2/G4 skip whose closer lies in the
+        chunk of the previous skip — is answered inline: one cursor
+        check, two bisects and one dict get.
         """
-        if self.leveled and (
-            (open_cls is CharClass.LBRACE and close_cls is CharClass.RBRACE)
-            or (open_cls is CharClass.LBRACKET and close_cls is CharClass.RBRACKET)
-        ):
-            if pos >= self._size:
-                return NOT_FOUND
-            brace = open_cls is CharClass.LBRACE
-            chunk_id = pos // self._chunk_size
-            tables = self._tables(chunk_id)
+        if open_cls is _LBRACE and close_cls is _RBRACE:
+            cursor = self._brace_cursor
+        elif open_cls is _LBRACKET and close_cls is _RBRACKET:
+            cursor = self._bracket_cursor
+        else:
+            return self._pair_close_walk(open_cls, close_cls, pos, num_open)
+        if cursor[0] == pos // self._chunk_size:
+            pair = cursor[1]
+            j = bisect_left(pair.events, pos)
+            arr = pair.closes_by_depth.get((pair.after[j - 1] if j else pair.depth_in) - num_open)
+            if arr is not None:
+                i = bisect_left(arr, pos)
+                if i < len(arr):
+                    return arr[i]
+        return self._pair_close_tables(open_cls, close_cls, pos, num_open)
+
+    def _pair_close_tables(self, open_cls: CharClass, close_cls: CharClass, pos: int, num_open: int) -> int:
+        """:meth:`pair_close` of a brace or bracket pair through the
+        tables of ``pos``'s chunk and the later ones; sets the pair
+        cursor for the in-chunk case."""
+        if not self.leveled:
+            return self._pair_close_walk(open_cls, close_cls, pos, num_open)
+        if pos >= self._size:
+            return NOT_FOUND
+        brace = open_cls is _LBRACE
+        chunk_id = pos // self._chunk_size
+        tables = self._tables(chunk_id)
+        pair = tables.brace if brace else tables.bracket
+        if brace:
+            self._brace_cursor = (chunk_id, pair)
+        else:
+            self._bracket_cursor = (chunk_id, pair)
+        target = pair.depth_before(pos) - num_open
+        found = pair.close_at_depth(target, pos)
+        if found >= 0:
+            return found
+        for cid in range(chunk_id + 1, self._n_chunks):
+            tables = self._tables(cid)
             pair = tables.brace if brace else tables.bracket
-            target = pair.depth_before(pos) - num_open
-            found = pair.close_at_depth(target, pos)
+            found = pair.first_close_at_depth(target)
             if found >= 0:
                 return found
-            for cid in range(chunk_id + 1, self._n_chunks):
-                tables = self._tables(cid)
-                pair = tables.brace if brace else tables.bracket
-                found = pair.first_close_at_depth(target)
-                if found >= 0:
-                    return found
-            return NOT_FOUND
-        return self._pair_close_walk(open_cls, close_cls, pos, num_open)
+        return NOT_FOUND
 
     # -- leveled (depth-keyed) queries ----------------------------------
-
-    def structural_depth_before(self, pos: int) -> int:
-        """Combined structural depth just before absolute ``pos``
-        (requires a position index; see :attr:`leveled`)."""
-        return self._tables(pos // self._chunk_size).depth_before(pos)
 
     def commas_at_depth(self, depth: int, lo: int, hi: int, k: int) -> tuple[int, int]:
         """Commas whose combined structural depth is ``depth`` in
@@ -498,21 +538,24 @@ class VectorScanner(Scanner):
             total += j - i
         return total
 
-    # -- fused G1 seeks (one tables fetch, in-chunk fast path) ----------
+    # -- fused G1/G5 seeks: one scanner call per fast-forward ------------
 
-    def leveled_obj_attr(self, pos: int, want_byte: int) -> tuple[int, int]:
-        """Fused object G1 sweep: ``(container_end, wanted_open)``.
+    def leveled_obj_attr_named(self, pos: int, want_byte: int) -> tuple[int, int, int, int]:
+        """Fused object G1 sweep:
+        ``(container_end, wanted_open, name_open, name_close)``.
 
         ``container_end`` is the enclosing container's closer
         (:data:`NOT_FOUND` if the stream ends first, in which case the
-        second element is meaningless); ``wanted_open`` is the first
-        ``want_byte`` open at value depth before that end, or
-        :data:`NOT_FOUND`.  The in-chunk case — overwhelmingly common
-        with megabyte chunks — resolves with one tables fetch and three
-        binary searches; chunk-spill falls back to the decomposed
-        cross-chunk queries.
+        rest is meaningless); ``wanted_open`` is the first ``want_byte``
+        open at value depth before that end, or :data:`NOT_FOUND`; the
+        name's quotes are :meth:`prev_quote_pair` just before it (both
+        :data:`NOT_FOUND` without a wanted open).  The in-chunk case —
+        overwhelmingly common with megabyte chunks — resolves with one
+        tables fetch and four binary searches; chunk-spill falls back to
+        the decomposed cross-chunk queries.
         """
         chunk_id = pos // self._chunk_size
+        chunk_end = (chunk_id + 1) * self._chunk_size
         tables = self._tables(chunk_id)
         depth = tables.depth_before(pos)
         end = NOT_FOUND
@@ -522,28 +565,30 @@ class VectorScanner(Scanner):
             if i < len(arr):
                 end = arr[i]
         if end == NOT_FOUND:
-            end = self.close_at_combined_depth(depth - 1, (chunk_id + 1) * self._chunk_size)
+            end = self.close_at_combined_depth(depth - 1, chunk_end)
             if end == NOT_FOUND:
-                return NOT_FOUND, NOT_FOUND
+                return NOT_FOUND, NOT_FOUND, NOT_FOUND, NOT_FOUND
+        found = NOT_FOUND
         opens = tables.opens_by_depth(want_byte).get(depth + 1)
-        if opens:
-            j = bisect_left(opens, pos)
-            if j < len(opens):
+        j = bisect_left(opens, pos) if opens else 0
+        if opens and j < len(opens):
+            # Positions only grow: past ``end`` here means past it in
+            # every later chunk too.
+            if opens[j] < end:
                 found = opens[j]
-                # Positions only grow: past ``end`` here means past it
-                # in every later chunk too.
-                return end, (found if found < end else NOT_FOUND)
-        if end < (chunk_id + 1) * self._chunk_size:
-            return end, NOT_FOUND
-        return end, self.open_at_depth(want_byte, depth + 1, (chunk_id + 1) * self._chunk_size, end)
+        elif end >= chunk_end:
+            found = self.open_at_depth(want_byte, depth + 1, chunk_end, end)
+        if found == NOT_FOUND:
+            return end, NOT_FOUND, NOT_FOUND, NOT_FOUND
+        return (end, found, *self.prev_quote_pair(found - 1))
 
     def leveled_ary_elem(self, pos: int, want_byte: int) -> tuple[int, int, int]:
         """Fused array G1 sweep: ``(array_end, wanted_open, commas)``.
 
-        Same contract as :meth:`leveled_obj_attr` plus the count of
-        element-level commas crossed up to the wanted open (or up to the
-        array end when there is none) — Algorithm 5's counter as one
-        range count on the leveled comma map.
+        Same bound and open as :meth:`leveled_obj_attr_named` plus the
+        count of element-level commas crossed up to the wanted open (or
+        up to the array end when there is none) — Algorithm 5's counter
+        as one range count on the leveled comma map.
         """
         chunk_id = pos // self._chunk_size
         chunk_end = (chunk_id + 1) * self._chunk_size
@@ -578,12 +623,53 @@ class VectorScanner(Scanner):
             return end, found, n
         return end, found, self.count_commas_at_depth(depth, pos, bound)
 
+    def leveled_skip_elems(self, pos: int, k: int) -> tuple[int, int, int]:
+        """Fused G5 ``goOverElems(k)``: ``(array_end, kth_comma, crossed)``.
+
+        ``array_end`` is the first closer at or after ``pos`` at combined
+        depth ``depth_before(pos) - 1`` (:data:`NOT_FOUND` if the stream
+        ends first; the rest is then meaningless); ``kth_comma`` and
+        ``crossed`` are :meth:`commas_at_depth` at ``depth_before(pos)``
+        over ``[pos, array_end)``.  The in-chunk case takes one tables
+        fetch and at most four binary searches.
+        """
+        if pos >= self._size:
+            return NOT_FOUND, NOT_FOUND, 0
+        chunk_id = pos // self._chunk_size
+        tables = self._tables(chunk_id)
+        depth = tables.depth_before(pos)
+        end = NOT_FOUND
+        closes = tables.closes_by_depth.get(depth - 1)
+        if closes:
+            i = bisect_left(closes, pos)
+            if i < len(closes):
+                end = closes[i]
+        if end == NOT_FOUND:
+            end = self.close_at_combined_depth(depth - 1, (chunk_id + 1) * self._chunk_size)
+            if end == NOT_FOUND:
+                return NOT_FOUND, NOT_FOUND, 0
+            comma, crossed = self.commas_at_depth(depth, pos, end, k)
+            return end, comma, crossed
+        commas = tables.commas_by_depth.get(depth)
+        if not commas:
+            return end, NOT_FOUND, 0
+        i = bisect_left(commas, pos)
+        j = i + k - 1
+        if j < len(commas) and commas[j] < end:
+            return end, commas[j], k
+        return end, NOT_FOUND, bisect_left(commas, end, i) - i
+
     def prev_quote_pair(self, pos: int) -> tuple[int, int]:
         """The two nearest unescaped quotes at or before ``pos`` as
         ``(opening, closing)`` — the G1 name-recovery lookup, fused into
         one binary search when both quotes sit in ``pos``'s chunk."""
+        if pos < 0:
+            return NOT_FOUND, NOT_FOUND
         chunk_id = pos // self._chunk_size
-        quotes = self._list(CharClass.QUOTE, chunk_id)
+        cursor = self._quote_cursor
+        if cursor[0] != chunk_id:
+            cursor = self._quote_cursor = (chunk_id, self._list(CharClass.QUOTE, chunk_id))
+        quotes = cursor[1]
         i = bisect_right(quotes, pos)
         if i >= 2:
             return quotes[i - 2], quotes[i - 1]
@@ -720,29 +806,23 @@ class RecordWindowScanner(Scanner):
         found = self._batch.pair_close(open_cls, close_cls, pos + self._start, num_open)
         return found - self._start if 0 <= found < self._end else NOT_FOUND
 
-    def structural_depth_before(self, pos: int) -> int:
-        return self._batch.structural_depth_before(pos + self._start)
-
-    def commas_at_depth(self, depth: int, lo: int, hi: int, k: int) -> tuple[int, int]:
-        if hi <= lo:
-            return NOT_FOUND, 0
+    def leveled_obj_attr_named(self, pos: int, want_byte: int) -> tuple[int, int, int, int]:
         start = self._start
-        found, n = self._batch.commas_at_depth(depth, lo + start, min(hi, self._size) + start, k)
-        return (found - start if found >= 0 else NOT_FOUND), n
-
-    def close_at_combined_depth(self, depth: int, pos: int) -> int:
-        if pos >= self._size:
-            return NOT_FOUND
-        found = self._batch.close_at_combined_depth(depth, pos + self._start)
-        return found - self._start if 0 <= found < self._end else NOT_FOUND
-
-    def leveled_obj_attr(self, pos: int, want_byte: int) -> tuple[int, int]:
-        start = self._start
-        end, found = self._batch.leveled_obj_attr(pos + start, want_byte)
+        end, found, opening, closing = self._batch.leveled_obj_attr_named(pos + start, want_byte)
         if not 0 <= end < self._end:
-            return NOT_FOUND, NOT_FOUND
-        # ``found`` precedes ``end``, so it is inside the window when set.
-        return end - start, (found - start if found >= 0 else NOT_FOUND)
+            return NOT_FOUND, NOT_FOUND, NOT_FOUND, NOT_FOUND
+        if found == NOT_FOUND:
+            return end - start, NOT_FOUND, NOT_FOUND, NOT_FOUND
+        # ``found`` precedes ``end``, so it is inside the window.
+        found -= start
+        if opening >= start:
+            return end - start, found, opening - start, closing - start
+        # Fewer than two of the record's quotes before the value: the
+        # standalone scanner's fallback, through this view's own calls.
+        closing = self.find_prev(CharClass.QUOTE, found - 1)
+        if closing == NOT_FOUND:
+            return end - start, found, NOT_FOUND, NOT_FOUND
+        return end - start, found, self.find_prev(CharClass.QUOTE, closing - 1), closing
 
     def leveled_ary_elem(self, pos: int, want_byte: int) -> tuple[int, int, int]:
         start = self._start
@@ -751,17 +831,15 @@ class RecordWindowScanner(Scanner):
             return NOT_FOUND, NOT_FOUND, 0
         return end - start, (found - start if found >= 0 else NOT_FOUND), commas
 
-    def prev_quote_pair(self, pos: int) -> tuple[int, int]:
+    def leveled_skip_elems(self, pos: int, k: int) -> tuple[int, int, int]:
+        if pos >= self._size:
+            return NOT_FOUND, NOT_FOUND, 0
         start = self._start
-        opening, closing = self._batch.prev_quote_pair(pos + start)
-        if opening >= start:
-            return opening - start, closing - start
-        # Fewer than two of the record's quotes at or before ``pos``: the
-        # standalone scanner's fallback, through this view's own calls.
-        closing = self.find_prev(CharClass.QUOTE, pos)
-        if closing == NOT_FOUND:
-            return NOT_FOUND, NOT_FOUND
-        return self.find_prev(CharClass.QUOTE, closing - 1), closing
+        end, comma, crossed = self._batch.leveled_skip_elems(pos + start, k)
+        if not 0 <= end < self._end:
+            return NOT_FOUND, NOT_FOUND, 0
+        # Commas before ``end`` are inside the window.
+        return end - start, (comma - start if comma >= 0 else NOT_FOUND), crossed
 
     # Stage 2 (repro.engine.fastforward) only uses the queries above; the
     # per-chunk hooks have no meaning in window coordinates.

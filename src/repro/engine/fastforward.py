@@ -282,32 +282,69 @@ class VectorFastForwarder(FastForwarder):
 
     Requires a scanner with :attr:`~repro.bits.scanner.Scanner.leveled`
     set (a :class:`~repro.bits.scanner.VectorScanner` over a
-    :class:`~repro.bits.posindex.PositionBufferIndex`).  Skip-to-close
-    queries already route through the scanner's depth-table
-    ``pair_close``; this subclass additionally replaces the per-value G1
-    sweeps and the per-element G5 loop with single leveled lookups
-    (next wanted-type open at the current depth + k-th comma at the
-    current depth).  Positions, statistics, and error classes on
-    well-formed input match the word-at-a-time path byte for byte (the
-    vector-vs-word equivalence suite enforces this); inside *malformed*
-    skip regions the leveled lookup may tolerate delimiter garbage the
-    byte loop would trip over — the paper's Section 3.3 stance that
-    skipped regions are not validated.
+    :class:`~repro.bits.posindex.PositionBufferIndex`, or a record's
+    :class:`~repro.bits.scanner.RecordWindowScanner`).  Every move is one
+    scanner call: the G2/G4 closer skips call the bound depth-table
+    ``pair_close`` directly, and the per-value G1 sweeps and the
+    per-element G5 loop become single fused leveled lookups (next
+    wanted-type open at the current depth with its name's quotes; k-th
+    comma at the current depth with the enclosing closer).  Positions,
+    statistics, and error classes on well-formed input match the
+    word-at-a-time path byte for byte (the vector-vs-word equivalence
+    suite enforces this); inside *malformed* skip regions the leveled
+    lookup may tolerate delimiter garbage the byte loop would trip over
+    — the paper's Section 3.3 stance that skipped regions are not
+    validated.
     """
 
+    def __init__(self, buffer: StreamBuffer) -> None:
+        super().__init__(buffer)
+        scanner = buffer.scanner
+        self._leveled_obj_attr_named = scanner.leveled_obj_attr_named
+        self._leveled_ary_elem = scanner.leveled_ary_elem
+        self._leveled_skip_elems = scanner.leveled_skip_elems
+
+    def go_over_obj(self, pos: int) -> int:
+        if self.data[pos] != _LBRACE:
+            raise StreamExhaustedError("expected '{' to go over an object", pos)
+        end = self._pair_close(CharClass.LBRACE, CharClass.RBRACE, pos + 1, 1)
+        if end == NOT_FOUND:
+            raise StreamExhaustedError("stream ended with unclosed '{'", self.size)
+        return end + 1
+
+    def go_over_ary(self, pos: int) -> int:
+        if self.data[pos] != _LBRACKET:
+            raise StreamExhaustedError("expected '[' to go over an array", pos)
+        end = self._pair_close(CharClass.LBRACKET, CharClass.RBRACKET, pos + 1, 1)
+        if end == NOT_FOUND:
+            raise StreamExhaustedError("stream ended with unclosed '['", self.size)
+        return end + 1
+
+    def go_to_obj_end(self, pos: int) -> int:
+        end = self._pair_close(CharClass.LBRACE, CharClass.RBRACE, pos, 1)
+        if end == NOT_FOUND:
+            raise StreamExhaustedError("stream ended with unclosed '{'", self.size)
+        return end + 1
+
+    def go_to_ary_end(self, pos: int) -> int:
+        end = self._pair_close(CharClass.LBRACKET, CharClass.RBRACKET, pos, 1)
+        if end == NOT_FOUND:
+            raise StreamExhaustedError("stream ended with unclosed '['", self.size)
+        return end + 1
+
     def go_to_obj_attr(self, pos: int, want: str) -> tuple[bool, int, bytes | None, int]:
-        """``goToObjAttr()`` as two leveled lookups: the enclosing
-        object's closer bounds the sweep, and the next wanted-type open
-        at the attribute-value depth is read straight from the opens-by-
-        depth map (wrong-type siblings nest deeper and never surface)."""
-        want_byte = _LBRACE if want == "object" else _LBRACKET
-        scanner = self.scanner
-        end, found = scanner.leveled_obj_attr(pos, want_byte)
+        """``goToObjAttr()`` as one fused leveled lookup: the enclosing
+        object's closer bounds the sweep, the next wanted-type open at
+        the attribute-value depth is read straight from the opens-by-
+        depth map (wrong-type siblings nest deeper and never surface),
+        and the name's quotes are the two unescaped quotes before it."""
+        end, found, name_start, close = self._leveled_obj_attr_named(
+            pos, _LBRACE if want == "object" else _LBRACKET
+        )
         if end == NOT_FOUND:
             raise StreamExhaustedError("stream ended inside an object", pos)
         if found == NOT_FOUND:
             return True, end + 1, None, 0
-        name_start, close = scanner.prev_quote_pair(found - 1)
         if close == NOT_FOUND:
             raise StreamExhaustedError("attribute value without a name", found)
         if name_start == NOT_FOUND:
@@ -318,8 +355,7 @@ class VectorFastForwarder(FastForwarder):
         """``goToAryElem()`` leveled: next wanted-type open at the element
         depth, with crossed commas counted from the leveled comma map so
         index constraints stay exact."""
-        want_byte = _LBRACE if want == "object" else _LBRACKET
-        end, found, commas = self.scanner.leveled_ary_elem(pos, want_byte)
+        end, found, commas = self._leveled_ary_elem(pos, _LBRACE if want == "object" else _LBRACKET)
         if end == NOT_FOUND:
             raise StreamExhaustedError("stream ended inside an array", pos)
         if found == NOT_FOUND:
@@ -327,8 +363,8 @@ class VectorFastForwarder(FastForwarder):
         return False, found, commas
 
     def go_over_elems(self, pos: int, k: int) -> tuple[bool, int, int]:
-        """``goOverElems(K)`` as two searchsorted lookups: the enclosing
-        array's closer bounds the span, then the ``k``-th element-level
+        """``goOverElems(K)`` as one fused leveled lookup: the enclosing
+        array's closer bounds the span, and the ``k``-th element-level
         comma (combined depth of ``pos``) is read straight from the
         leveled comma map."""
         data = self.data
@@ -338,12 +374,9 @@ class VectorFastForwarder(FastForwarder):
             while cur < size and data[cur] in _WS:
                 cur += 1
             return False, cur, 0
-        scanner = self.scanner
-        depth = scanner.structural_depth_before(pos)
-        end = scanner.close_at_combined_depth(depth - 1, pos)
+        end, comma, crossed = self._leveled_skip_elems(pos, k)
         if end == NOT_FOUND:
             raise StreamExhaustedError("stream ended inside an array", pos)
-        comma, crossed = scanner.commas_at_depth(depth, pos, end, k)
         if comma == NOT_FOUND:
             return True, end + 1, crossed
         cur = comma + 1

@@ -424,6 +424,9 @@ class _Run:
         self._n_emitted = 0
         #: Optional fast-forward event log: (group, start, end) triples.
         self.trace: list[tuple[str, int, int]] | None = [] if trace else None
+        #: Whether :meth:`_record` has anywhere to write (the G2/G3 skips,
+        #: the most frequent moves, test it before calling).
+        self.recording = collect_stats or trace
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -572,13 +575,15 @@ class _Run:
         """G2/G3: go over a value without examining it; returns the
         position after a container value, or at the delimiter for a
         primitive."""
+        ff = self.ff
         if vbyte == _LBRACE:
-            vend = self.ff.go_over_obj(vstart)
+            vend = ff.go_over_obj(vstart)
         elif vbyte == _LBRACKET:
-            vend = self.ff.go_over_ary(vstart)
+            vend = ff.go_over_ary(vstart)
         else:
-            vend = self.ff.go_over_pri(vstart, in_object=in_object)
-        self._record(group, vstart, vend)
+            vend = ff.go_over_pri(vstart, in_object=in_object)
+        if self.recording:
+            self._record(group, vstart, vend)
         return vend
 
     def _consume_value(self, state: int, vstart: int, vbyte: int, in_object: bool, depth: int) -> int:

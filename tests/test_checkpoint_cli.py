@@ -18,6 +18,7 @@ import time
 
 import pytest
 
+from repro.checkpoint import CheckpointStore
 from repro.cli import EXIT_CODES, EXIT_INTERRUPTED, exit_code_table, main
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -141,7 +142,13 @@ class TestSingleRecordMode:
 
 
 class TestSignalInterrupt:
-    """Real SIGTERM against a subprocess: exit 6, then resume to equality."""
+    """Real SIGTERM against a subprocess: exit 6, then resume to equality.
+
+    The signal is sent once the run's first checkpoint generation exists:
+    by then the clean-stop handlers are armed (the CLI arms them before
+    the run starts), and with a commit every 500 of 30,000 records the
+    run still has almost all of its stream ahead of it.
+    """
 
     def _write_stream(self, tmp_path, n=30_000):
         path = tmp_path / "many.jsonl"
@@ -178,8 +185,12 @@ class TestSignalInterrupt:
                  "--checkpoint-every", "500"],
                 part_out,
             )
-            # Let it make some progress, then interrupt.
-            time.sleep(1.0)
+            # Interrupt once the first generation is on disk.
+            store = CheckpointStore(ck)
+            deadline = time.monotonic() + 60
+            while not store.generations() and proc.poll() is None:
+                assert time.monotonic() < deadline, "no checkpoint generation after 60 s"
+                time.sleep(0.005)
             proc.send_signal(signal.SIGTERM)
             code = proc.wait(timeout=120)
             stderr = proc.stderr.read().decode()

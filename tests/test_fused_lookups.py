@@ -1,4 +1,22 @@
-"""Stage-2 metering gate: the scanner calls each Table 5 query makes.
+"""Stage 2 at one scanner call per fast-forward: equivalence and metering.
+
+Each fused lookup must answer exactly what the decomposed queries it
+replaced answer:
+
+- the in-chunk ``pair_close`` (G2/G4 closer skips) — the depth-table
+  lookup from ``pos``'s chunk on (``_pair_close_tables``, itself held
+  to Algorithm 4's interval walk by ``tests/test_scanner.py``);
+- ``leveled_obj_attr_named`` (object G1) — what ``leveled_obj_attr``
+  answered (the enclosing ``close_at_combined_depth``, then the first
+  wanted ``open_at_depth`` before it) and then ``prev_quote_pair``
+  before the wanted value;
+- ``leveled_skip_elems`` (G5) — the structural depth before ``pos``,
+  ``close_at_combined_depth`` one level up and ``commas_at_depth``.
+
+They are checked at every structural position (and the byte after it)
+of the six Table 5 documents and of a stray-byte corpus, at 4 KiB and
+1 MiB chunks, through :class:`VectorScanner` and — for record streams —
+through :class:`RecordWindowScanner` against the record's own index.
 
 ``tests/data/scanner_calls_v1.json`` holds the per-op ``scanner.calls``
 totals of the twelve Table 5 queries over one seeded large record each
@@ -8,19 +26,27 @@ the ones ``Scanner.attach_metrics`` wraps, so a fast-forward that stops
 going through a metered primitive — or starts going through one twice
 — fails here, as does any change in how often stage 2 asks.
 
-Regenerate (only deliberately) with
+Regenerate the fixture (only deliberately) with
 ``PYTHONPATH=src python tests/test_fused_lookups.py``.
 """
 
 from __future__ import annotations
 
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 import repro
+from repro.bits.classify import CharClass
+from repro.bits.posindex import PositionBufferIndex
+from repro.bits.scanner import NOT_FOUND, RecordWindowScanner, Scanner, VectorScanner
 from repro.data.datasets import DATASETS, large_record, record_stream
+from repro.engine.fastforward import FastForwarder, make_fastforwarder
+from repro.errors import ReproError
+from repro.stream.batches import record_buffers
+from repro.stream.records import RecordStream
 
 FIXTURE = Path(__file__).parent / "data" / "scanner_calls_v1.json"
 
@@ -87,6 +113,129 @@ def test_fixture_covers_every_case():
 @pytest.mark.parametrize("case, name, query, kind", _cases(), ids=[c[0] for c in _cases()])
 def test_scanner_calls_match_fixture(case, name, query, kind):
     assert _measure(name, query, kind) == _fixture()[case]
+
+
+
+# ---------------------------------------------------------------------------
+# Fused lookups equal the decomposed queries they replace.
+# ---------------------------------------------------------------------------
+
+#: Bytes the stray-byte corpus inserts: each shifts the string parity, the
+#: escape state or the structural depth of everything after it.
+STRAY_BYTES = b'"\\{]'
+EQUIV_CHUNKS = (4096, 1 << 20)
+_PAIRS = ((CharClass.LBRACE, CharClass.RBRACE), (CharClass.LBRACKET, CharClass.RBRACKET))
+_WANTS = (0x7B, 0x5B)
+
+
+def _stray(data: bytes, rng: random.Random, n: int) -> bytes:
+    for _ in range(n):
+        at = rng.randrange(len(data))
+        data = data[:at] + bytes([rng.choice(STRAY_BYTES)]) + data[at:]
+    return data
+
+
+def _documents() -> list[tuple[str, bytes]]:
+    docs = [(f"{name}/table5", large_record(name, 20_000, seed=SEED)) for name in DATASETS]
+    for name in DATASETS:
+        rng = random.Random(f"fused-{name}")
+        base = large_record(name, 8_000, seed=2)
+        for i in range(3):
+            docs.append((f"{name}/stray{i}", _stray(base, rng, 1 + i)))
+    return docs
+
+
+def _positions(scanner: Scanner, size: int) -> list[int]:
+    """Every structural position and the byte after it (where stage 2
+    asks from), inside the stream."""
+    found, pos = [], 0
+    while True:
+        pos = scanner.find_next(CharClass.ANY, pos)
+        if pos == NOT_FOUND:
+            return sorted({p for q in found for p in (q, q + 1) if p < size})
+        found.append(pos)
+        pos += 1
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ReproError as exc:
+        return (type(exc), str(exc))
+
+
+def _depth_before(scanner: VectorScanner, pos: int) -> int:
+    index = scanner.index
+    return index.get(pos // index.chunk_size).depth_tables().depth_before(pos)
+
+
+def _decomposed_obj_attr(scanner: VectorScanner, pos: int, want: int) -> tuple[int, int, int, int]:
+    """The former ``leveled_obj_attr`` — the enclosing closer, then the
+    first wanted open one level down before it — and ``prev_quote_pair``."""
+    depth = _depth_before(scanner, pos)
+    end = scanner.close_at_combined_depth(depth - 1, pos)
+    if end == NOT_FOUND:
+        return NOT_FOUND, NOT_FOUND, NOT_FOUND, NOT_FOUND
+    found = scanner.open_at_depth(want, depth + 1, pos, end)
+    if found == NOT_FOUND:
+        return end, NOT_FOUND, NOT_FOUND, NOT_FOUND
+    return (end, found, *scanner.prev_quote_pair(found - 1))
+
+
+def _decomposed_skip_elems(scanner: VectorScanner, pos: int, k: int) -> tuple[int, int, int]:
+    depth = _depth_before(scanner, pos)
+    end = scanner.close_at_combined_depth(depth - 1, pos)
+    if end == NOT_FOUND:
+        return NOT_FOUND, NOT_FOUND, 0
+    return (end, *scanner.commas_at_depth(depth, pos, end, k))
+
+
+def _check_fused(fused: Scanner, alone: VectorScanner, size: int, where: str) -> int:
+    """Compare ``fused`` against ``alone``'s decomposed queries at every
+    structural position; returns the number of positions checked."""
+    ff = make_fastforwarder(repro.StreamBuffer.over(alone.index.data, alone.index, alone))
+    positions = _positions(alone, size)
+    for pos in positions:
+        for open_cls, close_cls in _PAIRS:
+            for num_open in (1, 2):
+                got = fused.pair_close(open_cls, close_cls, pos, num_open)
+                assert got == alone._pair_close_tables(open_cls, close_cls, pos, num_open), (where, pos)
+            got = _outcome(lambda: (ff.go_to_obj_end if open_cls is CharClass.LBRACE else ff.go_to_ary_end)(pos))
+            want = _outcome(lambda: FastForwarder._go_to_close(ff, pos, open_cls, close_cls, 1))
+            assert got == want, (where, pos)
+        for want in _WANTS:
+            assert fused.leveled_obj_attr_named(pos, want) == _decomposed_obj_attr(alone, pos, want), (where, pos)
+        for k in (1, 3):
+            assert fused.leveled_skip_elems(pos, k) == _decomposed_skip_elems(alone, pos, k), (where, pos)
+    return len(positions)
+
+
+@pytest.mark.parametrize("chunk_size", EQUIV_CHUNKS, ids=["4k", "1m"])
+def test_fused_lookups_equal_decomposed_vector(chunk_size):
+    checked = 0
+    for where, data in _documents():
+        scanner = VectorScanner(PositionBufferIndex(data, chunk_size=chunk_size, cache_chunks=None))
+        alone = VectorScanner(PositionBufferIndex(data, chunk_size=chunk_size, cache_chunks=None))
+        checked += _check_fused(scanner, alone, len(data), where)
+    assert checked > 50_000
+
+
+@pytest.mark.parametrize("chunk_size", EQUIV_CHUNKS, ids=["4k", "1m"])
+def test_fused_lookups_equal_decomposed_record_window(chunk_size):
+    windows = 0
+    for name in DATASETS:
+        rng = random.Random(f"fused-records-{name}")
+        stream = record_stream(name, 20_000, seed=SEED)
+        records = [stream.record(i) for i in range(len(stream))]
+        records = [_stray(r, rng, 1) if rng.random() < 0.3 else r for r in records]
+        stream = RecordStream.from_records(records, separator=b"\n")
+        for record, buffer in zip(records, record_buffers(stream)):
+            if not isinstance(buffer.scanner, RecordWindowScanner):
+                continue
+            alone = VectorScanner(PositionBufferIndex(record, chunk_size=chunk_size, cache_chunks=None))
+            _check_fused(buffer.scanner, alone, len(record), f"{name} record {record[:40]!r}")
+            windows += 1
+    assert windows > 100
 
 
 if __name__ == "__main__":

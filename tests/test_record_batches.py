@@ -262,15 +262,12 @@ class TestWindowScanner:
                     for num_open in (1, 2, 4):
                         got = view.pair_close(open_cls, close_cls, pos, num_open)
                         assert got == alone.pair_close(open_cls, close_cls, pos, num_open), (record, pos)
-                assert view.structural_depth_before(pos) == alone.structural_depth_before(pos)
-                assert view.prev_quote_pair(pos) == alone.prev_quote_pair(pos)
                 for want in (0x7B, 0x5B):
-                    assert view.leveled_obj_attr(pos, want) == alone.leveled_obj_attr(pos, want), (record, pos)
+                    got = view.leveled_obj_attr_named(pos, want)
+                    assert got == alone.leveled_obj_attr_named(pos, want), (record, pos)
                     assert view.leveled_ary_elem(pos, want) == alone.leveled_ary_elem(pos, want), (record, pos)
-                for depth in (-1, 0, 1, 2, 3):
-                    assert view.close_at_combined_depth(depth, pos) == alone.close_at_combined_depth(depth, pos)
-                    for hi in (pos + 5, n + 3):
-                        assert view.commas_at_depth(depth, pos, hi, 2) == alone.commas_at_depth(depth, pos, hi, 2)
+                for k in (1, 2, 5):
+                    assert view.leveled_skip_elems(pos, k) == alone.leveled_skip_elems(pos, k), (record, pos)
 
 
 def _stream(n: int) -> RecordStream:

@@ -150,23 +150,24 @@ class TestLeveledQueries:
     def test_leveled_obj_attr_finds_object_value(self):
         sc = self._vector()
         # from just inside the root object, next object-typed value is $.b's
-        end, found = sc.leveled_obj_attr(1, self._LBRACE)
+        end, found, opening, closing = sc.leveled_obj_attr_named(1, self._LBRACE)
         assert self.DATA[found] == self._LBRACE
         assert found == self.DATA.index(b'{"x"')
         assert self.DATA[end] == 0x7D and end == len(self.DATA) - 1
+        assert self.DATA[opening + 1 : closing] == b"b"
 
     def test_leveled_obj_attr_skips_nested_opens(self):
         sc = self._vector()
         # array-typed value of the root: $.c's '[' — not the nested
         # '[9]' inside $.b (deeper) and not '[3]' inside $.c
-        end, found = sc.leveled_obj_attr(1, self._LBRACKET)
+        end, found, opening, closing = sc.leveled_obj_attr_named(1, self._LBRACKET)
         assert found == self.DATA.index(b'[10')
+        assert self.DATA[opening + 1 : closing] == b"c"
 
     def test_leveled_obj_attr_not_found(self):
         sc = self._vector(b'{"a": 1, "b": 2}')
-        end, found = sc.leveled_obj_attr(1, self._LBRACE)
-        assert found == NOT_FOUND
-        assert end == 15  # the closing '}'
+        # the closing '}', no wanted open, hence no name
+        assert sc.leveled_obj_attr_named(1, self._LBRACE) == (15, NOT_FOUND, NOT_FOUND, NOT_FOUND)
 
     def test_leveled_ary_elem_counts_commas(self):
         sc = self._vector()
@@ -221,11 +222,42 @@ class TestLeveledQueries:
         opening, closing = sc.prev_quote_pair(vstart - 1)
         assert data[opening + 1 : closing] == b"k" * 100
 
+    def test_leveled_obj_attr_named_cross_chunk_name(self):
+        data = b'{"' + b"k" * 100 + b'": {"x": 1}}'
+        sc = self._vector(data, chunk_size=64)
+        end, found, opening, closing = sc.leveled_obj_attr_named(1, self._LBRACE)
+        assert found == data.index(b'{"x"') and end == len(data) - 1
+        assert data[opening + 1 : closing] == b"k" * 100
+
+    def test_leveled_skip_elems(self):
+        sc = self._vector()
+        start = self.DATA.index(b"10")
+        end = self.DATA.index(b'], "e"')
+        # $.c = [10, {"d": 2}, [3], 11]: the 2nd element-level comma
+        # precedes [3]; the nested object's interior holds no comma at
+        # the element depth.
+        assert sc.leveled_skip_elems(start, 2) == (end, self.DATA.index(b", [3]"), 2)
+        # Fewer than k elements left: the array end and the commas crossed.
+        assert sc.leveled_skip_elems(start, 9) == (end, NOT_FOUND, 3)
+
+    def test_leveled_skip_elems_exhausted(self):
+        sc = self._vector(b"[1, 2, 3")
+        assert sc.leveled_skip_elems(1, 1) == (NOT_FOUND, NOT_FOUND, 0)
+        assert sc.leveled_skip_elems(8, 1) == (NOT_FOUND, NOT_FOUND, 0)
+
+    def test_leveled_skip_elems_cross_chunk(self):
+        data = b"[" + b", ".join(b"%d" % i for i in range(60)) + b"]"
+        sc = self._vector(data, chunk_size=64)
+        comma, n = sc.commas_at_depth(1, 1, len(data) - 1, 40)
+        assert sc.leveled_skip_elems(1, 40) == (len(data) - 1, comma, 40)
+        assert sc.leveled_skip_elems(1, 99) == (len(data) - 1, NOT_FOUND, 59)
+
     def test_leveled_queries_cross_chunk(self):
         # force the container end and the wanted open into later chunks
         pad = b'"' + b"p" * 200 + b'", '
         data = b'{"a": ' + pad + b'"b": {"x": 1}, "c": 2}'
         sc = self._vector(data, chunk_size=64)
-        end, found = sc.leveled_obj_attr(1, self._LBRACE)
+        end, found, opening, closing = sc.leveled_obj_attr_named(1, self._LBRACE)
         assert found == data.index(b'{"x"')
         assert end == len(data) - 1
+        assert data[opening + 1 : closing] == b"b"
