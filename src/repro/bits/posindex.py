@@ -629,9 +629,10 @@ class RecordBatchIndex(PositionBufferIndex):
     :func:`build_record_batch`, so one pass — and one set of lazily built
     :class:`DepthTables` — serves every balanced record of the batch;
     :attr:`balanced` tells the caller which records those are once the
-    chunk is built.  Positions are region-relative:
-    :class:`~repro.bits.scanner.RecordWindowScanner` maps them to each
-    record's own coordinates.
+    chunk is built.  Positions are region-relative: stage 2 runs each
+    balanced record in these coordinates, bounded by its offsets, and
+    rebases its results to the record at the end of the run (see
+    :mod:`repro.stream.batches`).
     """
 
     def __init__(self, region: bytes, starts: np.ndarray, ends: np.ndarray) -> None:

@@ -90,37 +90,14 @@ class Scanner(ABC):
             setattr(self, op, wrapper)
 
     @abstractmethod
-    def _chunk_find(self, chunk: ChunkIndex, cls: CharClass, pos: int) -> int:
-        """First occurrence of ``cls`` at or after ``pos`` within ``chunk``."""
-
-    @abstractmethod
-    def _chunk_count(self, chunk: ChunkIndex, cls: CharClass, lo: int, hi: int) -> int:
-        """Occurrences of ``cls`` in ``[lo, hi)`` within ``chunk``."""
-
-    @abstractmethod
-    def _chunk_kth(self, chunk: ChunkIndex, cls: CharClass, lo: int, k: int) -> tuple[int, int]:
-        """``(position, 0)`` of the ``k``-th occurrence at or after ``lo`` in
-        ``chunk``, or ``(NOT_FOUND, remaining)`` with the count still owed."""
-
-    @abstractmethod
-    def _chunk_find_prev(self, chunk: ChunkIndex, cls: CharClass, pos: int) -> int:
-        """Last occurrence of ``cls`` at or before ``pos`` within ``chunk``."""
-
     def find_next(self, cls: CharClass, pos: int) -> int:
         """Absolute position of the next ``cls`` at or after ``pos``.
 
         Returns :data:`NOT_FOUND` when the stream has no further
         occurrence (an open structural interval extending to the end).
         """
-        if pos >= self.size:
-            return NOT_FOUND
-        for chunk_id in range(self.index.chunk_of(pos), self.index.n_chunks):
-            chunk = self.index.get(chunk_id)
-            found = self._chunk_find(chunk, cls, max(pos, chunk.start))
-            if found != NOT_FOUND:
-                return found
-        return NOT_FOUND
 
+    @abstractmethod
     def find_prev(self, cls: CharClass, pos: int) -> int:
         """Absolute position of the last ``cls`` at or before ``pos``.
 
@@ -128,47 +105,14 @@ class Scanner(ABC):
         jumping to its value: the name's closing quote is the nearest
         unescaped quote behind the value start.
         """
-        pos = min(pos, self.size - 1)
-        if pos < 0:
-            return NOT_FOUND
-        for chunk_id in range(self.index.chunk_of(pos), -1, -1):
-            chunk = self.index.get(chunk_id)
-            found = NOT_FOUND
-            if pos >= chunk.start:
-                found = self._chunk_find_prev(chunk, cls, min(pos, chunk.end - 1))
-            if found == NOT_FOUND and chunk.start != self.index.chunk_start(chunk_id):
-                # A resumed index's entry chunk starts at the suspension
-                # point; the answer may lie before it.
-                chunk = self.index.widen(chunk_id)
-                found = self._chunk_find_prev(chunk, cls, min(pos, chunk.end - 1))
-            if found != NOT_FOUND:
-                return found
-        return NOT_FOUND
 
+    @abstractmethod
     def count_range(self, cls: CharClass, lo: int, hi: int) -> int:
         """Number of ``cls`` occurrences in ``[lo, hi)``."""
-        if hi <= lo:
-            return 0
-        hi = min(hi, self.size)
-        total = 0
-        for chunk_id in range(self.index.chunk_of(lo), self.index.chunk_of(max(hi - 1, lo)) + 1):
-            chunk = self.index.get(chunk_id)
-            total += self._chunk_count(chunk, cls, max(lo, chunk.start), min(hi, chunk.end))
-        return total
 
+    @abstractmethod
     def kth_in_range(self, cls: CharClass, lo: int, k: int) -> int:
         """Position of the ``k``-th (1-based) ``cls`` at or after ``lo``."""
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        if lo >= self.size:
-            return NOT_FOUND
-        remaining = k
-        for chunk_id in range(self.index.chunk_of(lo), self.index.n_chunks):
-            chunk = self.index.get(chunk_id)
-            found, remaining = self._chunk_kth(chunk, cls, max(lo, chunk.start), remaining)
-            if found != NOT_FOUND:
-                return found
-        return NOT_FOUND
 
     def pair_close(self, open_cls: CharClass, close_cls: CharClass, pos: int, num_open: int) -> int:
         """Counting-based pairing (Algorithm 4 / Theorem 4.3): position of
@@ -201,7 +145,61 @@ class WordScanner(Scanner):
     paper issues per word, at word (not character) granularity.
     """
 
+    def find_next(self, cls: CharClass, pos: int) -> int:
+        if pos >= self.size:
+            return NOT_FOUND
+        for chunk_id in range(self.index.chunk_of(pos), self.index.n_chunks):
+            chunk = self.index.get(chunk_id)
+            found = self._chunk_find(chunk, cls, max(pos, chunk.start))
+            if found != NOT_FOUND:
+                return found
+        return NOT_FOUND
+
+    def find_prev(self, cls: CharClass, pos: int) -> int:
+        pos = min(pos, self.size - 1)
+        if pos < 0:
+            return NOT_FOUND
+        for chunk_id in range(self.index.chunk_of(pos), -1, -1):
+            chunk = self.index.get(chunk_id)
+            found = NOT_FOUND
+            if pos >= chunk.start:
+                found = self._chunk_find_prev(chunk, cls, min(pos, chunk.end - 1))
+            if found == NOT_FOUND and chunk.start != self.index.chunk_start(chunk_id):
+                # A resumed index's entry chunk starts at the suspension
+                # point; the answer may lie before it.
+                chunk = self.index.widen(chunk_id)
+                found = self._chunk_find_prev(chunk, cls, min(pos, chunk.end - 1))
+            if found != NOT_FOUND:
+                return found
+        return NOT_FOUND
+
+    def count_range(self, cls: CharClass, lo: int, hi: int) -> int:
+        if hi <= lo:
+            return 0
+        hi = min(hi, self.size)
+        total = 0
+        for chunk_id in range(self.index.chunk_of(lo), self.index.chunk_of(max(hi - 1, lo)) + 1):
+            chunk = self.index.get(chunk_id)
+            total += self._chunk_count(chunk, cls, max(lo, chunk.start), min(hi, chunk.end))
+        return total
+
+    def kth_in_range(self, cls: CharClass, lo: int, k: int) -> int:
+        if k <= 0:
+            raise ValueError(f"k must be positive, got {k}")
+        if lo >= self.size:
+            return NOT_FOUND
+        remaining = k
+        for chunk_id in range(self.index.chunk_of(lo), self.index.n_chunks):
+            chunk = self.index.get(chunk_id)
+            found, remaining = self._chunk_kth(chunk, cls, max(lo, chunk.start), remaining)
+            if found != NOT_FOUND:
+                return found
+        return NOT_FOUND
+
+    # -- per-chunk word walks -------------------------------------------
+
     def _chunk_find(self, chunk: ChunkIndex, cls: CharClass, pos: int) -> int:
+        """First occurrence of ``cls`` at or after ``pos`` within ``chunk``."""
         words = chunk.words[cls]
         offset = pos - chunk.start
         word_id = offset // WORD_BITS
@@ -217,6 +215,7 @@ class WordScanner(Scanner):
         return NOT_FOUND
 
     def _chunk_count(self, chunk: ChunkIndex, cls: CharClass, lo: int, hi: int) -> int:
+        """Occurrences of ``cls`` in ``[lo, hi)`` within ``chunk``."""
         if hi <= lo:
             return 0
         words = chunk.words[cls]
@@ -233,6 +232,8 @@ class WordScanner(Scanner):
         return total
 
     def _chunk_kth(self, chunk: ChunkIndex, cls: CharClass, lo: int, k: int) -> tuple[int, int]:
+        """``(position, 0)`` of the ``k``-th occurrence at or after ``lo`` in
+        ``chunk``, or ``(NOT_FOUND, remaining)`` with the count still owed."""
         words = chunk.words[cls]
         offset = lo - chunk.start
         word_id = offset // WORD_BITS
@@ -249,6 +250,7 @@ class WordScanner(Scanner):
         return NOT_FOUND, remaining
 
     def _chunk_find_prev(self, chunk: ChunkIndex, cls: CharClass, pos: int) -> int:
+        """Last occurrence of ``cls`` at or before ``pos`` within ``chunk``."""
         words = chunk.words[cls]
         offset = pos - chunk.start
         word_id = offset // WORD_BITS
@@ -715,146 +717,6 @@ class VectorScanner(Scanner):
             chunk_id += 1
             pos = chunk_id * chunk_size
         return NOT_FOUND
-
-    # The abstract per-chunk hooks are satisfied for protocol completeness
-    # (the overridden public methods above never call them).
-
-    def _chunk_find(self, chunk: ChunkIndex, cls: CharClass, pos: int) -> int:
-        positions = chunk.positions_list(cls)
-        idx = bisect_left(positions, pos)
-        return positions[idx] if idx < len(positions) else NOT_FOUND
-
-    def _chunk_count(self, chunk: ChunkIndex, cls: CharClass, lo: int, hi: int) -> int:
-        positions = chunk.positions_list(cls)
-        return bisect_left(positions, hi) - bisect_left(positions, lo)
-
-    def _chunk_kth(self, chunk: ChunkIndex, cls: CharClass, lo: int, k: int) -> tuple[int, int]:
-        positions = chunk.positions_list(cls)
-        idx = bisect_left(positions, lo)
-        available = len(positions) - idx
-        if available >= k:
-            return positions[idx + k - 1], 0
-        return NOT_FOUND, k - available
-
-    def _chunk_find_prev(self, chunk: ChunkIndex, cls: CharClass, pos: int) -> int:
-        positions = chunk.positions_list(cls)
-        idx = bisect_right(positions, pos)
-        return positions[idx - 1] if idx > 0 else NOT_FOUND
-
-
-class RecordWindowScanner(Scanner):
-    """One record's view of a :class:`VectorScanner` over a record batch
-    (:class:`~repro.bits.posindex.RecordBatchIndex`).
-
-    Stage 2 runs over the record's own bytes, so it asks in record
-    coordinates: the view adds the record's batch offset to every
-    position it passes on and subtracts it from every answer.  An answer
-    outside ``[start, end)`` belongs to a neighbouring record and comes
-    back as :data:`NOT_FOUND` — exactly what a standalone index of the
-    record returns when the record holds no such position.  Because the
-    batch keeps only balanced records, depth lookups inside the window
-    see the record's own depths (see
-    :func:`~repro.bits.posindex.build_record_batch`).
-
-    The view is a full :class:`Scanner`: :meth:`attach_metrics` counts
-    the calls stage 2 makes through it, the same calls a standalone
-    scanner would count.
-    """
-
-    def __init__(self, batch: VectorScanner, start: int, end: int) -> None:
-        super().__init__(batch.index)
-        self.leveled = True
-        self._batch = batch
-        self._start = start
-        self._end = end
-        self._size = end - start
-
-    @property
-    def size(self) -> int:
-        return self._size
-
-    def find_next(self, cls: CharClass, pos: int) -> int:
-        if pos >= self._size:
-            return NOT_FOUND
-        found = self._batch.find_next(cls, pos + self._start)
-        return found - self._start if 0 <= found < self._end else NOT_FOUND
-
-    def find_prev(self, cls: CharClass, pos: int) -> int:
-        pos = min(pos, self._size - 1)
-        if pos < 0:
-            return NOT_FOUND
-        found = self._batch.find_prev(cls, pos + self._start)
-        return found - self._start if found >= self._start else NOT_FOUND
-
-    def count_range(self, cls: CharClass, lo: int, hi: int) -> int:
-        if hi <= lo:
-            return 0
-        start = self._start
-        return self._batch.count_range(cls, lo + start, min(hi, self._size) + start)
-
-    def kth_in_range(self, cls: CharClass, lo: int, k: int) -> int:
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        if lo >= self._size:
-            return NOT_FOUND
-        found = self._batch.kth_in_range(cls, lo + self._start, k)
-        return found - self._start if 0 <= found < self._end else NOT_FOUND
-
-    def pair_close(self, open_cls: CharClass, close_cls: CharClass, pos: int, num_open: int) -> int:
-        if pos >= self._size:
-            return NOT_FOUND
-        found = self._batch.pair_close(open_cls, close_cls, pos + self._start, num_open)
-        return found - self._start if 0 <= found < self._end else NOT_FOUND
-
-    def leveled_obj_attr_named(self, pos: int, want_byte: int) -> tuple[int, int, int, int]:
-        start = self._start
-        end, found, opening, closing = self._batch.leveled_obj_attr_named(pos + start, want_byte)
-        if not 0 <= end < self._end:
-            return NOT_FOUND, NOT_FOUND, NOT_FOUND, NOT_FOUND
-        if found == NOT_FOUND:
-            return end - start, NOT_FOUND, NOT_FOUND, NOT_FOUND
-        # ``found`` precedes ``end``, so it is inside the window.
-        found -= start
-        if opening >= start:
-            return end - start, found, opening - start, closing - start
-        # Fewer than two of the record's quotes before the value: the
-        # standalone scanner's fallback, through this view's own calls.
-        closing = self.find_prev(CharClass.QUOTE, found - 1)
-        if closing == NOT_FOUND:
-            return end - start, found, NOT_FOUND, NOT_FOUND
-        return end - start, found, self.find_prev(CharClass.QUOTE, closing - 1), closing
-
-    def leveled_ary_elem(self, pos: int, want_byte: int) -> tuple[int, int, int]:
-        start = self._start
-        end, found, commas = self._batch.leveled_ary_elem(pos + start, want_byte)
-        if not 0 <= end < self._end:
-            return NOT_FOUND, NOT_FOUND, 0
-        return end - start, (found - start if found >= 0 else NOT_FOUND), commas
-
-    def leveled_skip_elems(self, pos: int, k: int) -> tuple[int, int, int]:
-        if pos >= self._size:
-            return NOT_FOUND, NOT_FOUND, 0
-        start = self._start
-        end, comma, crossed = self._batch.leveled_skip_elems(pos + start, k)
-        if not 0 <= end < self._end:
-            return NOT_FOUND, NOT_FOUND, 0
-        # Commas before ``end`` are inside the window.
-        return end - start, (comma - start if comma >= 0 else NOT_FOUND), crossed
-
-    # Stage 2 (repro.engine.fastforward) only uses the queries above; the
-    # per-chunk hooks have no meaning in window coordinates.
-
-    def _chunk_find(self, chunk: ChunkIndex, cls: CharClass, pos: int) -> int:
-        raise NotImplementedError
-
-    def _chunk_count(self, chunk: ChunkIndex, cls: CharClass, lo: int, hi: int) -> int:
-        raise NotImplementedError
-
-    def _chunk_kth(self, chunk: ChunkIndex, cls: CharClass, lo: int, k: int) -> tuple[int, int]:
-        raise NotImplementedError
-
-    def _chunk_find_prev(self, chunk: ChunkIndex, cls: CharClass, pos: int) -> int:
-        raise NotImplementedError
 
 
 #: Registry used by engine constructors (``mode='word'`` / ``mode='vector'``).

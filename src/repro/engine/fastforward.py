@@ -24,7 +24,9 @@ Position conventions:
 Validation semantics follow the paper (Section 3.3): fast-forwarded
 segments are checked only for brace/bracket pairing; a stream that ends
 while a structure is open raises
-:class:`repro.errors.StreamExhaustedError`.
+:class:`repro.errors.StreamExhaustedError`.  ``size`` is where the
+stream ends: the buffer's end, or a batched record's end (see
+:class:`VectorFastForwarder`).
 """
 
 from __future__ import annotations
@@ -113,12 +115,12 @@ class FastForwarder:
         first non-whitespace byte after it.  Anything trickier falls back
         to the string-filtered bitmap scan.
         """
-        data = self.data
+        data, size = self.data, self.size
         byte = data[pos]
         closer = _RBRACE if in_object else _RBRACKET
         if byte != _QUOTE:
-            comma = data.find(_COMMA_B, pos)
-            close = data.find(b"}" if in_object else b"]", pos)
+            comma = data.find(_COMMA_B, pos, size)
+            close = data.find(b"}" if in_object else b"]", pos, size)
             if comma < 0:
                 delim = close
             elif close < 0:
@@ -128,17 +130,16 @@ class FastForwarder:
             if delim < 0:
                 raise StreamExhaustedError("stream ended inside a primitive value", pos)
             return delim
-        quote = data.find(_QUOTE_B, pos + 1)
+        quote = data.find(_QUOTE_B, pos + 1, size)
         if quote > 0 and data[quote - 1] != _BACKSLASH:
             delim = quote + 1
-            size = self.size
             while delim < size and data[delim] in _WS:
                 delim += 1
             if delim < size and (data[delim] == _COMMA or data[delim] == closer):
                 return delim
         cls = CharClass.COMMA_OR_RBRACE if in_object else CharClass.COMMA_OR_RBRACKET
         delim = self._find_next(cls, pos)
-        if delim == NOT_FOUND:
+        if delim == NOT_FOUND or delim >= size:
             raise StreamExhaustedError("stream ended inside a primitive value", pos)
         return delim
 
@@ -282,9 +283,8 @@ class VectorFastForwarder(FastForwarder):
 
     Requires a scanner with :attr:`~repro.bits.scanner.Scanner.leveled`
     set (a :class:`~repro.bits.scanner.VectorScanner` over a
-    :class:`~repro.bits.posindex.PositionBufferIndex`, or a record's
-    :class:`~repro.bits.scanner.RecordWindowScanner`).  Every move is one
-    scanner call: the G2/G4 closer skips call the bound depth-table
+    :class:`~repro.bits.posindex.PositionBufferIndex`).  Every move is
+    one scanner call: the G2/G4 closer skips call the bound depth-table
     ``pair_close`` directly, and the per-value G1 sweeps and the
     per-element G5 loop become single fused leveled lookups (next
     wanted-type open at the current depth with its name's quotes; k-th
@@ -295,10 +295,21 @@ class VectorFastForwarder(FastForwarder):
     lookup may tolerate delimiter garbage the byte loop would trip over
     — the paper's Section 3.3 stance that skipped regions are not
     validated.
+
+    ``[start, end)`` bounds one record of a record batch
+    (:mod:`repro.stream.batches`), in the batch's coordinates: ``end``
+    is the end of input, so a scanner answer at or past it — a position
+    of a later record — counts as :data:`NOT_FOUND`, and so does a name
+    quote before ``start``.  The batch keeps only balanced records, so
+    every answer inside the bounds is the one a standalone index of the
+    record gives, shifted by ``start``.
     """
 
-    def __init__(self, buffer: StreamBuffer) -> None:
+    def __init__(self, buffer: StreamBuffer, start: int = 0, end: int | None = None) -> None:
         super().__init__(buffer)
+        self.start = start
+        if end is not None:
+            self.size = end
         scanner = buffer.scanner
         self._leveled_obj_attr_named = scanner.leveled_obj_attr_named
         self._leveled_ary_elem = scanner.leveled_ary_elem
@@ -308,7 +319,7 @@ class VectorFastForwarder(FastForwarder):
         if self.data[pos] != _LBRACE:
             raise StreamExhaustedError("expected '{' to go over an object", pos)
         end = self._pair_close(CharClass.LBRACE, CharClass.RBRACE, pos + 1, 1)
-        if end == NOT_FOUND:
+        if end < 0 or end >= self.size:
             raise StreamExhaustedError("stream ended with unclosed '{'", self.size)
         return end + 1
 
@@ -316,19 +327,19 @@ class VectorFastForwarder(FastForwarder):
         if self.data[pos] != _LBRACKET:
             raise StreamExhaustedError("expected '[' to go over an array", pos)
         end = self._pair_close(CharClass.LBRACKET, CharClass.RBRACKET, pos + 1, 1)
-        if end == NOT_FOUND:
+        if end < 0 or end >= self.size:
             raise StreamExhaustedError("stream ended with unclosed '['", self.size)
         return end + 1
 
     def go_to_obj_end(self, pos: int) -> int:
         end = self._pair_close(CharClass.LBRACE, CharClass.RBRACE, pos, 1)
-        if end == NOT_FOUND:
+        if end < 0 or end >= self.size:
             raise StreamExhaustedError("stream ended with unclosed '{'", self.size)
         return end + 1
 
     def go_to_ary_end(self, pos: int) -> int:
         end = self._pair_close(CharClass.LBRACKET, CharClass.RBRACKET, pos, 1)
-        if end == NOT_FOUND:
+        if end < 0 or end >= self.size:
             raise StreamExhaustedError("stream ended with unclosed '['", self.size)
         return end + 1
 
@@ -341,13 +352,13 @@ class VectorFastForwarder(FastForwarder):
         end, found, name_start, close = self._leveled_obj_attr_named(
             pos, _LBRACE if want == "object" else _LBRACKET
         )
-        if end == NOT_FOUND:
+        if end < 0 or end >= self.size:
             raise StreamExhaustedError("stream ended inside an object", pos)
         if found == NOT_FOUND:
             return True, end + 1, None, 0
-        if close == NOT_FOUND:
+        if close < self.start:
             raise StreamExhaustedError("attribute value without a name", found)
-        if name_start == NOT_FOUND:
+        if name_start < self.start:
             raise StreamExhaustedError("unpaired quote before attribute value", close)
         return False, name_start, self.data[name_start + 1 : close], found
 
@@ -356,7 +367,7 @@ class VectorFastForwarder(FastForwarder):
         depth, with crossed commas counted from the leveled comma map so
         index constraints stay exact."""
         end, found, commas = self._leveled_ary_elem(pos, _LBRACE if want == "object" else _LBRACKET)
-        if end == NOT_FOUND:
+        if end < 0 or end >= self.size:
             raise StreamExhaustedError("stream ended inside an array", pos)
         if found == NOT_FOUND:
             return True, end + 1, commas
@@ -375,7 +386,7 @@ class VectorFastForwarder(FastForwarder):
                 cur += 1
             return False, cur, 0
         end, comma, crossed = self._leveled_skip_elems(pos, k)
-        if end == NOT_FOUND:
+        if end < 0 or end >= size:
             raise StreamExhaustedError("stream ended inside an array", pos)
         if comma == NOT_FOUND:
             return True, end + 1, crossed
@@ -385,10 +396,12 @@ class VectorFastForwarder(FastForwarder):
         return False, cur, k
 
 
-def make_fastforwarder(buffer: StreamBuffer) -> FastForwarder:
+def make_fastforwarder(buffer: StreamBuffer, start: int = 0, end: int | None = None) -> FastForwarder:
     """Pick the fast-forwarder matching the buffer's scanner: the leveled
-    :class:`VectorFastForwarder` when depth tables are available, the
-    word-semantics :class:`FastForwarder` otherwise."""
+    :class:`VectorFastForwarder` when depth tables are available (with a
+    batched record's bounds, if any), the word-semantics
+    :class:`FastForwarder` otherwise (word mode runs every record over
+    its own buffer)."""
     if getattr(buffer.scanner, "leveled", False):
-        return VectorFastForwarder(buffer)
+        return VectorFastForwarder(buffer, start, end)
     return FastForwarder(buffer)

@@ -131,9 +131,6 @@ class FilteredJsonSki(EngineBase):
         if isinstance(data, str):
             data = data.encode("utf-8")
         candidates = self.outer.run(data)
-        # Stream and indexed buffers (``run_records`` passes one per
-        # record) carry the record's bytes in ``data``.
-        source = getattr(data, "data", data)
         # Fast-forward statistics, where collected, describe the outer
         # pass (the one that scans the record).
         self.last_stats = self.outer.last_stats
@@ -148,5 +145,7 @@ class FilteredJsonSki(EngineBase):
                 matches.add_match(candidate)
                 continue
             for inner_match in self.inner.run(candidate.text):
-                matches.add(source, candidate.start + inner_match.start, candidate.start + inner_match.end)
+                matches.add(
+                    candidate.source, candidate.start + inner_match.start, candidate.start + inner_match.end
+                )
         return matches

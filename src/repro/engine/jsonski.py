@@ -48,13 +48,13 @@ from repro.engine.names import decode_name
 from repro.engine.fastforward import make_fastforwarder
 from repro.engine.output import MatchList
 from repro.engine.stats import FastForwardStats
-from repro.errors import JsonSyntaxError
+from repro.errors import JsonSyntaxError, ReproError, shift_position
 from repro.observe import NOOP_TRACER, MetricsRegistry
 from repro.jsonpath.ast import Path
 from repro.resilience.guards import Limits, depth_error_from_recursion, effective_limits
 from repro.engine.prepared import cached_automaton
 from repro.query.automaton import ACCEPT, ALIVE, QueryAutomaton
-from repro.stream.batches import record_buffers
+from repro.stream.batches import BatchRecord, record_buffers
 from repro.stream.buffer import StreamBuffer, as_stream_buffer
 from repro.stream.records import RecordStream
 
@@ -115,16 +115,22 @@ class _Pass:
         #: keys repeat massively).
         self._name_cache: dict[bytes, str] = {}
 
-    def _buffer(self, data: bytes | str | StreamBuffer) -> StreamBuffer:
-        buffer = as_stream_buffer(data, mode=self.mode, chunk_size=self.chunk_size, cache_chunks=self.cache_chunks)
-        self.limits.check_record_size(len(buffer.data))
+    def _buffer(self, data: bytes | str | StreamBuffer | BatchRecord) -> tuple[StreamBuffer, int, int]:
+        """The buffer a run reads and the input's ``[start, end)`` in it:
+        a batched record's batch buffer and bounds, else a whole buffer."""
+        if isinstance(data, BatchRecord):
+            buffer, start, end = data.batch, data.start, data.end
+        else:
+            buffer = as_stream_buffer(data, mode=self.mode, chunk_size=self.chunk_size, cache_chunks=self.cache_chunks)
+            start, end = 0, len(buffer.data)
+        self.limits.check_record_size(end - start)
         if self._observed:
             if self._tracer.enabled:
                 buffer.index.tracer = self._tracer
             if self._metrics is not None:
                 buffer.index.attach_metrics(self._metrics)
                 buffer.scanner.attach_metrics(self._metrics)
-        return buffer
+        return buffer, start, end
 
     def _finish_observed(self, run: "_Run") -> None:
         """Flush one observed run into the tracer and registry."""
@@ -146,7 +152,7 @@ class _Pass:
 
     def _execute(
         self,
-        data: bytes | str | StreamBuffer,
+        data: bytes | str | StreamBuffer | BatchRecord,
         track_paths: bool = False,
         trace: bool = False,
         limit: int | None = None,
@@ -160,8 +166,12 @@ class _Pass:
         counters) when the engine is observed, and leaves
         :attr:`last_stats` set.  The public views differ only in which
         ``_Run`` options they enable and how they shape the result.
+
+        A :class:`~repro.stream.batches.BatchRecord` runs over its
+        batch's buffer within its bounds; its matches, error position,
+        statistics and log are then rebased to the record's own bytes.
         """
-        buffer = self._buffer(data)
+        buffer, start, end = self._buffer(data)
         observed = self._observed
         tracer = self._tracer
         run = (run_type or _Run)(
@@ -173,13 +183,21 @@ class _Pass:
             limit=limit,
             trace=trace or (observed and tracer.enabled),
             limits=self.limits,
+            start=start,
+            end=end,
         )
-        if observed and tracer.enabled:
-            with tracer.span("scan", engine=self._engine_name, bytes=len(buffer.data)) as span:
+        try:
+            if observed and tracer.enabled:
+                with tracer.span("scan", engine=self._engine_name, bytes=end - start) as span:
+                    run.execute()
+                    span.set(matches=sum(map(len, run.per_query)))
+            else:
                 run.execute()
-                span.set(matches=sum(map(len, run.per_query)))
-        else:
-            run.execute()
+        except ReproError as exc:
+            shift_position(exc, start)
+            raise
+        if isinstance(data, BatchRecord):
+            run.rebase()
         if observed:
             self._finish_observed(run)
         self.last_stats = run.stats
@@ -187,7 +205,7 @@ class _Pass:
 
     def record_buffers(
         self, stream: RecordStream, start: int = 0, stop: int | None = None
-    ) -> Iterator[StreamBuffer]:
+    ) -> Iterator[StreamBuffer | BatchRecord]:
         """:func:`repro.stream.batches.record_buffers` in this engine's
         mode, chunk size and cache, observed by its tracer and metrics."""
         return record_buffers(
@@ -199,12 +217,12 @@ class _Pass:
         self,
         stream: RecordStream,
         totals: list[MatchList],
-        run: Callable[[StreamBuffer], Sequence[MatchList]],
+        run: Callable[[StreamBuffer | BatchRecord], Sequence[MatchList]],
     ) -> None:
         """Stream a small-record sequence; matches accumulate in order.
 
         Stage 1 runs once per batch of records (:meth:`record_buffers`);
-        each record then gets its own ``run`` over its own bytes, whose
+        each record then gets its own ``run`` within its bounds, whose
         match lists (one per query) extend ``totals``.  :attr:`last_stats`
         ends as the sum over all records.
         """
@@ -370,7 +388,7 @@ class JsonSki(_Pass, EngineBase):
         """Stream a small-record sequence; matches accumulate in order.
 
         Stage 1 runs once per batch of records (:meth:`record_buffers`);
-        each record then gets its own :meth:`run` over its own bytes.
+        each record then gets its own :meth:`run` within its bounds.
         """
         matches = MatchList()
         self._run_records(stream, [matches], lambda buffer: (self.run(buffer),))
@@ -390,6 +408,8 @@ class _Run:
         limit: int | None = None,
         trace: bool = False,
         limits: Limits | None = None,
+        start: int = 0,
+        end: int | None = None,
     ) -> None:
         self.qa = automaton
         self.buffer = buffer
@@ -408,8 +428,11 @@ class _Run:
         self.resume_frames: list[list] = []
         self.saved_frames: list[list] = []
         self.data = buffer.data
-        self.size = len(buffer.data)
-        self.ff = make_fastforwarder(buffer)
+        #: The input is ``data[start:size]``: the whole buffer, or one
+        #: record of a record batch (see :meth:`rebase`).
+        self.start = start
+        self.size = len(buffer.data) if end is None else end
+        self.ff = make_fastforwarder(buffer, start, self.size)
         self.matches = MatchList()
         #: Matches per query, in query order (one query here; see
         #: :class:`repro.engine.multi.JsonSkiMulti`).
@@ -474,9 +497,9 @@ class _Run:
                 root = self.resume_frames[0]
                 (self._object if root[0] == OBJ else self._array)(root[1], 1, root)
             else:
-                self.pos = self._skip_ws(0)
+                self.pos = self._skip_ws(self.start)
                 if self.pos >= self.size:
-                    raise JsonSyntaxError("empty input", 0)
+                    raise JsonSyntaxError("empty input", self.start)
                 byte = self.data[self.pos]
                 if byte == _LBRACE:
                     self._object(self.qa.start_state, 1)
@@ -490,8 +513,22 @@ class _Run:
             # fires long before the interpreter stack does.
             raise depth_error_from_recursion(exc, "jsonski") from None
         if self.stats is not None:
-            self.stats.total_length = self.size
+            self.stats.total_length = self.size - self.start
         return self.matches
+
+    def rebase(self) -> None:
+        """Move a finished run over one record of a batch into the
+        record's own coordinates: every match becomes a range of the
+        record's bytes (``data[start:size]``), and ``pos`` and the
+        fast-forward log count from its first byte."""
+        shift = self.start
+        if any(self.per_query):
+            record = self.data[shift : self.size]
+            for matches in self.per_query:
+                matches.rebase(record, shift)
+        self.pos -= shift
+        if self.trace:
+            self.trace = [(group, start - shift, end - shift) for group, start, end in self.trace]
 
     def advance(self, frames: list[list], max_bytes: int | None) -> list[list] | None:
         """One step of a suspendable pass.
@@ -672,12 +709,12 @@ class _Run:
                     # Closing quote: memchr is faster than the bitmap when the
                     # preceding byte proves the quote unescaped (the common
                     # case); otherwise fall back to the unescaped-quote bitmap.
-                    close = data.find(_QUOTE_B, pos + 1)
+                    close = data.find(_QUOTE_B, pos + 1, self.size)
                     if close < 0:
                         raise JsonSyntaxError("unterminated attribute name", pos)
                     if data[close - 1] == _BACKSLASH:
                         close = find_next(CharClass.QUOTE, pos + 1)
-                        if close < 0:
+                        if close < 0 or close >= self.size:
                             raise JsonSyntaxError("unterminated attribute name", pos)
                     # Legal JSON puts the colon right after the name (modulo
                     # whitespace) — two byte reads instead of a bitmap scan.

@@ -229,6 +229,15 @@ class MatchList:
             raise InvariantError(f"slot {slot} already filled")
         self._matches[slot] = (source, start, end)
 
+    def rebase(self, source: bytes, shift: int) -> None:
+        """Re-point every match at ``source``, ``shift`` bytes to the
+        left: a batched record's matches, moved from its batch's bytes
+        to the record's own (no view has been handed out yet)."""
+        self._matches = [
+            None if entry is None else (source, entry[1] - shift, entry[2] - shift)
+            for entry in self._matches
+        ]
+
     def _entry(self, i: int) -> tuple[bytes, int, int]:
         entry = self._matches[i]
         if entry is None:

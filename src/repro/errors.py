@@ -180,6 +180,19 @@ class DeadlineExceededError(ResourceLimitError):
         self.position = position
 
 
+def shift_position(exc: ReproError, shift: int) -> None:
+    """Move ``exc``'s byte ``position`` — and the ``(at byte N)`` that
+    ends its message — ``shift`` bytes to the left: an error raised in a
+    record batch's coordinates, restated in the record's own."""
+    position = getattr(exc, "position", None)
+    if not shift or position is None or position < 0:
+        return
+    exc.position = position - shift
+    message, tail = str(exc), f" (at byte {position})"
+    if message.endswith(tail):
+        exc.args = (f"{message[: -len(tail)]} (at byte {position - shift})",)
+
+
 def _iter_chars(data: bytes, lo: int, hi: int) -> Iterator[tuple[int, str]]:
     """Yield ``(byte_start, char)`` over ``data[lo:hi]``, decoding UTF-8
     one character at a time so byte offsets map exactly onto rendered

@@ -97,7 +97,8 @@ def evaluate_record(
 ) -> tuple[Any, RecordFailure | None]:
     """Evaluate one record: ``(values, None)`` or ``(None, failure)``.
 
-    ``record`` is the record's bytes or its batched buffer, as
+    ``record`` is the record's bytes, its standalone buffer or its
+    :class:`~repro.stream.batches.BatchRecord`, as
     :func:`repro.stream.batches.record_inputs` gives them.
 
     The one home of the per-record error taxonomy, shared by the serial

@@ -121,6 +121,8 @@ class QueryService:
         self.breakers: dict[str, CircuitBreaker] = {}
         self.server: asyncio.base_events.Server | None = None
         self.executor: ThreadPoolExecutor | None = None
+        #: Running connection handlers; :meth:`stop` waits for them.
+        self._connections: set[asyncio.Task] = set()
 
     # -- lifecycle ----------------------------------------------------
 
@@ -169,6 +171,16 @@ class QueryService:
             with contextlib.suppress(asyncio.TimeoutError):
                 await asyncio.wait_for(
                     self.server.wait_closed(), self.config.client_timeout
+                )
+        # Server.wait_closed() does not wait for open connections before
+        # Python 3.12.  A handler that has sent its terminator may still
+        # hold the stream's tail in its transport's buffer, flushed by
+        # the close in its ``finally``; ending the loop first would drop
+        # those bytes (and cancel its executor futures below).
+        if self._connections:
+            with contextlib.suppress(asyncio.TimeoutError):
+                await asyncio.wait_for(
+                    asyncio.wait(set(self._connections)), self.config.client_timeout
                 )
         if self.executor is not None:
             self.executor.shutdown(wait=False, cancel_futures=True)
@@ -240,6 +252,9 @@ class QueryService:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         timeout = self.config.client_timeout
+        task = asyncio.current_task()
+        self._connections.add(task)
+        task.add_done_callback(self._connections.discard)
         try:
             try:
                 request = await read_request(reader, timeout)

@@ -5,11 +5,13 @@ scanner, position chunk and depth tables, each a few dozen short numpy
 calls — that dominates kilobyte-sized records (paper Figure 11).
 :func:`record_buffers` instead classifies a run of consecutive records
 in one vectorized pass (:class:`~repro.bits.posindex.RecordBatchIndex`)
-and hands out one :class:`~repro.stream.buffer.StreamBuffer` per
-record: its ``data`` is the record's own bytes, and its scanner is a
-:class:`~repro.bits.scanner.RecordWindowScanner` into the shared batch
-index.  Stage 2 runs unchanged over each buffer, so match offsets,
-errors and per-record limits are those of a standalone run.
+and hands out each record as a :class:`BatchRecord`: the batch's one
+buffer (its bytes, index and :class:`~repro.bits.scanner.VectorScanner`)
+with the record's ``[start, end)`` in it.  Stage 2 walks the batch's
+index in place, bounded by those offsets, and rebases its output to the
+record once, at the end of the run (see ``repro.engine.jsonski``), so
+match offsets, errors and per-record limits are those of a standalone
+run.
 
 Records that cannot share a batch get an ordinary standalone buffer:
 records larger than :data:`BATCH_BYTES` (their own chunked index keeps
@@ -28,7 +30,7 @@ import numpy as np
 
 from repro.bits.index import DEFAULT_CHUNK_SIZE
 from repro.bits.posindex import RecordBatchIndex
-from repro.bits.scanner import RecordWindowScanner, VectorScanner
+from repro.bits.scanner import VectorScanner
 from repro.stream.buffer import StreamBuffer
 from repro.stream.records import RecordStream
 
@@ -36,6 +38,39 @@ from repro.stream.records import RecordStream
 #: its last record's end.  Memory for stage 1 of a record stream is one
 #: such index at a time.
 BATCH_BYTES = 64 * 1024
+
+
+class _BatchBuffer(StreamBuffer):
+    """The buffer every balanced record of one batch runs over: the
+    batch's bytes, its :class:`RecordBatchIndex` and one scanner."""
+
+    def __init__(self, index: RecordBatchIndex) -> None:
+        self.data = index.data
+        self.mode = "vector"
+        self.index = index
+        self.scanner = VectorScanner(index)
+
+
+class BatchRecord:
+    """One balanced record of a batch: the batch's buffer and the
+    record's ``[start, end)`` in its coordinates."""
+
+    __slots__ = ("batch", "start", "end")
+
+    def __init__(self, batch: StreamBuffer, start: int, end: int) -> None:
+        self.batch = batch
+        self.start = start
+        self.end = end
+
+    @property
+    def data(self) -> bytes:
+        """The record's own bytes (a copy)."""
+        return self.batch.data[self.start : self.end]
+
+    @property
+    def index(self) -> RecordBatchIndex:
+        """The batch's stage-1 index, shared by all its records."""
+        return self.batch.index
 
 
 def record_buffers(
@@ -48,9 +83,10 @@ def record_buffers(
     cache_chunks: int | None = 4,
     tracer: Any = None,
     metrics: Any = None,
-) -> Iterator[StreamBuffer]:
-    """Yield one :class:`StreamBuffer` per record of ``stream`` in
-    ``[start, stop)`` (``stop=None``: to the end), in order.
+) -> Iterator[StreamBuffer | BatchRecord]:
+    """Yield the stage-2 input of each record of ``stream`` in
+    ``[start, stop)`` (``stop=None``: to the end), in order: a
+    :class:`BatchRecord`, or a standalone :class:`StreamBuffer`.
 
     In vector mode consecutive records are indexed in batches of at most
     :data:`BATCH_BYTES`; each batch is built when its first record is
@@ -92,13 +128,12 @@ def record_buffers(
         index.tracer = tracer
         index.attach_metrics(metrics)
         index.get(0)
-        batch = VectorScanner(index)
+        batch = _BatchBuffer(index)
         balanced = index.balanced.tolist()
         for k in range(i, j):
             lo, hi = offsets[k]
             if balanced[k - i]:
-                window = RecordWindowScanner(batch, lo - first, hi - first)
-                yield StreamBuffer.over(payload[lo:hi], index, window)
+                yield BatchRecord(batch, lo - first, hi - first)
             else:
                 yield standalone(k)
         i = j
@@ -108,7 +143,7 @@ def record_inputs(
     engine: Any, stream: RecordStream, start: int = 0, stop: int | None = None
 ) -> Iterator[Any]:
     """What ``engine.run`` gets for records ``[start, stop)``, in order: a
-    two-stage (JSONSki) engine's own batched buffers
+    two-stage (JSONSki) engine's own batched inputs
     (``JsonSki.record_buffers``), any other engine each record's bytes."""
     batched = getattr(engine, "record_buffers", None)
     if batched is not None:

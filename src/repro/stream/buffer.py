@@ -44,18 +44,6 @@ class StreamBuffer:
             self.index = BufferIndex(data, chunk_size=chunk_size, cache_chunks=cache_chunks)
         self.scanner: Scanner = make_scanner(self.index, mode)
 
-    @classmethod
-    def over(cls, data: bytes, index: BufferIndex, scanner: Scanner) -> "StreamBuffer":
-        """A vector-mode buffer whose ``index``/``scanner`` already exist
-        — one record's window into a shared record-batch index (see
-        :func:`repro.stream.batches.record_buffers`)."""
-        buffer = cls.__new__(cls)
-        buffer.data = data
-        buffer.mode = "vector"
-        buffer.index = index
-        buffer.scanner = scanner
-        return buffer
-
     def __len__(self) -> int:
         return len(self.data)
 

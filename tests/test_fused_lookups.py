@@ -15,8 +15,11 @@ replaced answer:
 
 They are checked at every structural position (and the byte after it)
 of the six Table 5 documents and of a stray-byte corpus, at 4 KiB and
-1 MiB chunks, through :class:`VectorScanner` and — for record streams —
-through :class:`RecordWindowScanner` against the record's own index.
+1 MiB chunks.  For record streams, every fast-forward of a balanced
+record run in its batch's coordinates — bounded by the record's
+``[start, end)`` on the batch's one scanner — must answer what the same
+move over a standalone index of the record answers, shifted by
+``start``: positions, :data:`NOT_FOUND` outcomes and errors alike.
 
 ``tests/data/scanner_calls_v1.json`` holds the per-op ``scanner.calls``
 totals of the twelve Table 5 queries over one seeded large record each
@@ -41,11 +44,11 @@ import pytest
 import repro
 from repro.bits.classify import CharClass
 from repro.bits.posindex import PositionBufferIndex
-from repro.bits.scanner import NOT_FOUND, RecordWindowScanner, Scanner, VectorScanner
+from repro.bits.scanner import NOT_FOUND, Scanner, VectorScanner
 from repro.data.datasets import DATASETS, large_record, record_stream
 from repro.engine.fastforward import FastForwarder, make_fastforwarder
 from repro.errors import ReproError
-from repro.stream.batches import record_buffers
+from repro.stream.batches import BatchRecord, record_buffers
 from repro.stream.records import RecordStream
 
 FIXTURE = Path(__file__).parent / "data" / "scanner_calls_v1.json"
@@ -190,11 +193,13 @@ def _decomposed_skip_elems(scanner: VectorScanner, pos: int, k: int) -> tuple[in
     return (end, *scanner.commas_at_depth(depth, pos, end, k))
 
 
-def _check_fused(fused: Scanner, alone: VectorScanner, size: int, where: str) -> int:
-    """Compare ``fused`` against ``alone``'s decomposed queries at every
-    structural position; returns the number of positions checked."""
-    ff = make_fastforwarder(repro.StreamBuffer.over(alone.index.data, alone.index, alone))
-    positions = _positions(alone, size)
+def _check_fused(fused: Scanner, buffer: repro.StreamBuffer, where: str) -> int:
+    """Compare ``fused`` against the decomposed queries of ``buffer``'s
+    scanner at every structural position; returns the number of
+    positions checked."""
+    alone = buffer.scanner
+    ff = make_fastforwarder(buffer)
+    positions = _positions(alone, len(buffer))
     for pos in positions:
         for open_cls, close_cls in _PAIRS:
             for num_open in (1, 2):
@@ -215,27 +220,73 @@ def test_fused_lookups_equal_decomposed_vector(chunk_size):
     checked = 0
     for where, data in _documents():
         scanner = VectorScanner(PositionBufferIndex(data, chunk_size=chunk_size, cache_chunks=None))
-        alone = VectorScanner(PositionBufferIndex(data, chunk_size=chunk_size, cache_chunks=None))
-        checked += _check_fused(scanner, alone, len(data), where)
+        alone = repro.StreamBuffer(data, chunk_size=chunk_size, cache_chunks=None)
+        checked += _check_fused(scanner, alone, where)
     assert checked > 50_000
 
 
+#: Every bounded stage-2 move, with its arguments after the position.
+_MOVES = (
+    ("go_over_obj", ()), ("go_over_ary", ()), ("go_to_obj_end", ()), ("go_to_ary_end", ()),
+    ("go_over_pri", (True,)), ("go_over_pri", (False,)),
+    ("go_to_obj_attr", ("object",)), ("go_to_obj_attr", ("array",)),
+    ("go_to_ary_elem", ("object",)), ("go_to_ary_elem", ("array",)),
+    ("go_over_elems", (1,)), ("go_over_elems", (3,)),
+)
+
+
+def _unshifted(call, shift: int):
+    """``call()``'s answer with every position in it moved ``shift``
+    bytes left; an error as ``(type, message, position)``, likewise."""
+    try:
+        got = call()
+    except ReproError as exc:
+        message = str(exc).removesuffix(f" (at byte {exc.position})")
+        return type(exc), message, exc.position - shift
+    if isinstance(got, int):
+        return got - shift
+    ended, position, *rest = got
+    if len(rest) == 2 and not ended:  # an attribute: (name, value position)
+        return ended, position - shift, rest[0], rest[1] - shift
+    return (ended, position - shift, *rest)
+
+
+#: Balanced records whose structure reaches past their bounds: a
+#: container closed only after the record, or a value with no name
+#: quotes before it in the record (only in a record before it).
+BOUNDARY_RECORDS = [
+    b'{"a": 1}]  [',
+    b'}{"k": [{"b": 1}, 2]',
+    b'}{"a": "b"',
+    b'{1: {"b": 1}, "c": [2]}',
+    b'[{x: [1]}, {}]',
+]
+
+
 @pytest.mark.parametrize("chunk_size", EQUIV_CHUNKS, ids=["4k", "1m"])
-def test_fused_lookups_equal_decomposed_record_window(chunk_size):
-    windows = 0
+def test_batch_coordinates_equal_standalone_records(chunk_size):
+    records_checked = 0
     for name in DATASETS:
         rng = random.Random(f"fused-records-{name}")
         stream = record_stream(name, 20_000, seed=SEED)
         records = [stream.record(i) for i in range(len(stream))]
         records = [_stray(r, rng, 1) if rng.random() < 0.3 else r for r in records]
+        for i, record in enumerate(BOUNDARY_RECORDS):
+            records.insert(1 + 3 * i, record)
         stream = RecordStream.from_records(records, separator=b"\n")
-        for record, buffer in zip(records, record_buffers(stream)):
-            if not isinstance(buffer.scanner, RecordWindowScanner):
+        for record, item in zip(records, record_buffers(stream)):
+            if not isinstance(item, BatchRecord):
                 continue
-            alone = VectorScanner(PositionBufferIndex(record, chunk_size=chunk_size, cache_chunks=None))
-            _check_fused(buffer.scanner, alone, len(record), f"{name} record {record[:40]!r}")
-            windows += 1
-    assert windows > 100
+            alone = repro.StreamBuffer(record, chunk_size=chunk_size, cache_chunks=None)
+            standalone = make_fastforwarder(alone)
+            bounded = make_fastforwarder(item.batch, item.start, item.end)
+            for pos in _positions(alone.scanner, len(record)):
+                for move, args in _MOVES:
+                    got = _unshifted(lambda: getattr(bounded, move)(pos + item.start, *args), item.start)
+                    want = _unshifted(lambda: getattr(standalone, move)(pos, *args), 0)
+                    assert got == want, (name, record[:60], pos, move, args)
+            records_checked += 1
+    assert records_checked > 100
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """Batched stage 1 for record streams (``repro.stream.batches``).
 
 ``run_records`` classifies runs of records in one pass and runs each
-record's stage 2 through a window into the shared batch index.  These
+record's stage 2 over the shared batch index, bounded by the record's
+offsets, rebasing the results to the record.  These
 tests hold it to the per-record path it replaces: a loop of ``run()``
 over ``stream.record(i)`` must give the same ``to_jsonl`` output, the
 same ``(source, start, end)`` per match, and — when a record is bad —
@@ -21,9 +22,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.bits.classify import CharClass
 from repro.bits.posindex import build_position_chunk, build_record_batch
-from repro.bits.scanner import NOT_FOUND
 from repro.data.datasets import DATASETS, record_stream
 from repro.engine.multi import JsonSkiMulti
 from repro.engine.output import MatchList
@@ -215,59 +214,6 @@ class TestKernel:
         assert balanced.tolist() == [False, False, True, False]
         start, end = offsets[2].tolist()
         assert ((batch.keep >= start) & (batch.keep < end)).all()
-
-
-WINDOW_RECORDS = [
-    BASE[0],
-    b'{"a": 1}]  [',          # balanced, closes below the root after it
-    b'}{"k": [{"b": 1}, 2]',  # balanced, opens at depth -1
-    b'["x", {"y": "]"}, [3, [4]]]',
-    BASE[2],
-]
-
-
-class TestWindowScanner:
-    """Every query a record window answers equals the answer of the
-    record's own standalone index — in particular when the batch holds
-    the sought position only in a neighbouring record."""
-
-    @staticmethod
-    def _pairs():
-        stream = RecordStream.from_records(WINDOW_RECORDS, separator=b" ")
-        buffers = list(record_buffers(stream))
-        assert len({id(b.index) for b in buffers}) == 1
-        for record, buffer in zip(WINDOW_RECORDS, buffers):
-            yield record, buffer.scanner, repro.StreamBuffer(record).scanner
-
-    def test_class_queries(self):
-        for record, view, alone in self._pairs():
-            n = len(record)
-            for cls in (CharClass.QUOTE, CharClass.LBRACE, CharClass.RBRACKET, CharClass.COMMA,
-                        CharClass.COMMA_OR_RBRACE, CharClass.OPEN):
-                assert view.find_prev(cls, -1) == alone.find_prev(cls, -1) == NOT_FOUND
-                for pos in range(n + 2):
-                    assert view.find_next(cls, pos) == alone.find_next(cls, pos), (record, cls, pos)
-                    assert view.find_prev(cls, pos) == alone.find_prev(cls, pos), (record, cls, pos)
-                    for k in (1, 2, 5):
-                        assert view.kth_in_range(cls, pos, k) == alone.kth_in_range(cls, pos, k)
-                    for hi in (pos + 1, pos + 7, n + 3):
-                        assert view.count_range(cls, pos, hi) == alone.count_range(cls, pos, hi)
-
-    def test_depth_queries(self):
-        pairs = ((CharClass.LBRACE, CharClass.RBRACE), (CharClass.LBRACKET, CharClass.RBRACKET))
-        for record, view, alone in self._pairs():
-            n = len(record)
-            for pos in range(n):
-                for open_cls, close_cls in pairs:
-                    for num_open in (1, 2, 4):
-                        got = view.pair_close(open_cls, close_cls, pos, num_open)
-                        assert got == alone.pair_close(open_cls, close_cls, pos, num_open), (record, pos)
-                for want in (0x7B, 0x5B):
-                    got = view.leveled_obj_attr_named(pos, want)
-                    assert got == alone.leveled_obj_attr_named(pos, want), (record, pos)
-                    assert view.leveled_ary_elem(pos, want) == alone.leveled_ary_elem(pos, want), (record, pos)
-                for k in (1, 2, 5):
-                    assert view.leveled_skip_elems(pos, k) == alone.leveled_skip_elems(pos, k), (record, pos)
 
 
 def _stream(n: int) -> RecordStream:

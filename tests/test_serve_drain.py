@@ -12,10 +12,15 @@ shutdown contract end to end:
 - kill -9 mid-way through a checkpointed pool dispatch leaves a
   checkpoint generation on disk from which a fresh server completes the
   query (``resume: true``).
+
+One in-process test pins the step of that shutdown the subprocess tests
+hit only by chance: the process must not end while an interrupted
+stream's tail still waits in its connection's write buffer.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 import signal
 import socket
@@ -26,6 +31,8 @@ from http.client import HTTPConnection
 from pathlib import Path
 
 import pytest
+
+from repro.serve import CorpusRegistry, QueryService, ServeConfig
 
 pytestmark = pytest.mark.serve_smoke
 
@@ -178,6 +185,75 @@ class TestSigtermDrain:
         finally:
             if proc.poll() is None:
                 proc.kill()
+
+
+class _SlowClient:
+    """The writer of a connection whose client reads only once the
+    server closes it: written bytes wait in user space, as in a
+    transport over a full socket; ``drain()`` returns at once, as
+    asyncio's does below its high-water mark; ``close()`` hands the
+    buffer to the client a moment later, and ``wait_closed()`` returns
+    once it has."""
+
+    FLUSH_DELAY = 0.3
+
+    def __init__(self, on_write) -> None:
+        self.buffered = bytearray()
+        self.received = bytearray()
+        self._on_write = on_write
+        self._closed = asyncio.Event()
+
+    def write(self, data: bytes) -> None:
+        self.buffered += data
+        self._on_write(bytes(data))
+
+    async def drain(self) -> None:
+        pass
+
+    def close(self) -> None:
+        asyncio.get_running_loop().call_later(self.FLUSH_DELAY, self._flush)
+
+    def _flush(self) -> None:
+        self.received += self.buffered
+        self.buffered.clear()
+        self._closed.set()
+
+    async def wait_closed(self) -> None:
+        await self._closed.wait()
+
+
+class TestShutdownFlush:
+    def test_interrupted_stream_reaches_the_client_before_exit(self):
+        corpora = CorpusRegistry()
+        corpora.register("t", b'{"a": 1}\n' * 1000)
+        service = QueryService(corpora, ServeConfig(port=0, batch_size=64, drain_grace=0.0))
+        body = json.dumps({"corpus": "t", "query": "$.a"}).encode()
+        request = b"POST /query HTTP/1.1\r\nhost: t\r\ncontent-length: %d\r\n\r\n%s" % (len(body), body)
+
+        def on_write(data: bytes) -> None:
+            if b'"index":0,' in data:  # the first batch is out: SIGTERM
+                service.drain.begin()
+
+        client = _SlowClient(on_write)
+
+        async def serve() -> None:
+            # The shutdown sequence of ``python -m repro serve``; leaving
+            # asyncio.run cancels what is still running, as the process
+            # exit that follows it would.
+            await service.start()
+            reader = asyncio.StreamReader()
+            reader.feed_data(request)
+            reader.feed_eof()
+            handler = asyncio.create_task(service._on_connection(reader, client))
+            await service.drain.wait_begun()
+            await service.drain_and_stop()
+            assert handler.done()
+
+        asyncio.run(serve())
+        assert client.received.endswith(b"0\r\n\r\n")
+        assert parse_ndjson_tail(bytes(client.received))[-1] == {
+            "interrupted": True, "next_index": 64, "emitted": 64, "skipped": 0,
+        }
 
 
 class TestKillNineResume:
