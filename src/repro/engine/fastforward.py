@@ -57,7 +57,9 @@ class FastForwarder:
         self._find_prev = buffer.scanner.find_prev
         self._count_range = buffer.scanner.count_range
         self._kth_in_range = buffer.scanner.kth_in_range
-        self._pair_close = buffer.scanner.pair_close
+        #: The scanner's (metered) ``pair_close``, also called directly
+        #: by the engine's closer skips (G4, G5 past the range).
+        self.pair_close = buffer.scanner.pair_close
 
     # ------------------------------------------------------------------
     # G2/G3 core: counting-based pairing (Algorithm 4, Theorem 4.3)
@@ -72,7 +74,7 @@ class FastForwarder:
         is its end; otherwise the unpaired-open count is carried into the
         next interval.
         """
-        end = self._pair_close(open_cls, close_cls, pos, num_open)
+        end = self.pair_close(open_cls, close_cls, pos, num_open)
         if end == NOT_FOUND:
             raise StreamExhaustedError(
                 f"stream ended with unclosed {open_cls.value!r}", self.size
@@ -318,7 +320,7 @@ class VectorFastForwarder(FastForwarder):
     def go_over_obj(self, pos: int) -> int:
         if self.data[pos] != _LBRACE:
             raise StreamExhaustedError("expected '{' to go over an object", pos)
-        end = self._pair_close(CharClass.LBRACE, CharClass.RBRACE, pos + 1, 1)
+        end = self.pair_close(CharClass.LBRACE, CharClass.RBRACE, pos + 1, 1)
         if end < 0 or end >= self.size:
             raise StreamExhaustedError("stream ended with unclosed '{'", self.size)
         return end + 1
@@ -326,19 +328,19 @@ class VectorFastForwarder(FastForwarder):
     def go_over_ary(self, pos: int) -> int:
         if self.data[pos] != _LBRACKET:
             raise StreamExhaustedError("expected '[' to go over an array", pos)
-        end = self._pair_close(CharClass.LBRACKET, CharClass.RBRACKET, pos + 1, 1)
+        end = self.pair_close(CharClass.LBRACKET, CharClass.RBRACKET, pos + 1, 1)
         if end < 0 or end >= self.size:
             raise StreamExhaustedError("stream ended with unclosed '['", self.size)
         return end + 1
 
     def go_to_obj_end(self, pos: int) -> int:
-        end = self._pair_close(CharClass.LBRACE, CharClass.RBRACE, pos, 1)
+        end = self.pair_close(CharClass.LBRACE, CharClass.RBRACE, pos, 1)
         if end < 0 or end >= self.size:
             raise StreamExhaustedError("stream ended with unclosed '{'", self.size)
         return end + 1
 
     def go_to_ary_end(self, pos: int) -> int:
-        end = self._pair_close(CharClass.LBRACKET, CharClass.RBRACKET, pos, 1)
+        end = self.pair_close(CharClass.LBRACKET, CharClass.RBRACKET, pos, 1)
         if end < 0 or end >= self.size:
             raise StreamExhaustedError("stream ended with unclosed '['", self.size)
         return end + 1

@@ -48,12 +48,12 @@ from repro.engine.names import decode_name
 from repro.engine.fastforward import make_fastforwarder
 from repro.engine.output import MatchList
 from repro.engine.stats import FastForwardStats
-from repro.errors import JsonSyntaxError, ReproError, shift_position
+from repro.errors import JsonSyntaxError, ReproError, StreamExhaustedError, shift_position
 from repro.observe import NOOP_TRACER, MetricsRegistry
 from repro.jsonpath.ast import Path
 from repro.resilience.guards import Limits, depth_error_from_recursion, effective_limits
 from repro.engine.prepared import cached_automaton
-from repro.query.automaton import ACCEPT, ALIVE, QueryAutomaton
+from repro.query.automaton import ACCEPT, ALIVE, ELEMENT_MEMO, QueryAutomaton
 from repro.stream.batches import BatchRecord, record_buffers
 from repro.stream.buffer import StreamBuffer, as_stream_buffer
 from repro.stream.records import RecordStream
@@ -63,6 +63,8 @@ _LBRACKET, _RBRACKET = 0x5B, 0x5D
 _QUOTE, _COMMA, _COLON = 0x22, 0x2C, 0x3A
 _QUOTE_B, _BACKSLASH = b'"', 0x5C
 _WS = frozenset(b" \t\n\r")
+_LBRACE_CLS, _RBRACE_CLS = CharClass.LBRACE, CharClass.RBRACE
+_LBRACKET_CLS, _RBRACKET_CLS = CharClass.LBRACKET, CharClass.RBRACKET
 
 #: Input bytes between two deadline checks in the member loops.
 _DEADLINE_STRIDE = 4096
@@ -447,9 +449,18 @@ class _Run:
         self._n_emitted = 0
         #: Optional fast-forward event log: (group, start, end) triples.
         self.trace: list[tuple[str, int, int]] | None = [] if trace else None
-        #: Whether :meth:`_record` has anywhere to write (the G2/G3 skips,
-        #: the most frequent moves, test it before calling).
+        #: Whether :meth:`_record` has anywhere to write (the member loops
+        #: test it before calling).
         self.recording = collect_stats or trace
+        #: Where the member loops put an ACCEPT value without an
+        #: :meth:`_emit` call: the match list's ``append`` when a match
+        #: needs nothing else (no ``limit``, no paths, no overriding
+        #: ``_emit``), else ``None``.
+        self.sink = (
+            self.matches.appender
+            if limit is None and not track_paths and type(self)._emit is _Run._emit
+            else None
+        )
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -470,13 +481,6 @@ class _Run:
         while end > start and data[end - 1] in _WS:
             end -= 1
         return end
-
-    def _name(self, raw: bytes) -> str:
-        """Decode an attribute name (memoized; escape-free fast path)."""
-        cached = self.names.get(raw)
-        if cached is None:
-            cached = self.names[raw] = decode_name(raw)
-        return cached
 
     def _boundary(self, pos: int) -> int:
         """A member boundary at or past ``stop_at``: suspend once the step
@@ -608,84 +612,71 @@ class _Run:
 
     # -- value dispatch ---------------------------------------------------
 
-    def _skip_value(self, vstart: int, vbyte: int, group: str, in_object: bool) -> int:
-        """G2/G3: go over a value without examining it; returns the
-        position after a container value, or at the delimiter for a
-        primitive."""
-        ff = self.ff
-        if vbyte == _LBRACE:
-            vend = ff.go_over_obj(vstart)
-        elif vbyte == _LBRACKET:
-            vend = ff.go_over_ary(vstart)
-        else:
-            vend = ff.go_over_pri(vstart, in_object=in_object)
-        if self.recording:
-            self._record(group, vstart, vend)
-        return vend
-
-    def _consume_value(self, state: int, vstart: int, vbyte: int, in_object: bool, depth: int) -> int:
-        """MATCHED: recurse into a container; a primitive is a dead end
-        (the automaton still expects deeper structure) and is gone over."""
-        if vbyte == _LBRACE:
-            self.pos = vstart
-            self._object(state, depth)
-            return self.pos
-        if vbyte == _LBRACKET:
-            self.pos = vstart
-            self._array(state, depth)
-            return self.pos
-        vend = self.ff.go_over_pri(vstart, in_object=in_object)
-        self._record("G2", vstart, vend)
-        return vend
-
     def _descend(self, state: int, vstart: int, vbyte: int, in_object: bool, key, depth: int) -> int:
-        """Recurse into a matched value, maintaining the path stack."""
-        if self.match_paths is None:
-            return self._consume_value(state, vstart, vbyte, in_object, depth)
-        self.path_stack.append(key)
-        try:
-            return self._consume_value(state, vstart, vbyte, in_object, depth)
-        finally:
-            self.path_stack.pop()
-
-    def _emit_end(self, vstart: int, vbyte: int, vend: int) -> int:
-        """Trim a primitive's trailing whitespace before the delimiter."""
-        if vbyte == _LBRACE or vbyte == _LBRACKET:
+        """MATCHED, the general case: recurse into a container, keeping
+        the path stack; a primitive is a dead end (the automaton still
+        expects deeper structure) and is gone over.  The member loops
+        recurse directly when no paths are tracked."""
+        if vbyte != _LBRACE and vbyte != _LBRACKET:
+            vend = self.ff.go_over_pri(vstart, in_object)
+            if self.recording:
+                self._record("G2", vstart, vend)
             return vend
-        return self._rstrip(vstart, vend)
+        paths = self.match_paths is not None
+        if paths:
+            self.path_stack.append(key)
+        try:
+            self.pos = vstart
+            if vbyte == _LBRACE:
+                self._object(state, depth)
+            else:
+                self._array(state, depth)
+        finally:
+            if paths:
+                self.path_stack.pop()
+        return self.pos
 
     # -- object (Algorithm 2) --------------------------------------------
+    #
+    # The member loops do per member only what Algorithm 2 requires: the
+    # automaton's per-state plan is read once per container, transitions
+    # and their status flags are one memo lookup, and values are gone
+    # over, descended into and emitted without an intermediate frame.
+    # Whitespace skips are inline; a primitive's trailing whitespace is
+    # trimmed only when the byte before its delimiter is whitespace.
 
     def _object(self, state: int, depth: int = 1, frame: list | None = None) -> None:
         """Stream one object; ``frame`` re-enters a suspended one."""
-        qa, ff, data = self.qa, self.ff, self.data
-        find_next = self.buffer.scanner.find_next
-        on_key, status_flags = qa.on_key, qa.status_flags
+        qa, ff, data, size = self.qa, self.ff, self.data, self.size
         if self.limits is not None:
             self.limits.enter(depth, self.pos)
         stop_at = self.stop_at
+        recording, sink = self.recording, self.sink
+        can_match, expected, typed, skippable = qa.object_plan(state)
         if frame is None:
             origin = self.pos
             if data[origin] != _LBRACE:
                 raise JsonSyntaxError("expected '{'", origin)
-            pos = self._skip_ws(origin + 1)
-            if pos >= self.size:
+            pos = origin + 1
+            while pos < size and data[pos] in _WS:
+                pos += 1
+            if pos >= size:
                 raise JsonSyntaxError("stream ended inside an object", pos)
             if data[pos] == _RBRACE:
                 self.pos = pos + 1
                 return
-            if not qa.can_match_in_object(state):
+            if not can_match:
                 # The query selects from an array here; the object is
                 # irrelevant in its entirety.
                 end = ff.go_to_obj_end(pos)
-                self._record("G2", pos, end)
+                if recording:
+                    self._record("G2", pos, end)
                 self.pos = end
                 return
         else:
             origin, pos = frame[4], self.pos
-        expected = qa.expected_type(state)
-        typed = expected == "object" or expected == "array"
-        skippable = qa.object_skippable(state)
+        names, query_names, key_map = self.names, qa.query_names, qa.key_moves(state)
+        paths = self.match_paths
         try:
             if frame is not None and depth < len(self.resume_frames):
                 pos = self._reenter(depth, _RBRACE, skippable)
@@ -693,13 +684,14 @@ class _Run:
                     return
             while True:
                 # ``pos`` is at the start of an attribute name.
-                if pos >= self.size:
+                if pos >= size:
                     raise JsonSyntaxError("stream ended inside an object", pos)
                 if stop_at is not None and pos >= stop_at:
                     stop_at = self._boundary(pos)
                 if typed:
                     ended, p1, name_raw, vstart = ff.go_to_obj_attr(pos, expected)  # G1
-                    self._record("G1", pos, p1)
+                    if recording:
+                        self._record("G1", pos, p1)
                     if ended:
                         self.pos = p1
                         return
@@ -709,39 +701,69 @@ class _Run:
                     # Closing quote: memchr is faster than the bitmap when the
                     # preceding byte proves the quote unescaped (the common
                     # case); otherwise fall back to the unescaped-quote bitmap.
-                    close = data.find(_QUOTE_B, pos + 1, self.size)
+                    close = data.find(_QUOTE_B, pos + 1, size)
                     if close < 0:
                         raise JsonSyntaxError("unterminated attribute name", pos)
                     if data[close - 1] == _BACKSLASH:
-                        close = find_next(CharClass.QUOTE, pos + 1)
-                        if close < 0 or close >= self.size:
+                        close = self.buffer.scanner.find_next(CharClass.QUOTE, pos + 1)
+                        if close < 0 or close >= size:
                             raise JsonSyntaxError("unterminated attribute name", pos)
                     # Legal JSON puts the colon right after the name (modulo
-                    # whitespace) — two byte reads instead of a bitmap scan.
-                    colon = self._skip_ws(close + 1)
-                    if colon >= self.size or data[colon] != _COLON:
+                    # whitespace) — byte reads instead of a bitmap scan.
+                    colon = close + 1
+                    while colon < size and data[colon] in _WS:
+                        colon += 1
+                    if colon >= size or data[colon] != _COLON:
                         raise JsonSyntaxError("attribute without ':'", close)
                     name_raw = data[pos + 1 : close]
-                    vstart = self._skip_ws(colon + 1)
-                name = self._name(name_raw)
-                state2 = on_key(state, name)
-                flags = status_flags(state2)
-                if vstart >= self.size:
+                    vstart = colon + 1
+                    while vstart < size and data[vstart] in _WS:
+                        vstart += 1
+                name = names.get(name_raw)
+                if name is None:
+                    name = names[name_raw] = decode_name(name_raw)
+                move = key_map.get(name if name in query_names else None)
+                if move is None:
+                    move = qa.key_move(state, name)
+                state2, flags = move
+                if vstart >= size:
                     raise JsonSyntaxError("stream ended before attribute value", vstart)
                 vbyte = data[vstart]
-                if flags == 0:  # UNMATCHED
-                    vend = self._skip_value(vstart, vbyte, "G2", True)
-                elif flags == ACCEPT:
-                    vend = self._skip_value(vstart, vbyte, "G3", True)
-                    self._emit(vstart, self._emit_end(vstart, vbyte, vend), name, state2)
+                if flags == 0 or flags == ACCEPT or self.limit is not None and flags & ACCEPT:
+                    # UNMATCHED (G2) or ACCEPT (G3); under early termination
+                    # (limit=1) an ACCEPT|ALIVE value is itself the next match
+                    # in document order, so its nested matches are never
+                    # needed — skip instead of recurse.
+                    if vbyte == _LBRACE:
+                        vend = ff.go_over_obj(vstart)
+                    elif vbyte == _LBRACKET:
+                        vend = ff.go_over_ary(vstart)
+                    else:
+                        vend = ff.go_over_pri(vstart, True)
+                    if flags == 0:
+                        if recording:
+                            self._record("G2", vstart, vend)
+                    else:
+                        if recording:
+                            self._record("G3", vstart, vend)
+                        end = vend
+                        if data[end - 1] in _WS:
+                            end = self._rstrip(vstart, end)
+                        if sink is not None:
+                            sink((data, vstart, end))
+                        else:
+                            self._emit(vstart, end, name, state2)
                 elif flags == ALIVE:  # MATCHED
-                    vend = self._descend(state2, vstart, vbyte, True, name, depth + 1)
-                elif self.limit is not None:
-                    # ACCEPT|ALIVE under early termination (limit=1): the outer
-                    # value is itself the next match in document order, so the
-                    # nested matches are never needed — skip instead of recurse.
-                    vend = self._skip_value(vstart, vbyte, "G3", True)
-                    self._emit(vstart, self._emit_end(vstart, vbyte, vend), name, state2)
+                    if paths is None and vbyte == _LBRACE:
+                        self.pos = vstart
+                        self._object(state2, depth + 1)
+                        vend = self.pos
+                    elif paths is None and vbyte == _LBRACKET:
+                        self.pos = vstart
+                        self._array(state2, depth + 1)
+                        vend = self.pos
+                    else:
+                        vend = self._descend(state2, vstart, vbyte, True, name, depth + 1)
                 else:  # ACCEPT | ALIVE: pre-order — reserve before recursing
                     token = self._reserve(name, state2)
                     try:
@@ -749,17 +771,26 @@ class _Run:
                     except _Suspend:
                         self.saved_frames[-1][3] = token
                         raise
-                    self._fill(token, vstart, self._emit_end(vstart, vbyte, vend))
+                    end = vend
+                    if data[end - 1] in _WS:
+                        end = self._rstrip(vstart, end)
+                    self._fill(token, vstart, end)
                 pos = vend
                 if flags and skippable:
-                    end = ff.go_to_obj_end(pos)  # G4
-                    self._record("G4", pos, end)
-                    self.pos = end
+                    end = ff.pair_close(_LBRACE_CLS, _RBRACE_CLS, pos, 1)  # G4
+                    if end < 0 or end >= size:
+                        raise StreamExhaustedError("stream ended with unclosed '{'", size)
+                    if recording:
+                        self._record("G4", pos, end + 1)
+                    self.pos = end + 1
                     return
-                pos = self._skip_ws(pos)
-                byte = data[pos] if pos < self.size else -1
+                while pos < size and data[pos] in _WS:
+                    pos += 1
+                byte = data[pos] if pos < size else -1
                 if byte == _COMMA:
-                    pos = self._skip_ws(pos + 1)
+                    pos += 1
+                    while pos < size and data[pos] in _WS:
+                        pos += 1
                 elif byte == _RBRACE:
                     self.pos = pos + 1
                     return
@@ -773,35 +804,34 @@ class _Run:
 
     def _array(self, state: int, depth: int = 1, frame: list | None = None) -> None:
         """Stream one array; ``frame`` re-enters a suspended one."""
-        qa, ff, data = self.qa, self.ff, self.data
-        on_element, status_flags = qa.on_element, qa.status_flags
+        qa, ff, data, size = self.qa, self.ff, self.data, self.size
         if self.limits is not None:
             self.limits.enter(depth, self.pos)
         stop_at = self.stop_at
+        recording, sink = self.recording, self.sink
+        can_match, start, stop, expected, want_byte = qa.array_plan(state)
         if frame is None:
             origin = self.pos
             if data[origin] != _LBRACKET:
                 raise JsonSyntaxError("expected '['", origin)
-            pos = self._skip_ws(origin + 1)
-            if pos >= self.size:
+            pos = origin + 1
+            while pos < size and data[pos] in _WS:
+                pos += 1
+            if pos >= size:
                 raise JsonSyntaxError("stream ended inside an array", pos)
             if data[pos] == _RBRACKET:
                 self.pos = pos + 1
                 return
-            if not qa.can_match_in_array(state):
+            if not can_match:
                 end = ff.go_to_ary_end(pos)
-                self._record("G2", pos, end)
+                if recording:
+                    self._record("G2", pos, end)
                 self.pos = end
                 return
             idx = 0
         else:
             origin, idx, pos = frame[4], frame[2], self.pos
-        rng = qa.element_range(state)
-        start = stop = None
-        if rng is not None:
-            start, stop = rng
-        expected = qa.expected_type(state)
-        want_byte = _LBRACE if expected == "object" else _LBRACKET if expected == "array" else -1
+        moves, paths = qa.element_moves(state), self.match_paths
         try:
             if frame is not None and depth < len(self.resume_frames):
                 pos = self._reenter(depth, _RBRACKET, False)
@@ -812,46 +842,73 @@ class _Run:
                 # ``pos`` is at the start of element ``idx``.
                 if stop_at is not None and pos >= stop_at:
                     stop_at = self._boundary(pos)
-                if rng is not None:
-                    if stop is not None and idx >= stop:
-                        end = ff.go_to_ary_end(pos)  # G5 (past the range)
-                        self._record("G5", pos, end)
-                        self.pos = end
-                        return
-                    if idx < start:
-                        ended, p1, skipped = ff.go_over_elems(pos, start - idx)  # G5
+                if stop is not None and idx >= stop:
+                    end = ff.pair_close(_LBRACKET_CLS, _RBRACKET_CLS, pos, 1)  # G5 (past the range)
+                    if end < 0 or end >= size:
+                        raise StreamExhaustedError("stream ended with unclosed '['", size)
+                    if recording:
+                        self._record("G5", pos, end + 1)
+                    self.pos = end + 1
+                    return
+                if idx < start:
+                    ended, p1, skipped = ff.go_over_elems(pos, start - idx)  # G5
+                    if recording:
                         self._record("G5", pos, p1)
-                        if ended:
-                            self.pos = p1
-                            return
-                        idx += skipped
-                        pos = p1
-                        continue
-                if pos >= self.size:
+                    if ended:
+                        self.pos = p1
+                        return
+                    idx += skipped
+                    pos = p1
+                    continue
+                if pos >= size:
                     raise JsonSyntaxError("stream ended inside an array", pos)
                 vbyte = data[pos]
                 if want_byte >= 0 and vbyte != want_byte:
                     ended, p1, commas = ff.go_to_ary_elem(pos, expected)  # G1
-                    self._record("G1", pos, p1)
+                    if recording:
+                        self._record("G1", pos, p1)
                     if ended:
                         self.pos = p1
                         return
                     idx += commas
                     pos = p1
                     continue
-                state2 = on_element(state, idx)
-                flags = status_flags(state2)
+                move = moves[idx] if idx < ELEMENT_MEMO else None
+                if move is None:
+                    move = qa.element_move(state, idx)
+                state2, flags = move
                 vstart = pos
-                if flags == 0:  # UNMATCHED
-                    vend = self._skip_value(vstart, vbyte, "G2", False)
-                elif flags == ACCEPT:
-                    vend = self._skip_value(vstart, vbyte, "G3", False)
-                    self._emit(vstart, self._emit_end(vstart, vbyte, vend), idx, state2)
+                if flags == 0 or flags == ACCEPT or self.limit is not None and flags & ACCEPT:
+                    if vbyte == _LBRACE:
+                        vend = ff.go_over_obj(vstart)
+                    elif vbyte == _LBRACKET:
+                        vend = ff.go_over_ary(vstart)
+                    else:
+                        vend = ff.go_over_pri(vstart, False)
+                    if flags == 0:
+                        if recording:
+                            self._record("G2", vstart, vend)
+                    else:
+                        if recording:
+                            self._record("G3", vstart, vend)
+                        end = vend
+                        if data[end - 1] in _WS:
+                            end = self._rstrip(vstart, end)
+                        if sink is not None:
+                            sink((data, vstart, end))
+                        else:
+                            self._emit(vstart, end, idx, state2)
                 elif flags == ALIVE:  # MATCHED
-                    vend = self._descend(state2, vstart, vbyte, False, idx, depth + 1)
-                elif self.limit is not None:
-                    vend = self._skip_value(vstart, vbyte, "G3", False)
-                    self._emit(vstart, self._emit_end(vstart, vbyte, vend), idx, state2)
+                    if paths is None and vbyte == _LBRACE:
+                        self.pos = vstart
+                        self._object(state2, depth + 1)
+                        vend = self.pos
+                    elif paths is None and vbyte == _LBRACKET:
+                        self.pos = vstart
+                        self._array(state2, depth + 1)
+                        vend = self.pos
+                    else:
+                        vend = self._descend(state2, vstart, vbyte, False, idx, depth + 1)
                 else:  # ACCEPT | ALIVE
                     token = self._reserve(idx, state2)
                     try:
@@ -859,12 +916,19 @@ class _Run:
                     except _Suspend:
                         self.saved_frames[-1][3] = token
                         raise
-                    self._fill(token, vstart, self._emit_end(vstart, vbyte, vend))
-                pos = self._skip_ws(vend)
-                byte = data[pos] if pos < self.size else -1
+                    end = vend
+                    if data[end - 1] in _WS:
+                        end = self._rstrip(vstart, end)
+                    self._fill(token, vstart, end)
+                pos = vend
+                while pos < size and data[pos] in _WS:
+                    pos += 1
+                byte = data[pos] if pos < size else -1
                 if byte == _COMMA:
                     idx += 1
-                    pos = self._skip_ws(pos + 1)
+                    pos += 1
+                    while pos < size and data[pos] in _WS:
+                        pos += 1
                 elif byte == _RBRACKET:
                     self.pos = pos + 1
                     return

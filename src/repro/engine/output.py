@@ -19,7 +19,7 @@ once per run.
 from __future__ import annotations
 
 import json
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from repro.errors import InvariantError, MatchTypeError
 
@@ -190,6 +190,13 @@ class MatchList:
 
     def add(self, source: bytes, start: int, end: int) -> None:
         self._matches.append((source, start, end))
+
+    @property
+    def appender(self) -> Callable[[tuple[bytes, int, int]], None]:
+        """:meth:`add` without its call frame: the entry list's bound
+        ``append``, taking one ``(source, start, end)`` tuple.  Valid
+        until the next :meth:`rebase`."""
+        return self._matches.append
 
     @classmethod
     def from_offsets(cls, source: bytes, offsets: list) -> "MatchList":

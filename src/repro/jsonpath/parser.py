@@ -124,7 +124,9 @@ def _parse_bracket(cur: _Cursor) -> Step:
                 cur.error("expected quoted name after ','")
             names.append(_parse_quoted(cur))
         cur.expect("]")
-        if len(names) == 1:
+        # One distinct name is a plain child step: a MultiName would
+        # collapse to it and unparse as ``['a']``, which parses as Child.
+        if len(set(names)) == 1:
             return Child(names[0])
         return MultiName(tuple(names))
     if ch == ":":
@@ -147,6 +149,10 @@ def _parse_bracket(cur: _Cursor) -> Step:
                 cur.advance()
                 indices.append(_parse_int(cur))
             cur.expect("]")
+            # One distinct index is a plain index step (``[0,0]`` is ``[0]``),
+            # so the parsed path round-trips through ``unparse``.
+            if len(set(indices)) == 1:
+                return Index(first)
             return MultiIndex(tuple(indices))
         cur.expect("]")
         return Index(first)

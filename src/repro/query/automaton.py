@@ -31,6 +31,12 @@ Beyond matching, the automaton answers the questions fast-forwarding needs
 - :meth:`can_match_in_object` / :meth:`can_match_in_array` — whether the
   current container is relevant at all.
 
+The engines read these once per container as a dispatch plan
+(:meth:`object_plan`, :meth:`array_plan`), and step members through
+fused transitions that carry the next state's flags
+(:meth:`key_moves`/:meth:`key_move`, :meth:`element_moves`/
+:meth:`element_move`).
+
 Across several paths the guidance is what *every* live path allows: a
 G1 type only when all agree, G4 only when all wait for the same concrete
 name, and the G5 window is the envelope of their windows.  For one path
@@ -84,6 +90,12 @@ class MatchStatus(enum.Enum):
 ALIVE = 1
 ACCEPT = 2
 
+#: Element transitions memoized per state: indices below this bound (every
+#: row of a matrix-like dataset re-runs indices 0..k).
+ELEMENT_MEMO = 1024
+
+_OPEN_BYTE = {"object": 0x7B, "array": 0x5B}
+
 _FLAGS_TO_STATUS = {
     0: MatchStatus.UNMATCHED,
     ALIVE: MatchStatus.MATCHED,
@@ -99,10 +111,11 @@ class QueryAutomaton:
     ``QueryAutomaton(p1, p2, ...)`` matches several in one pass, and
     :meth:`accepting` tells which ones a value matches.
 
-    All per-state guidance (status flags, expected type, G4/G5
-    applicability) is memoized in lists indexed by state id — the engines
-    query them once per container or attribute, millions of times per
-    run.
+    Status flags, transitions and the per-container dispatch plans are
+    memoized in lists indexed by state id — the engines read them once
+    per container or member, millions of times per run.  The individual
+    guidance accessors compute their answer on each call; the plans hold
+    it for the engines.
     """
 
     def __init__(self, *paths: Path | str) -> None:
@@ -136,24 +149,29 @@ class QueryAutomaton:
             self._kinds.append(None)
         self._state_ids: dict[frozenset[int], int] = {}
         self._frontiers: list[frozenset[int]] = []
-        #: Per-state key-transition maps: {name_or_None: next_state}.
-        self._key_maps: dict[int, dict[str | None, int]] = {}
         #: Per-state memo lists, grown on intern.
         self._flags: list[int] = []
         self._accepting: list[tuple[int, ...]] = []
-        self._expected: list[str | None] = []
-        self._skippable: list[bool | None] = []
-        self._elem_memo: dict[tuple[int, int], int] = {}
-        self._elem_range: dict[int, tuple[int, int | None] | None] = {}
-        self._can_obj: dict[int, bool] = {}
-        self._can_ary: dict[int, bool] = {}
-        #: Names that appear in the queries; all other names are equivalent.
-        self._names: set[str] = set()
+        #: Key transitions, token-keyed: {name_or_None: (next_state, flags)}.
+        self._key_maps: list[dict[str | None, tuple[int, int]]] = []
+        #: Element transitions below :data:`ELEMENT_MEMO`, by index
+        #: (allocated on first use).
+        self._elem_moves: list[list[tuple[int, int] | None] | None] = []
+        #: Element transitions at and past :data:`ELEMENT_MEMO`:
+        #: ``(bound, move)``, the move of every index at or past ``bound``
+        #: (the end of the last index window in the frontier).
+        self._elem_tails: list[tuple[int, tuple[int, int]] | None] = []
+        self._obj_plans: list[tuple[bool, str, bool, bool] | None] = []
+        self._ary_plans: list[tuple[bool, int, int | None, str, int] | None] = []
+        #: Names that appear in the queries; all other names are equivalent
+        #: (the token ``None`` of the key maps).
+        names: set[str] = set()
         for step in self._steps:
             if isinstance(step, (Child, Descendant)):
-                self._names.add(step.name)
+                names.add(step.name)
             elif isinstance(step, MultiName):
-                self._names.update(step.names)
+                names.update(step.names)
+        self.query_names = frozenset(names)
         self.start_state = self._intern(frozenset(starts))
         self.dead_state = self._intern(frozenset())
 
@@ -173,8 +191,11 @@ class QueryAutomaton:
                 flags |= ALIVE
             self._flags.append(flags)
             self._accepting.append(accepting)
-            self._expected.append(None)
-            self._skippable.append(None)
+            self._key_maps.append({})
+            self._elem_moves.append(None)
+            self._elem_tails.append(None)
+            self._obj_plans.append(None)
+            self._ary_plans.append(None)
         return state
 
     def frontier(self, state: int) -> frozenset[int]:
@@ -205,13 +226,26 @@ class QueryAutomaton:
 
     def on_key(self, state: int, name: str) -> int:
         """Rule [Key]: the state inside the value of attribute ``name``."""
-        key_map = self._key_maps.get(state)
-        if key_map is None:
-            key_map = self._key_maps[state] = {}
-        token = name if name in self._names else None
-        cached = key_map.get(token, -1)
-        if cached >= 0:
-            return cached
+        return self.key_move(state, name)[0]
+
+    def on_element(self, state: int, index: int) -> int:
+        """Rules [Ary-S]/[Com]: the state inside element ``index``."""
+        return self.element_move(state, index)[0]
+
+    def key_moves(self, state: int) -> dict[str | None, tuple[int, int]]:
+        """The memo behind :meth:`key_move` at ``state``: a query name,
+        or ``None`` for every other name, -> ``(next_state, flags)``.
+        Missing entries are filled by :meth:`key_move`."""
+        return self._key_maps[state]
+
+    def key_move(self, state: int, name: str) -> tuple[int, int]:
+        """Fused [Key] transition: :meth:`on_key` and the next state's
+        :meth:`status_flags`."""
+        token = name if name in self.query_names else None
+        key_map = self._key_maps[state]
+        move = key_map.get(token)
+        if move is not None:
+            return move
         nxt: set[int] = set()
         for q in self._frontiers[state]:
             step = self._steps[q]
@@ -228,40 +262,60 @@ class QueryAutomaton:
                 if step.name == name:
                     nxt.add(q + 1)
         result = self._intern(frozenset(nxt))
-        key_map[token] = result
-        return result
+        move = key_map[token] = (result, self._flags[result])
+        return move
 
-    def on_element(self, state: int, index: int) -> int:
-        """Rules [Ary-S]/[Com]: the state inside element ``index``."""
-        # Element transitions recur heavily for small indices (every row of
-        # a matrix-like dataset re-runs indices 0..k); memoize those.
-        if index < 1024:
-            memo_key = (state, index)
-            cached = self._elem_memo.get(memo_key)
-            if cached is not None:
-                return cached
+    def element_moves(self, state: int) -> list[tuple[int, int] | None]:
+        """The memo behind :meth:`element_move` at ``state``: one slot per
+        index below :data:`ELEMENT_MEMO`, ``None`` until that index's
+        transition is first taken."""
+        moves = self._elem_moves[state]
+        if moves is None:
+            moves = self._elem_moves[state] = [None] * ELEMENT_MEMO
+        return moves
+
+    def element_move(self, state: int, index: int) -> tuple[int, int]:
+        """Fused [Ary-S]/[Com] transition: :meth:`on_element` and the next
+        state's :meth:`status_flags`.  Memoized per index below
+        :data:`ELEMENT_MEMO`, and once per state for the indices past both
+        that and every index window of the frontier."""
+        if index < ELEMENT_MEMO:
+            moves = self.element_moves(state)
+            move = moves[index]
+            if move is not None:
+                return move
         else:
-            memo_key = None
+            tail = self._elem_tails[state]
+            if tail is not None and index >= tail[0]:
+                return tail[1]
         nxt: set[int] = set()
+        # Every index at or past ``bound`` takes the same transition.
+        bound = 0
         for q in self._frontiers[state]:
             step = self._steps[q]
             if isinstance(step, Index):
                 if index == step.index:
                     nxt.add(q + 1)
+                bound = max(bound, step.index + 1)
             elif isinstance(step, Slice):
                 if step.start <= index and (step.stop is None or index < step.stop):
                     nxt.add(q + 1)
+                bound = max(bound, step.start if step.stop is None else step.stop)
             elif isinstance(step, WildcardIndex):
                 nxt.add(q + 1)
             elif isinstance(step, MultiIndex):
                 if index in step.indices:
                     nxt.add(q + 1)
+                bound = max(bound, step.indices[-1] + 1)
             elif isinstance(step, Descendant):
                 nxt.add(q)  # descendants traverse arrays transparently
         result = self._intern(frozenset(nxt))
-        if memo_key is not None:
-            self._elem_memo[memo_key] = result
-        return result
+        move = (result, self._flags[result])
+        if index < ELEMENT_MEMO:
+            moves[index] = move
+        elif index >= bound:
+            self._elem_tails[state] = (max(bound, ELEMENT_MEMO), move)
+        return move
 
     # ------------------------------------------------------------------
     # status and fast-forward guidance
@@ -279,23 +333,17 @@ class QueryAutomaton:
 
     def can_match_in_object(self, state: int) -> bool:
         """Can any attribute of an object at this state make progress?"""
-        cached = self._can_obj.get(state)
-        if cached is None:
-            cached = self._can_obj[state] = any(
-                isinstance(self._steps[q], (Child, WildcardChild, MultiName, Descendant))
-                for q in self._frontiers[state]
-            )
-        return cached
+        return any(
+            isinstance(self._steps[q], (Child, WildcardChild, MultiName, Descendant))
+            for q in self._frontiers[state]
+        )
 
     def can_match_in_array(self, state: int) -> bool:
         """Can any element of an array at this state make progress?"""
-        cached = self._can_ary.get(state)
-        if cached is None:
-            cached = self._can_ary[state] = any(
-                isinstance(self._steps[q], (Index, Slice, WildcardIndex, MultiIndex, Descendant))
-                for q in self._frontiers[state]
-            )
-        return cached
+        return any(
+            isinstance(self._steps[q], (Index, Slice, WildcardIndex, MultiIndex, Descendant))
+            for q in self._frontiers[state]
+        )
 
     def expected_type(self, state: int) -> str:
         """Type a matching attribute/element value must have (G1 inference).
@@ -305,12 +353,9 @@ class QueryAutomaton:
         ``'unknown'`` when the frontier disagrees or contains a descendant
         step (the paper's stated limitation for ``..``).
         """
-        cached = self._expected[state]
-        if cached is None:
-            kinds = {self._kinds[q] for q in self._frontiers[state]}
-            kinds.discard(None)
-            cached = self._expected[state] = kinds.pop() if len(kinds) == 1 else "unknown"
-        return cached
+        kinds = {self._kinds[q] for q in self._frontiers[state]}
+        kinds.discard(None)
+        return kinds.pop() if len(kinds) == 1 else "unknown"
 
     def object_skippable(self, state: int) -> bool:
         """G4 applicability: once one attribute matches, can the rest of
@@ -322,13 +367,10 @@ class QueryAutomaton:
         Wildcards and descendants can match several attributes, so they
         disable G4.
         """
-        cached = self._skippable[state]
-        if cached is None:
-            frontier = self._frontiers[state]
-            steps = [self._steps[q] for q in frontier]
-            names = {step.name if isinstance(step, Child) else None for step in steps if step is not None}
-            cached = self._skippable[state] = bool(frontier) and None not in names and len(names) <= 1
-        return cached
+        frontier = self._frontiers[state]
+        steps = [self._steps[q] for q in frontier]
+        names = {step.name if isinstance(step, Child) else None for step in steps if step is not None}
+        return bool(frontier) and None not in names and len(names) <= 1
 
     def element_range(self, state: int) -> tuple[int, int | None] | None:
         """G5 applicability: the index window relevant in an array here.
@@ -337,10 +379,7 @@ class QueryAutomaton:
         envelope of the live index-type steps' windows, or ``None`` when
         none is live or a descendant step is (no constraint to exploit).
         """
-        if state in self._elem_range:
-            return self._elem_range[state]
         windows: list[tuple[int, int | None]] = []
-        result: tuple[int, int | None] | None = None
         for q in self._frontiers[state]:
             step = self._steps[q]
             if isinstance(step, Index):
@@ -354,16 +393,53 @@ class QueryAutomaton:
                 # before the smallest and after the largest index skips.
                 windows.append((step.indices[0], step.indices[-1] + 1))
             elif isinstance(step, Descendant):
-                break
-        else:
-            if windows:
-                stops = [stop for _, stop in windows]
-                result = (
-                    min(start for start, _ in windows),
-                    None if None in stops else max(stop for stop in stops if stop is not None),
-                )
-        self._elem_range[state] = result
-        return result
+                return None
+        if not windows:
+            return None
+        stops = [stop for _, stop in windows]
+        return (
+            min(start for start, _ in windows),
+            None if None in stops else max(stop for stop in stops if stop is not None),
+        )
+
+    # ------------------------------------------------------------------
+    # per-state dispatch plans (one read per container)
+
+    def object_plan(self, state: int) -> tuple[bool, str, bool, bool]:
+        """``(can_match, expected, typed, skippable)`` of an object at
+        ``state``: :meth:`can_match_in_object`, :meth:`expected_type`,
+        whether that type is ``'object'`` or ``'array'`` (G1 applies),
+        and :meth:`object_skippable` (G4)."""
+        plan = self._obj_plans[state]
+        if plan is None:
+            expected = self.expected_type(state)
+            plan = self._obj_plans[state] = (
+                self.can_match_in_object(state),
+                expected,
+                expected in _OPEN_BYTE,
+                self.object_skippable(state),
+            )
+        return plan
+
+    def array_plan(self, state: int) -> tuple[bool, int, int | None, str, int]:
+        """``(can_match, start, stop, expected, want_byte)`` of an array at
+        ``state``: :meth:`can_match_in_array`, the :meth:`element_range`
+        window (``(0, None)`` when there is none: no G5 move), the
+        :meth:`expected_type`, and the opening byte that type requires
+        (-1 when G1 does not apply)."""
+        plan = self._ary_plans[state]
+        if plan is None:
+            window = self.element_range(state)
+            start, stop = (0, None) if window is None else window
+            expected = self.expected_type(state)
+            plan = self._ary_plans[state] = (
+                self.can_match_in_array(state),
+                start,
+                stop,
+                expected,
+                _OPEN_BYTE.get(expected, -1),
+            )
+        return plan
 
 
 def compile_query(path: Path | str) -> QueryAutomaton:

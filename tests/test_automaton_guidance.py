@@ -110,13 +110,17 @@ def _record(queries: list[str], seed: int, n_steps: int = 120) -> list:
     return steps
 
 
-def regenerate() -> None:
+def _fixture_text() -> str:
     walks = [
         {"queries": queries, "steps": _record(queries, seed=i)}
         for i, queries in enumerate(_all_query_lists())
     ]
     lines = ",\n".join(json.dumps(walk, separators=(",", ":")) for walk in walks)
-    FIXTURE.write_text('{"version":1,"walks":[\n' + lines + "\n]}\n")
+    return '{"version":1,"walks":[\n' + lines + "\n]}\n"
+
+
+def regenerate() -> None:
+    FIXTURE.write_text(_fixture_text())
 
 
 def _walks() -> list[dict]:
@@ -126,6 +130,12 @@ def _walks() -> list[dict]:
 def test_fixture_covers_every_query_list():
     assert [w["queries"] for w in _walks()] == _all_query_lists()
     assert sum(len(w["steps"]) for w in _walks()) >= 3000
+
+
+def test_rerecorded_walks_are_byte_identical():
+    """Recording the walks again with today's automaton reproduces the
+    fixture byte for byte (the walks' choices depend on its answers)."""
+    assert _fixture_text() == FIXTURE.read_text()
 
 
 @pytest.mark.parametrize(
