@@ -81,7 +81,9 @@ def _ref_element(steps: list, frontier, index: int) -> frozenset[int]:
         step = steps[q]
         if (
             isinstance(step, Index) and step.index == index
-            or isinstance(step, Slice) and step.start <= index and (step.stop is None or index < step.stop)
+            or isinstance(step, Slice)
+            and step.start <= index
+            and (step.stop is None or index < step.stop)
             or isinstance(step, WildcardIndex)
             or isinstance(step, MultiIndex) and index in step.indices
         ):
@@ -162,8 +164,11 @@ def check_plans_and_moves(queries: list[str], max_states: int = 300) -> int:
     return len(seen)
 
 
-@pytest.mark.parametrize("queries", [[q] for q in TABLE5] + MULTI_SETS + [[q] for q in DESCENDANT + WIDE],
-                         ids=lambda queries: "|".join(queries))
+@pytest.mark.parametrize(
+    "queries",
+    [[q] for q in TABLE5] + MULTI_SETS + [[q] for q in DESCENDANT + WIDE],
+    ids=lambda queries: "|".join(queries),
+)
 def test_plans_and_moves_equal_accessors(queries):
     assert check_plans_and_moves(queries) >= 2
 
