@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-import numpy as np
-
 from repro.bits.classify import CharClass
 from repro.bits.index import BufferIndex
 from repro.bits.words import (
@@ -157,94 +155,3 @@ class IntervalBuilder:
                 b_end = 0
             yield word_base, interval_between(b_start, b_end)
 
-
-# ----------------------------------------------------------------------
-# Vectorized sibling: the paired open/close interval table (stage 1)
-
-
-def _pair_opens(pair_table) -> tuple[np.ndarray, np.ndarray]:
-    """Match every open in a :class:`~repro.bits.posindex.PairTable` to
-    its closer within the chunk (``-1`` when the closer spills into a
-    later chunk).
-
-    At any pair depth ``v``, opens reaching ``v`` and closers leaving
-    ``v`` (after-depth ``v-1``) strictly alternate — depth moves by ±1
-    per event, so two same-depth opens always bracket a closer and vice
-    versa.  Leading closers before the depth's first open belong to opens
-    in earlier chunks; after dropping them, pairing is positional.
-    """
-    opens = pair_table.opens
-    closes = np.full(len(opens), -1, dtype=np.int64)
-    after = pair_table.opens_after
-    for depth in np.unique(after):
-        group = np.flatnonzero(after == depth)
-        candidates = pair_table.closes_by_depth.get(int(depth) - 1)
-        if not candidates:
-            continue
-        arr = np.frombuffer(candidates, dtype=np.int64)
-        lead = int(np.searchsorted(arr, opens[group[0]]))
-        n = min(len(group), len(arr) - lead)
-        if n > 0:
-            closes[group[:n]] = arr[lead : lead + n]
-    return opens, closes
-
-
-@dataclass(frozen=True)
-class IntervalTable:
-    """Paired open/close positions of one chunk, per pair class.
-
-    The vectorized counterpart of :class:`IntervalBuilder`: where the
-    builder materializes one structural interval at a time from word
-    bitmaps, this table lays out *every* ``{``→``}`` and ``[``→``]``
-    span of a chunk as parallel sorted arrays, built in a handful of
-    ``np.flatnonzero``/``searchsorted`` passes over the stage-1 depth
-    tables.  A close of ``-1`` marks a spill: the container closes in a
-    later chunk (resolve it with ``Scanner.pair_close``).
-    """
-
-    start: int
-    end: int
-    brace_opens: np.ndarray
-    brace_closes: np.ndarray
-    bracket_opens: np.ndarray
-    bracket_closes: np.ndarray
-
-    def close_of(self, open_pos: int) -> int | None:
-        """Closer position for the container opening at ``open_pos``.
-
-        ``-1`` means the closer lies beyond this chunk; ``None`` means
-        ``open_pos`` is not an opener in this chunk.
-        """
-        for opens, closes in (
-            (self.brace_opens, self.brace_closes),
-            (self.bracket_opens, self.bracket_closes),
-        ):
-            i = int(np.searchsorted(opens, open_pos))
-            if i < len(opens) and int(opens[i]) == open_pos:
-                return int(closes[i])
-        return None
-
-    def spans(self) -> Iterator[tuple[int, int, str]]:
-        """All ``(open, close, kind)`` pairs in open-position order
-        (spilled closers reported as ``-1``)."""
-        merged = sorted(
-            [(int(o), int(c), "object") for o, c in zip(self.brace_opens, self.brace_closes)]
-            + [(int(o), int(c), "array") for o, c in zip(self.bracket_opens, self.bracket_closes)]
-        )
-        return iter(merged)
-
-
-def build_interval_table(chunk) -> IntervalTable:
-    """Build the :class:`IntervalTable` of one
-    :class:`~repro.bits.posindex.PositionChunk`."""
-    tables = chunk.depth_tables()
-    brace_opens, brace_closes = _pair_opens(tables.brace)
-    bracket_opens, bracket_closes = _pair_opens(tables.bracket)
-    return IntervalTable(
-        start=chunk.start,
-        end=chunk.end,
-        brace_opens=brace_opens,
-        brace_closes=brace_closes,
-        bracket_opens=bracket_opens,
-        bracket_closes=bracket_closes,
-    )

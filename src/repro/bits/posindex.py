@@ -13,10 +13,13 @@ this module builds those directly from one classification pass:
    each quote's escaped/unescaped status (odd-run rule, carried across
    chunks exactly like :func:`repro.bits.words.escaped_positions`);
 3. the in-string parity of every structural character is a prefix
-   count (``cumsum``) of the unescaped quotes along the interesting
-   stream — the sparse-stream form of simdjson's prefix-XOR string
-   mask;
-4. per-class position lists are then lazy boolean selections.
+   XOR scan (``np.logical_xor.accumulate``) of the unescaped quotes
+   along the interesting stream — the sparse-stream form of simdjson's
+   prefix-XOR string mask;
+4. every selection — the structural characters outside strings, the
+   per-class position lists (built lazily) — is one ``flatnonzero`` of
+   its mask and one ``take`` per array sharing that mask, never a
+   boolean-mask gather.
 
 The result is semantically identical to filtering the word bitmaps (the
 property-based tests assert equality against the word path) but costs a
@@ -33,9 +36,9 @@ Beyond the flat per-class arrays, each chunk can materialize
   Algorithm 4 / Theorem 4.3 into two binary searches (the first closer at
   depth ``depth_before(pos) - num_open`` is exactly the closer the
   reference interval walk returns, on any byte stream);
-- Pison-style leveled colon/comma position maps keyed by combined
-  structural depth, which turn the paper's G5 ``goOverElems(k)`` into a
-  single k-th-comma-at-depth lookup.
+- Pison-style leveled comma, opener and closer position maps keyed by
+  combined structural depth, which turn the paper's G5
+  ``goOverElems(k)`` into a single k-th-comma-at-depth lookup.
 
 Depth values are absolute (carried across chunks like the string mask),
 so a lookup that misses one chunk continues into the next with the same
@@ -67,7 +70,7 @@ _INTERESTING = bytes(c in b'{}[]:,"\\' for c in range(256))
 _QUOTE, _BACKSLASH = 0x22, 0x5C
 _LBRACE, _RBRACE = 0x7B, 0x7D
 _LBRACKET, _RBRACKET = 0x5B, 0x5D
-_COLON, _COMMA = 0x3A, 0x2C
+_COMMA = 0x2C
 
 #: Byte values selected by each character class.
 _CLASS_BYTES: dict[CharClass, tuple[int, ...]] = {
@@ -129,8 +132,8 @@ def _group_by_depth(pos: np.ndarray, depth: np.ndarray) -> dict[int, "array[int]
     if _INT16_MIN <= int(depth.min()) and int(depth.max()) <= _INT16_MAX:
         key = depth.astype(np.int16)
     order = np.argsort(key, kind="stable")
-    sorted_depth = depth[order]
-    sorted_pos = pos[order]
+    sorted_depth = depth.take(order)
+    sorted_pos = pos.take(order)
     bounds = np.flatnonzero(sorted_depth[1:] != sorted_depth[:-1]) + 1
     starts = np.concatenate(([0], bounds))
     ends = np.concatenate((bounds, [len(sorted_depth)]))
@@ -148,22 +151,18 @@ class PairTable:
     balances ``depth_before(pos) - d`` outstanding opens (Theorem 4.3).
     """
 
-    __slots__ = ("depth_in", "events", "after", "closes_by_depth", "opens", "opens_after")
+    __slots__ = ("depth_in", "events", "after", "closes_by_depth")
 
     def __init__(self, pos: np.ndarray, vals: np.ndarray, open_byte: int, close_byte: int, depth_in: int) -> None:
-        mask = (vals == open_byte) | (vals == close_byte)
-        events = pos[mask]
-        ev_vals = vals[mask]
-        is_open = ev_vals == open_byte
-        after = depth_in + np.cumsum(np.where(is_open, 1, -1))
+        sel = np.flatnonzero((vals == open_byte) | (vals == close_byte))
+        events = pos.take(sel)
+        ev_vals = vals.take(sel)
+        after = depth_in + np.cumsum(_DELTA.take(ev_vals))
         self.depth_in = depth_in
         self.events = _q_array(events)
         self.after = _q_array(after)
-        self.closes_by_depth = _group_by_depth(events[~is_open], after[~is_open])
-        #: Open positions and their after-depths (consumed by the paired
-        #: interval table, :func:`repro.bits.intervals.build_interval_table`).
-        self.opens = events[is_open]
-        self.opens_after = after[is_open]
+        closes = np.flatnonzero(ev_vals == close_byte)
+        self.closes_by_depth = _group_by_depth(events.take(closes), after.take(closes))
 
     def depth_before(self, pos: int) -> int:
         """Pair depth just before absolute position ``pos``."""
@@ -188,10 +187,11 @@ class PairTable:
 class DepthTables:
     """Stage-1 depth artifacts of one chunk.
 
-    Combined-depth leveled maps for ``:``/``,`` and the ``{``/``[``
-    openers, plus one :class:`PairTable` per brace/bracket pair.  All
-    depths are absolute (seeded from the chunk's :class:`DepthCarry`),
-    so queries compose across chunk boundaries without rebasing.
+    Combined-depth leveled maps for ``,``, the ``{``/``[`` openers and
+    the merged ``}``/``]`` closers, plus one :class:`PairTable` per
+    brace/bracket pair.  All depths are absolute (seeded from the
+    chunk's :class:`DepthCarry`), so queries compose across chunk
+    boundaries without rebasing.
 
     Only the combined event/depth arrays are built up front; each
     component table materializes on first access, so a query that only
@@ -200,12 +200,12 @@ class DepthTables:
 
     __slots__ = (
         "depth_in", "events", "after", "_pos", "_vals", "_after_np",
-        "_brace", "_bracket", "_commas", "_colons", "_obj_opens", "_ary_opens",
+        "_brace", "_bracket", "_commas", "_obj_opens", "_ary_opens",
         "_closes",
     )
 
     def __init__(self, pos: np.ndarray, vals: np.ndarray, depth_in: DepthCarry) -> None:
-        after = depth_in.depth + np.cumsum(_DELTA[vals])
+        after = depth_in.depth + np.cumsum(_DELTA.take(vals))
         self.depth_in = depth_in
         self.events = _q_array(pos)
         self.after = _q_array(after)
@@ -215,7 +215,6 @@ class DepthTables:
         self._brace: PairTable | None = None
         self._bracket: PairTable | None = None
         self._commas: dict[int, "array[int]"] | None = None
-        self._colons: dict[int, "array[int]"] | None = None
         self._obj_opens: dict[int, "array[int]"] | None = None
         self._ary_opens: dict[int, "array[int]"] | None = None
         self._closes: dict[int, "array[int]"] | None = None
@@ -234,20 +233,16 @@ class DepthTables:
             table = self._bracket = PairTable(self._pos, self._vals, _LBRACKET, _RBRACKET, self.depth_in.bracket)
         return table
 
+    def _grouped(self, mask: np.ndarray) -> dict[int, "array[int]"]:
+        """The events selected by ``mask``, grouped by their after-depth."""
+        sel = np.flatnonzero(mask)
+        return _group_by_depth(self._pos.take(sel), self._after_np.take(sel))
+
     @property
     def commas_by_depth(self) -> dict[int, "array[int]"]:
         groups = self._commas
         if groups is None:
-            mask = self._vals == _COMMA
-            groups = self._commas = _group_by_depth(self._pos[mask], self._after_np[mask])
-        return groups
-
-    @property
-    def colons_by_depth(self) -> dict[int, "array[int]"]:
-        groups = self._colons
-        if groups is None:
-            mask = self._vals == _COLON
-            groups = self._colons = _group_by_depth(self._pos[mask], self._after_np[mask])
+            groups = self._commas = self._grouped(self._vals == _COMMA)
         return groups
 
     def opens_by_depth(self, open_byte: int) -> dict[int, "array[int]"]:
@@ -258,13 +253,11 @@ class DepthTables:
         if open_byte == _LBRACE:
             groups = self._obj_opens
             if groups is None:
-                mask = self._vals == _LBRACE
-                groups = self._obj_opens = _group_by_depth(self._pos[mask], self._after_np[mask])
+                groups = self._obj_opens = self._grouped(self._vals == _LBRACE)
             return groups
         groups = self._ary_opens
         if groups is None:
-            mask = self._vals == _LBRACKET
-            groups = self._ary_opens = _group_by_depth(self._pos[mask], self._after_np[mask])
+            groups = self._ary_opens = self._grouped(self._vals == _LBRACKET)
         return groups
 
     @property
@@ -276,8 +269,7 @@ class DepthTables:
         enclosing end" a single lookup on well-formed input."""
         groups = self._closes
         if groups is None:
-            mask = _DELTA[self._vals] == -1
-            groups = self._closes = _group_by_depth(self._pos[mask], self._after_np[mask])
+            groups = self._closes = self._grouped(_DELTA.take(self._vals) == -1)
         return groups
 
     def depth_before(self, pos: int) -> int:
@@ -322,14 +314,10 @@ class PositionChunk:
         if cached is not None:
             return cached
         bytes_ = _CLASS_BYTES[cls]
-        if len(bytes_) == 1:
-            selected = self.keep[self.keep_vals == bytes_[0]]
-        else:
-            mask = self.keep_vals == bytes_[0]
-            for b in bytes_[1:]:
-                mask |= self.keep_vals == b
-            selected = self.keep[mask]
-        self._arrays[cls] = selected
+        mask = self.keep_vals == bytes_[0]
+        for b in bytes_[1:]:
+            mask |= self.keep_vals == b
+        selected = self._arrays[cls] = self.keep.take(np.flatnonzero(mask))
         return selected
 
     def depth_tables(self) -> DepthTables:
@@ -398,60 +386,61 @@ def _classify_segments(
     seg = _NO_SEGMENTS
     if segmented:
         seg = np.searchsorted(starts, idx, side="right") - 1
-        inside = (seg >= 0) & (idx < ends[seg])
-        idx = idx[inside]
-        seg = seg[inside]
-    vals = buf[idx]
+        inside = np.flatnonzero((seg >= 0) & (idx < ends.take(seg)))
+        idx = idx.take(inside)
+        seg = seg.take(inside)
+    vals = buf.take(idx)
 
     quote_mask = vals == _QUOTE
     backslash_mask = vals == _BACKSLASH
-    q = idx[quote_mask]
-    b = idx[backslash_mask]
+    q_sel = np.flatnonzero(quote_mask)
+    q = idx.take(q_sel)
     pending_in = bool(carry.escape)
 
     # --- backslash runs -> escaped-quote detection --------------------
-    if b.size:
+    b_sel = np.flatnonzero(backslash_mask)
+    if b_sel.size:
+        b = idx.take(b_sel)
         new_run = np.empty(b.size, dtype=bool)
         new_run[0] = True
         np.not_equal(b[1:], b[:-1] + 1, out=new_run[1:])
         if segmented:
             # A run never continues across a segment start.
-            b_seg = seg[backslash_mask]
+            b_seg = seg.take(b_sel)
             new_run[1:] |= b_seg[1:] != b_seg[:-1]
-        run_starts = b[new_run]
-        end_mask = np.empty(b.size, dtype=bool)
-        end_mask[-1] = True
-        end_mask[:-1] = new_run[1:]
-        run_ends = b[end_mask]
+        first = np.flatnonzero(new_run)
+        run_starts = b.take(first)
+        # Each run ends just before the next one starts.
+        run_ends = b.take(np.append(first[1:] - 1, b.size - 1))
         run_lens = run_ends - run_starts + 1
     else:
         run_starts = run_ends = run_lens = np.empty(0, dtype=np.int64)
 
     # Unescaped quotes: their positions and their mask over the stream.
     uq, unescaped = q, quote_mask
-    q_seg = seg[quote_mask] if segmented else _NO_SEGMENTS
+    q_seg = seg.take(q_sel) if segmented else _NO_SEGMENTS
     if q.size and (run_ends.size or pending_in):
         if run_ends.size:
             ri = np.searchsorted(run_ends, q - 1)
             ri_c = np.minimum(ri, len(run_ends) - 1)
-            has_run = run_ends[ri_c] == q - 1
+            has_run = run_ends.take(ri_c) == q - 1
             if segmented:
                 # A run in the previous segment does not escape a quote
                 # that opens this one.
-                has_run &= run_starts[ri_c] >= starts[q_seg]
-            eff = run_lens[ri_c] - ((run_starts[ri_c] == 0) & pending_in)
+                has_run &= run_starts.take(ri_c) >= starts.take(q_seg)
+            eff = run_lens.take(ri_c) - ((run_starts.take(ri_c) == 0) & pending_in)
             escaped = has_run & (eff % 2 == 1)
         else:
             escaped = np.zeros(q.size, dtype=bool)
         if pending_in:
             escaped |= q == 0  # a carry-escape consumes the first char
         if escaped.any():
-            kept = np.logical_not(escaped)
-            uq = q[kept]
+            kept = np.flatnonzero(np.logical_not(escaped))
+            uq = q.take(kept)
             if segmented:
-                q_seg = q_seg[kept]
+                q_seg = q_seg.take(kept)
             unescaped = quote_mask.copy()
-            unescaped[np.flatnonzero(quote_mask)[escaped]] = False
+            unescaped[q_sel.take(np.flatnonzero(escaped))] = False
 
     # --- escape carry out ----------------------------------------------
     n = len(buf)
@@ -464,17 +453,18 @@ def _classify_segments(
 
     # --- in-string filtering of structural characters -------------------
     # A structural character is inside a string when an odd number of
-    # unescaped quotes precede it: a prefix count over the interesting
-    # stream.  Only its parity matters, so the count runs in uint8
-    # (wrapping mod 256 keeps the parity).
-    parity = np.cumsum(unescaped, dtype=np.uint8)
+    # unescaped quotes precede it: a prefix XOR over the interesting
+    # stream.
+    parity = np.logical_xor.accumulate(unescaped)
     if segmented:
-        # Parity restarts at each segment: count only its own quotes.
-        parity -= np.searchsorted(uq, starts).astype(np.uint8)[seg]
-    outside = ~quote_mask & ~backslash_mask & ((parity & 1) == carry.in_string)
-    keep = idx[outside]
-    keep_vals = vals[outside]
-    s_seg = seg[outside] if segmented else _NO_SEGMENTS
+        # Parity restarts at each segment: cancel the quotes before it.
+        parity ^= (np.searchsorted(uq, starts) & 1).astype(bool).take(seg)
+    outside = np.flatnonzero(
+        ~quote_mask & ~backslash_mask & (parity == bool(carry.in_string))
+    )
+    keep = idx.take(outside)
+    keep_vals = vals.take(outside)
+    s_seg = seg.take(outside) if segmented else _NO_SEGMENTS
     in_string_out = int((len(uq) + carry.in_string) % 2)
     return _Classified(keep, keep_vals, uq, s_seg, q_seg, StringCarry(int(pending_out), in_string_out))
 
@@ -499,9 +489,9 @@ def build_position_chunk(
     return PositionChunk(
         start=start,
         length=len(chunk),
-        keep=out.keep.astype(np.int64) + start,
+        keep=out.keep + start,
         keep_vals=keep_vals,
-        quotes=out.quotes.astype(np.int64) + start,
+        quotes=out.quotes + start,
         carry_in=carry,
         carry_out=out.carry_out,
         depth_in=depth_in,
@@ -525,20 +515,20 @@ def build_record_batch(region: bytes, starts: np.ndarray, ends: np.ndarray) -> t
     out = _classify_segments(region, INITIAL_CARRY, starts, ends)
     n_records = len(starts)
     keep, keep_vals, quotes = out.keep, out.keep_vals, out.quotes
-    brace = np.bincount(out.keep_seg, weights=_BRACE_DELTA[keep_vals], minlength=n_records)
-    bracket = np.bincount(out.keep_seg, weights=_BRACKET_DELTA[keep_vals], minlength=n_records)
+    brace = np.bincount(out.keep_seg, weights=_BRACE_DELTA.take(keep_vals), minlength=n_records)
+    bracket = np.bincount(out.keep_seg, weights=_BRACKET_DELTA.take(keep_vals), minlength=n_records)
     parity = np.bincount(out.quote_seg, minlength=n_records) % 2
     balanced = (brace == 0) & (bracket == 0) & (parity == 0)
     if not balanced.all():
-        kept = balanced[out.keep_seg]
-        keep, keep_vals = keep[kept], keep_vals[kept]
-        quotes = quotes[balanced[out.quote_seg]]
+        kept = np.flatnonzero(balanced.take(out.keep_seg))
+        keep, keep_vals = keep.take(kept), keep_vals.take(kept)
+        quotes = quotes.take(np.flatnonzero(balanced.take(out.quote_seg)))
     chunk = PositionChunk(
         start=0,
         length=len(region),
-        keep=keep.astype(np.int64),
+        keep=keep,
         keep_vals=keep_vals,
-        quotes=quotes.astype(np.int64),
+        quotes=quotes,
         carry_in=INITIAL_CARRY,
         carry_out=INITIAL_CARRY,
     )

@@ -207,7 +207,8 @@ def load_buffer(
     payload_start = _align8(16 + header_len)
     if payload_start + payload_len > len(mm):
         raise _fail("truncated payload", "truncated")
-    if _crc(mm[payload_start : payload_start + payload_len]) != payload_crc:
+    # A memoryview slice: checksums the mapped pages without copying them.
+    if _crc(memoryview(mm)[payload_start : payload_start + payload_len]) != payload_crc:
         raise _fail("payload checksum mismatch (corrupt sidecar)", "checksum")
 
     def arr(meta: Any, dtype: Any, itemsize: int) -> np.ndarray:

@@ -7,14 +7,24 @@ the two are alternative materializations of the same structural facts.
 
 from __future__ import annotations
 
+import random
+
+import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.bits.classify import CharClass
 from repro.bits.index import BufferIndex
-from repro.bits.posindex import DEPTH_ZERO, DepthCarry, PositionBufferIndex, build_position_chunk
+from repro.bits.posindex import (
+    DEPTH_ZERO,
+    DepthCarry,
+    PositionBufferIndex,
+    build_position_chunk,
+    build_record_batch,
+)
 from repro.bits.strings import StringCarry
-from repro.data.datasets import large_record
+from repro.data.datasets import DATASETS, large_record, record_stream
+from repro.stream.records import RecordStream
 
 _JSONISH = st.binary(max_size=400)
 _DENSE = st.lists(st.sampled_from(list(b'ab"\\ {}[]:,')), max_size=400).map(bytes)
@@ -91,8 +101,6 @@ class TestSingleDecode:
     DATA = b'{"a": [1, 2], "b": {"c": [3]}}'
 
     def test_positions_decodes_once(self):
-        import numpy as np
-
         chunk = build_position_chunk(self.DATA, 0)
         counter = {"eq": 0}
 
@@ -175,8 +183,6 @@ def _walk_classify(data: bytes, carry: StringCarry, segments: list[tuple[int, in
 
 
 def _kernel(data: bytes, carry: StringCarry, segments: list[tuple[int, int]] | None):
-    import numpy as np
-
     from repro.bits.posindex import _classify_segments
 
     buf = np.frombuffer(data, dtype=np.uint8)
@@ -312,7 +318,6 @@ class TestStage1Reference:
         assert list(tables.events) == [row[0] for row in rows]
         assert list(tables.after) == [row[2] for row in rows]
         assert _as_lists(tables.commas_by_depth) == _grouped(rows, frozenset(b","), 2)
-        assert _as_lists(tables.colons_by_depth) == _grouped(rows, frozenset(b":"), 2)
         assert _as_lists(tables.opens_by_depth(0x7B)) == _grouped(rows, frozenset(b"{"), 2)
         assert _as_lists(tables.opens_by_depth(0x5B)) == _grouped(rows, frozenset(b"["), 2)
         assert _as_lists(tables.closes_by_depth) == _grouped(rows, frozenset(b"}]"), 2)
@@ -321,5 +326,52 @@ class TestStage1Reference:
             assert list(pair.events) == [row[0] for row in events]
             assert list(pair.after) == [row[key] for row in events]
             assert _as_lists(pair.closes_by_depth) == _grouped(events, frozenset((closer,)), key)
-            assert pair.opens.tolist() == [row[0] for row in events if row[1] == opener]
-            assert pair.opens_after.tolist() == [row[key] for row in events if row[1] == opener]
+
+
+class TestKernelOutputLayout:
+    """What the sidecar writer and ``_q_array`` read from a chunk:
+    ``keep`` and ``quotes`` are int64, absolute and strictly ascending,
+    and ``keep_vals`` is uint8 — for a chunk built at an offset and for
+    record batches with and without unbalanced records."""
+
+    @staticmethod
+    def _check(chunk, data: bytes, start: int) -> None:
+        for arr in (chunk.keep, chunk.quotes):
+            assert arr.dtype == np.int64
+            assert (np.diff(arr) > 0).all()
+            assert ((arr >= start) & (arr < start + len(data))).all()
+        assert chunk.keep_vals.dtype == np.uint8
+        # Absolute: each position, less the chunk start, names its byte.
+        assert bytes(chunk.keep_vals) == bytes(data[p - start] for p in chunk.keep.tolist())
+        assert set(data[p - start] for p in chunk.quotes.tolist()) == {0x22}
+
+    def test_chunk_build(self):
+        for name in DATASETS:
+            doc = large_record(name, 20_000, seed=1)
+            for carry in _CARRIES:
+                chunk = build_position_chunk(doc, 4096, carry, DepthCarry(3, 1, 2))
+                self._check(chunk, doc, 4096)
+                assert chunk.quotes.size and (chunk.keep.size or carry.in_string)
+
+    def test_record_batches(self):
+        rng = random.Random("layout")
+        for name in DATASETS:
+            records = list(record_stream(name, 20_000, seed=1))
+            stray = [_insert_stray(r, rng) if i % 3 == 0 else r for i, r in enumerate(records)]
+            stray[1] = b'"' + stray[1]  # at least one unbalanced record
+            for recs in (records, stray):
+                stream = RecordStream.from_records(recs, separator=b"\n")
+                offsets = stream.offsets
+                chunk, balanced = build_record_batch(stream.payload, offsets[:, 0], offsets[:, 1])
+                self._check(chunk, stream.payload, 0)
+                assert chunk.keep.size and chunk.quotes.size
+                assert balanced.all() if recs is records else not balanced.all()
+                inside = np.zeros(len(stream.payload), dtype=bool)
+                for start, end in offsets[balanced].tolist():
+                    inside[start:end] = True
+                assert inside.take(chunk.keep).all() and inside.take(chunk.quotes).all()
+
+
+def _insert_stray(record: bytes, rng: random.Random) -> bytes:
+    at = rng.randrange(len(record))
+    return record[:at] + bytes([rng.choice(b'"\\{]')]) + record[at:]
