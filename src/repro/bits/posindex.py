@@ -8,7 +8,7 @@ this module builds those directly from one classification pass:
 1. ``bytes.translate`` over the chunk's own bytes marks every
    metacharacter, quote and backslash with 1; viewed as ``bool``, one
    ``flatnonzero`` turns that mask into the *interesting stream* (the
-   positions of those bytes, and one gather their values);
+   positions of those bytes, and one ``take`` their values);
 2. backslash runs are reduced to (start, end, length) triples, giving
    each quote's escaped/unescaped status (odd-run rule, carried across
    chunks exactly like :func:`repro.bits.words.escaped_positions`);
@@ -423,12 +423,13 @@ def _classify_segments(
         if run_ends.size:
             ri = np.searchsorted(run_ends, q - 1)
             ri_c = np.minimum(ri, len(run_ends) - 1)
+            run_start = run_starts.take(ri_c)
             has_run = run_ends.take(ri_c) == q - 1
             if segmented:
                 # A run in the previous segment does not escape a quote
                 # that opens this one.
-                has_run &= run_starts.take(ri_c) >= starts.take(q_seg)
-            eff = run_lens.take(ri_c) - ((run_starts.take(ri_c) == 0) & pending_in)
+                has_run &= run_start >= starts.take(q_seg)
+            eff = run_lens.take(ri_c) - ((run_start == 0) & pending_in)
             escaped = has_run & (eff % 2 == 1)
         else:
             escaped = np.zeros(q.size, dtype=bool)
