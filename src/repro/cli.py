@@ -570,7 +570,13 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
         if args.jsonl:
             stream = RecordStream.from_jsonl(data)
             if args.paths:
-                pairs = [p for i in range(len(stream)) for p in engine.run_with_paths(stream.record(i))]
+                pairs = []
+                for i in range(len(stream)):
+                    try:
+                        pairs.extend(engine.run_with_paths(stream.record(i)))
+                    except ReproError as exc:
+                        exc.record = i
+                        raise
             else:
                 matches = engine.run_records(stream)
         elif args.paths:
@@ -578,14 +584,17 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
         else:
             matches = engine.run(record)
     except ReproError as exc:
-        print(f"error: {exc}", file=err)
+        failed = getattr(exc, "record", None)
+        # A record's error position is relative to that record's bytes.
+        where = data if failed is None else RecordStream.from_jsonl(data).record(failed)
+        print(f"error: {exc}" if failed is None else f"error: record {failed}: {exc}", file=err)
         # JsonPathSyntaxError.position is an offset into the query, not
         # the input — a data caret would point at the wrong text.
         position = None if isinstance(exc, JsonPathSyntaxError) else getattr(exc, "position", None)
-        if position is not None and position >= 0 and data:
+        if position is not None and position >= 0 and where:
             from repro.errors import format_error_context
 
-            print(format_error_context(data, position), file=err)
+            print(format_error_context(where, position), file=err)
         if registry is not None:
             registry.counter("cli.errors", error=type(exc).__name__).add(1)
         # Flush --metrics/--trace even on failure: the error counters are

@@ -62,12 +62,14 @@ class EngineBase:
         raise NotImplementedError
 
     def run_records(self, stream: "RecordStream") -> "MatchList":
+        """Run every record of ``stream`` (strict ``drive_records``); matches in record order."""
         from repro.engine.output import MatchList
+        from repro.resilience.recovery import drive_records
 
-        all_matches = MatchList()
-        for record in stream:
-            all_matches.extend(self.run(record))
-        return all_matches
+        matches = MatchList()
+        for _, found, _ in drive_records(self, stream):
+            matches.extend(found)
+        return matches
 
     def run_file(self, path: str) -> "MatchList":
         """Read a file and stream it as one record."""

@@ -39,7 +39,7 @@ were measurable against the character-at-a-time baselines.
 from __future__ import annotations
 
 import sys
-from typing import Callable, Iterator, Sequence
+from typing import Iterator
 
 from repro.bits.classify import CharClass
 from repro.bits.index import DEFAULT_CHUNK_SIZE
@@ -86,7 +86,7 @@ class _Suspend(Exception):
 class _Pass:
     """The streaming pass :class:`JsonSki` and
     :class:`~repro.engine.multi.JsonSkiMulti` share: buffer setup, one
-    plain or observed ``_Run``, and the batched record loop.  Subclasses
+    plain or observed ``_Run``, and batched record inputs.  Subclasses
     compile :attr:`automaton` and shape each run's matches."""
 
     #: ``engine`` attribute of the ``scan`` span.
@@ -214,35 +214,6 @@ class _Pass:
             stream, start, stop, mode=self.mode, chunk_size=self.chunk_size,
             cache_chunks=self.cache_chunks, tracer=self._tracer, metrics=self._metrics,
         )
-
-    def _run_records(
-        self,
-        stream: RecordStream,
-        totals: list[MatchList],
-        run: Callable[[StreamBuffer | BatchRecord], Sequence[MatchList]],
-    ) -> None:
-        """Stream a small-record sequence; matches accumulate in order.
-
-        Stage 1 runs once per batch of records (:meth:`record_buffers`);
-        each record then gets its own ``run`` within its bounds, whose
-        match lists (one per query) extend ``totals``.  :attr:`last_stats`
-        ends as the sum over all records.
-        """
-        tracer = self._tracer
-        total_stats = FastForwardStats() if (self.collect_stats or self._observed) else None
-        for i, buffer in enumerate(self.record_buffers(stream)):
-            if tracer.enabled:
-                with tracer.span("record", index=i):
-                    per_query = run(buffer)
-            else:
-                per_query = run(buffer)
-            for total, matches in zip(totals, per_query):
-                total.extend(matches)
-            if total_stats is not None and self.last_stats is not None:
-                total_stats.merge(self.last_stats)
-        if self._metrics is not None:
-            self._metrics.counter("engine.records").add(len(stream))
-        self.last_stats = total_stats
 
 
 class JsonSki(_Pass, EngineBase):
@@ -385,16 +356,6 @@ class JsonSki(_Pass, EngineBase):
     def exists(self, data: bytes | str | StreamBuffer) -> bool:
         """Whether the record matches at all; stops at the first hit."""
         return self.first(data) is not None
-
-    def run_records(self, stream: RecordStream) -> MatchList:
-        """Stream a small-record sequence; matches accumulate in order.
-
-        Stage 1 runs once per batch of records (:meth:`record_buffers`);
-        each record then gets its own :meth:`run` within its bounds.
-        """
-        matches = MatchList()
-        self._run_records(stream, [matches], lambda buffer: (self.run(buffer),))
-        return matches
 
 
 class _Run:

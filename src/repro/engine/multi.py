@@ -19,6 +19,7 @@ from repro.engine.jsonski import _Pass, _Run
 from repro.engine.output import MatchList
 from repro.jsonpath.ast import Path
 from repro.query.automaton import QueryAutomaton
+from repro.resilience.recovery import drive_records
 from repro.stream.buffer import StreamBuffer
 from repro.stream.records import RecordStream
 
@@ -83,8 +84,9 @@ class JsonSkiMulti(_Pass):
         return self._execute(data, run_type=_MultiRun).per_query
 
     def run_records(self, stream: RecordStream) -> list[MatchList]:
-        """Stream a small-record sequence with batched stage 1 (see
-        :meth:`repro.engine.jsonski.JsonSki.run_records`)."""
+        """:meth:`repro.engine.base.EngineBase.run_records`, one MatchList per query."""
         totals = [MatchList() for _ in range(self.n_queries)]
-        self._run_records(stream, totals, self.run)
+        for _, per_query, _ in drive_records(self, stream):
+            for total, matches in zip(totals, per_query):
+                total.extend(matches)
         return totals

@@ -272,17 +272,20 @@ class IndexedBuffer:
         registry = resolve(metrics)
         corpus: bytes = data
         sweep_stale_tmp(FsPath(cache_dir), fs=fs, metrics=registry)
-        path = sidecar.sidecar_path(cache_dir, corpus, chunk_size)
+        fp = sidecar.fingerprint(corpus)
+        path = sidecar.sidecar_path(cache_dir, corpus, chunk_size, fp)
 
         def load() -> "IndexedBuffer | None":
             try:
-                return cls.load(path, corpus, chunk_size=chunk_size)
+                loaded = cls(sidecar.load_buffer(path, corpus, chunk_size, fp))
             except IndexSidecarError as exc:
                 reason = getattr(exc, "reason", "unspecified")
                 registry.counter("storage.sidecar_rejects", reason=reason).add(1)
                 if reason != "missing":
                     quarantine(path, reason, detail=str(exc), fs=fs, metrics=registry)
                 return None
+            loaded.sidecar = FsPath(path)
+            return loaded
 
         def build() -> "IndexedBuffer":
             built = cls(corpus, mode=mode, chunk_size=chunk_size).warm()

@@ -69,11 +69,12 @@ def fingerprint(data: bytes) -> dict[str, int]:
     return {"len": len(data), "crc32": _crc(data)}
 
 
-def sidecar_path(cache_dir: str | Path, data: bytes, chunk_size: int) -> Path:
-    """Deterministic sidecar location for ``data`` under ``cache_dir``."""
-    fp = fingerprint(data)
-    name = f"idx-{fp['crc32']:08x}-{fp['len']}-c{chunk_size}{SUFFIX}"
-    return Path(cache_dir) / name
+def sidecar_path(
+    cache_dir: str | Path, data: bytes, chunk_size: int, fp: dict | None = None
+) -> Path:
+    """Deterministic sidecar location for ``data`` (fingerprint ``fp``) under ``cache_dir``."""
+    fp = fp or fingerprint(data)
+    return Path(cache_dir) / f"idx-{fp['crc32']:08x}-{fp['len']}-c{chunk_size}{SUFFIX}"
 
 
 def save_buffer(
@@ -152,9 +153,10 @@ def load_buffer(
     path: str | Path,
     data: bytes,
     chunk_size: int | None = None,
+    fp: dict | None = None,
 ) -> StreamBuffer:
     """Reconstruct a fully-warm vector :class:`StreamBuffer` for ``data``
-    from the sidecar at ``path``.
+    (fingerprint ``fp``, if known) from the sidecar at ``path``.
 
     Position arrays are ``np.frombuffer`` views over a read-only mmap of
     the sidecar (zero copy, pages shared across processes); the chunk
@@ -196,7 +198,7 @@ def load_buffer(
         raise _fail(f"mode {mode!r} (vector only)", "mode")
     if chunk_size is not None and stored_chunk_size != chunk_size:
         raise _fail(f"chunk size {stored_chunk_size} (caller needs {chunk_size})", "chunk_size")
-    if corpus != fingerprint(data):
+    if corpus != (fp or fingerprint(data)):
         raise _fail(
             "corpus fingerprint mismatch (data changed since the sidecar was written)",
             "fingerprint",

@@ -17,6 +17,7 @@ from typing import Any, Iterator
 
 from repro.engine.multi import JsonSkiMulti
 from repro.jsonpath.ast import Path
+from repro.resilience.recovery import drive_records
 from repro.stream.records import RecordStream
 
 
@@ -51,7 +52,9 @@ class Extractor:
 
     def extract(self, record: bytes | str) -> dict[str, Any]:
         """One record → one row (a plain dict)."""
-        results = self._engine.run(record)
+        return self._row(self._engine.run(record))
+
+    def _row(self, results: list) -> dict[str, Any]:
         row: dict[str, Any] = {}
         for column, matches in zip(self.columns, results):
             if self.mode == "list":
@@ -62,8 +65,8 @@ class Extractor:
 
     def extract_records(self, stream: RecordStream) -> Iterator[dict[str, Any]]:
         """Lazily extract a row per record of a stream."""
-        for record in stream:
-            yield self.extract(record)
+        for _, results, _ in drive_records(self._engine, stream):
+            yield self._row(results)
 
     def extract_many(self, records: "RecordStream | list[bytes]") -> list[dict[str, Any]]:
         """Materialized form of :meth:`extract_records`."""

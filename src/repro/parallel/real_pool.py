@@ -21,8 +21,8 @@ loop with a null store and the whole stream as one segment — and each
 segment goes through one bisect/retry/isolated-trial executor.  With
 ``n_workers=1`` and no fault injection a segment runs in-process, the
 deterministic reference the tests compare against.  Workers evaluate
-records with :func:`repro.resilience.recovery.evaluate_record`, the same
-per-record error taxonomy as the serial runner.
+records with :func:`repro.resilience.recovery.drive_records`, the same
+lenient record loop as the serial runner.
 """
 
 from __future__ import annotations
@@ -103,9 +103,9 @@ def _run_batch_resilient(
 ) -> tuple[list[tuple], dict | None]:
     """Worker: evaluate each record, capturing per-record failures.
 
-    Returns one :func:`~repro.resilience.recovery.evaluate_record` pair
-    per record (failures indexed within the batch) and, when
-    ``metered``, the snapshot of a registry fresh to this dispatch
+    Returns the lenient :func:`~repro.resilience.recovery.drive_records`
+    results ``(index, values, failure)``, indexed within the batch, and,
+    when ``metered``, the snapshot of a registry fresh to this dispatch
     (``None`` otherwise), so the parent-side merge is a plain sum.  A
     record that merely raises stays a data point instead of a process
     casualty — only genuine interpreter/OS death (or the injected fault
@@ -132,8 +132,7 @@ def _run_batch_resilient(
                 time.sleep(HANG_SECONDS)
     from repro.observe import MetricsRegistry
     from repro.registry import compile as compile_engine
-    from repro.resilience.recovery import evaluate_record
-    from repro.stream.batches import record_inputs
+    from repro.resilience.recovery import drive_records
 
     registry = MetricsRegistry() if metered else None
     if limits is not None or metered:
@@ -146,8 +145,7 @@ def _run_batch_resilient(
             _WORKER_ENGINE = compile_engine(query)
             _WORKER_QUERY = query
         engine = _WORKER_ENGINE
-    inputs = record_inputs(engine, RecordStream.from_records(records))
-    out = [evaluate_record(engine, i, record) for i, record in enumerate(inputs)]
+    out = list(drive_records(engine, RecordStream.from_records(records), lenient=True))
     if registry is None:
         return out, None
     registry.counter("parallel.batch_records").add(len(records))
@@ -365,10 +363,10 @@ def _run_segment(
     metered = metrics is not None
 
     def harvest(batch_start: int, out: tuple[list[tuple], dict | None]) -> None:
-        pairs, snapshot = out
+        results, snapshot = out
         if snapshot is not None:
             metrics.merge_dict(snapshot)
-        for offset, (values, failure) in enumerate(pairs):
+        for offset, values, failure in results:
             if failure is None:
                 result.values[batch_start + offset] = values
             else:

@@ -14,15 +14,14 @@ answer to what that leaves open:
   asserting every engine either agrees with the reference, raises a
   :class:`~repro.errors.ReproError`, or hits the documented skip-region
   blind spot — never crashes, never hangs;
-- :mod:`~repro.resilience.recovery` — record-stream resynchronization:
-  skip a malformed record, resume at the next boundary, report it.
-  :func:`~repro.resilience.recovery.evaluate_record` is the one
-  per-record error taxonomy; :func:`run_with_recovery` is the serial
-  record runner, one loop whether or not it is checkpointed.
+- :mod:`~repro.resilience.recovery` — the one record loop
+  (:func:`~repro.resilience.recovery.drive_records`, strict or lenient)
+  and record-stream resynchronization: skip a malformed record, resume
+  at the next boundary, report it (:func:`run_with_recovery`).
 
 The pool runner, :func:`repro.parallel.run_records_pool_resilient`, is
 the same contract over worker processes (worker replacement, retry with
-backoff, poison-record quarantine), with the same single loop and the
+backoff, poison-record quarantine), with the same record loop and the
 same per-record evaluator inside its workers.
 """
 

@@ -1,4 +1,4 @@
-"""Graceful degradation over record streams: skip, resync, report.
+"""Record streams: one record loop (:func:`drive_records`); skip, resync, report.
 
 A multi-gigabyte feed with one truncated record should not lose the
 other billion.  :func:`run_with_recovery` evaluates a query over a
@@ -17,10 +17,13 @@ damaged) lives in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterator
 
+from repro.engine.prepared import PreparedQuery
+from repro.engine.stats import FastForwardStats
 from repro.errors import ReproError, ResourceLimitError
-from repro.stream.batches import record_inputs
+from repro.observe import NOOP_TRACER
+from repro.stream.records import RecordStream
 
 
 @dataclass(frozen=True)
@@ -37,16 +40,6 @@ class RecordFailure:
     error: str
     message: str
     position: int | None = None
-
-    @classmethod
-    def from_exception(cls, index: int, exc: ReproError) -> "RecordFailure":
-        return cls(
-            index=index,
-            kind="error",
-            error=type(exc).__name__,
-            message=str(exc),
-            position=getattr(exc, "position", None),
-        )
 
 
 @dataclass
@@ -98,11 +91,11 @@ def evaluate_record(
     """Evaluate one record: ``(values, None)`` or ``(None, failure)``.
 
     ``record`` is the record's bytes, its standalone buffer or its
-    :class:`~repro.stream.batches.BatchRecord`, as
-    :func:`repro.stream.batches.record_inputs` gives them.
+    :class:`~repro.stream.batches.BatchRecord`, as :func:`drive_records`
+    gives them.
 
-    The one home of the per-record error taxonomy, shared by the serial
-    runner, the pool workers and the query service: a
+    The one home of the per-record error taxonomy (the lenient policy of
+    :func:`drive_records`): a
     :class:`~repro.errors.ReproError` becomes a ``kind="error"``
     :class:`RecordFailure` named after its class, and a ``ValueError``
     from decoding a matched slice (``run()`` tolerated a skip-region
@@ -112,15 +105,64 @@ def evaluate_record(
 
     ``materialize=False`` returns the lazy
     :class:`~repro.engine.output.MatchList` instead of decoded values;
-    nothing decodes, so ``UndecodableMatch`` cannot occur.
+    only a filter predicate still decodes (the values it compares), so
+    only it can cause ``UndecodableMatch``.
     """
     try:
         matches = engine.run(record)
         return (matches.values() if materialize else matches), None
     except ReproError as exc:
-        return None, RecordFailure.from_exception(index, exc)
+        position = getattr(exc, "position", None)
+        return None, RecordFailure(index, "error", type(exc).__name__, str(exc), position)
     except ValueError as exc:
         return None, RecordFailure(index, "error", "UndecodableMatch", str(exc))
+
+
+def drive_records(
+    engine: Any, stream: RecordStream, start: int = 0, stop: int | None = None,
+    *, lenient: bool = False, materialize: bool = True,
+) -> Iterator[tuple[int, Any, RecordFailure | None]]:
+    """The record loop of every record path: ``(i, result, failure)`` for
+    records ``[start, stop)`` of ``stream``, each run only when asked for.
+
+    Inputs: a two-stage engine's batched ``record_buffers``, else each
+    record's bytes.  Strict (default): ``result`` is ``engine.run``'s
+    output; a record's :class:`ReproError` propagates, ``exc.record = i``.
+    Lenient: :func:`evaluate_record`'s pair.  Per record: a ``record``
+    span, ``engine.records``; ``engine.last_stats`` sums completed records
+    (a failed run leaves the sum so far, or an older run's, in place).
+    """
+    if isinstance(engine, PreparedQuery):  # a record is never an IndexedBuffer to unwrap
+        engine = engine.engine
+    batched = getattr(engine, "record_buffers", None)
+    if batched is not None:
+        inputs = batched(stream, start, stop)
+    else:
+        inputs = (stream.record(i) for i in range(start, len(stream) if stop is None else stop))
+    tracer = getattr(engine, "_tracer", NOOP_TRACER)
+    metrics = getattr(engine, "_metrics", None)
+    records = metrics.counter("engine.records") if metrics is not None else None
+    total = None
+    for i, record in enumerate(inputs, start):
+        if records is not None:
+            records.add(1)
+        with tracer.span("record", index=i):
+            if lenient:
+                result, failure = evaluate_record(engine, i, record, materialize)
+            else:
+                try:
+                    result, failure = engine.run(record), None
+                except ReproError as exc:
+                    exc.record = i
+                    raise
+        stats = engine.last_stats
+        if stats is not None and stats is not total:
+            if total is None:
+                total = FastForwardStats()
+            if failure is None:
+                total.merge(stats)
+            engine.last_stats = total
+        yield i, result, failure
 
 
 def run_with_recovery(
@@ -139,8 +181,8 @@ def run_with_recovery(
     """Evaluate ``engine`` over every record, surviving malformed ones.
 
     Each record that raises a :class:`ReproError` becomes a
-    :class:`RecordFailure` (see :func:`evaluate_record`); processing
-    resumes at the next record boundary.  A
+    :class:`RecordFailure` (the lenient policy of :func:`drive_records`);
+    processing resumes at the next record boundary.  A
     :class:`~repro.errors.DeadlineExceededError` (the cooperative
     deadline is a property of the whole run, not of one record) and
     ``max_failures`` overruns abort the run early — the partial result
@@ -174,8 +216,8 @@ def run_with_recovery(
     :class:`~repro.engine.output.MatchList` in ``values`` instead of
     decoded lists (and, with a checkpoint, stages/emits raw byte ranges)
     — zero ``json.loads`` unless a consumer touches a value.  The
-    ``UndecodableMatch`` failure class disappears in this mode, since
-    nothing decodes the matched slices.
+    ``UndecodableMatch`` failure class then comes only from filter
+    predicates, which decode the values they compare.
     """
     from repro.checkpoint.runs import RECOVERY_KIND, open_checkpointer
     from repro.jsonpath.ast import Path
@@ -198,11 +240,12 @@ def run_with_recovery(
     interrupted = False
     if not ck.done:
         since_commit = 0
-        for i, record in enumerate(record_inputs(engine, stream, ck.cursor), ck.cursor):
-            if stop is not None and stop(i):
+        results = drive_records(engine, stream, ck.cursor, lenient=True, materialize=materialize)
+        while ck.cursor < n:
+            if stop is not None and stop(ck.cursor):
                 interrupted = True
                 break
-            values[i], failure = evaluate_record(engine, i, record, materialize)
+            i, values[i], failure = next(results)
             if failure is not None:
                 ck.failures.append(failure)
                 if metrics is not None:
@@ -231,6 +274,7 @@ __all__ = [
     "RecordFailure",
     "RecoveryResult",
     "ResourceLimitError",
+    "drive_records",
     "evaluate_record",
     "run_with_recovery",
 ]

@@ -41,7 +41,7 @@ from typing import Any, Callable
 from repro.errors import DeadlineExceededError, ReproError
 from repro.observe import MetricsRegistry, render_prometheus
 from repro.resilience.guards import DEFAULT_MAX_DEPTH, Limits
-from repro.resilience.recovery import RecordFailure, evaluate_record
+from repro.resilience.recovery import RecordFailure, drive_records, evaluate_record
 from repro.serve.admission import AdmissionQueue
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.drain import DrainCoordinator
@@ -59,7 +59,6 @@ from repro.serve.protocol import (
     send_response,
 )
 from repro.serve.registry import Corpus, CorpusRegistry
-from repro.stream.batches import record_inputs
 
 _CHECKPOINT_ID = re.compile(r"^[A-Za-z0-9_.-]{1,64}$")
 
@@ -474,8 +473,8 @@ class QueryService:
                 framed, emitted, _, stop_at = await loop.run_in_executor(
                     self.executor,
                     lambda: _frame_pairs(
-                        [evaluate_record(prepared, 0, corpus.indexed(prepared))],
-                        0, strict=True,
+                        [(0, *evaluate_record(prepared, 0, corpus.indexed(prepared)))],
+                        strict=True,
                     ),
                 )
             except ReproError as exc:
@@ -517,8 +516,8 @@ class QueryService:
                 return "served"  # the *client's* budget, not corpus health
             batch_end = min(n, i + self.config.batch_size)
             framed, batch_emitted, batch_skipped, stop_at = await loop.run_in_executor(
-                self.executor, _frame_record_batch, prepared, records, i, batch_end,
-                mode == "strict",
+                self.executor, _frame_pairs,
+                drive_records(prepared, records, i, batch_end, lenient=True), mode == "strict",
             )
             await stream.send_framed(framed)
             emitted += batch_emitted
@@ -641,40 +640,26 @@ class QueryService:
         return "served" if failure.error == "DeadlineExceededError" else "failed"
 
 
-def _run_record_batch(prepared, records, start: int, stop: int) -> list[tuple]:
-    """Executor-side: one :func:`evaluate_record` pair per record of a
-    batch; any batch index (:func:`record_inputs`) dies with the call."""
-    inputs = record_inputs(prepared, records, start, stop)
-    return [evaluate_record(prepared, j, record) for j, record in enumerate(inputs, start)]
-
-
-def _frame_pairs(
-    pairs, start: int, strict: bool
-) -> tuple[bytes, int, int, RecordFailure | None]:
-    """Executor-side: frame :func:`evaluate_record` pairs numbered from
-    ``start`` as NDJSON chunks (:func:`frame_line`).
+def _frame_pairs(results, strict: bool) -> tuple[bytes, int, int, RecordFailure | None]:
+    """Executor-side: frame ``(index, values, failure)`` as NDJSON chunks (:func:`frame_line`).
 
     Returns ``(framed, emitted, skipped, stop_at)``.  ``stop_at`` is the
     first failure that ends the stream — a deadline, or any failure in
     strict mode — and ``framed`` holds only the lines before it; a
-    lenient failure becomes a ``skipped`` line.
+    lenient failure becomes a ``skipped`` line.  ``results`` is consumed
+    no further, so a lazy :func:`drive_records` runs no record past it.
+    Lines are encoded after the last record ran: encoding each one
+    between two records' runs measured about 8% slower.
     """
-    parts = []
+    lines = []
     emitted = skipped = 0
-    for j, (values, failure) in enumerate(pairs, start):
+    for j, values, failure in results:
         if failure is None:
-            parts.append(frame_line({"index": j, "values": values}))
+            lines.append({"index": j, "values": values})
             emitted += len(values)
         elif strict or failure.error == "DeadlineExceededError":
-            return b"".join(parts), emitted, skipped, failure
+            return b"".join(map(frame_line, lines)), emitted, skipped, failure
         else:
             skipped += 1
-            parts.append(frame_line({"index": j, "skipped": failure.error}))
-    return b"".join(parts), emitted, skipped, None
-
-
-def _frame_record_batch(
-    prepared, records, start: int, stop: int, strict: bool
-) -> tuple[bytes, int, int, RecordFailure | None]:
-    """Executor-side: run records ``[start, stop)`` and frame their lines."""
-    return _frame_pairs(_run_record_batch(prepared, records, start, stop), start, strict)
+            lines.append({"index": j, "skipped": failure.error})
+    return b"".join(map(frame_line, lines)), emitted, skipped, None

@@ -19,7 +19,7 @@ their memory bounded), empty or out-of-range offsets, and *unbalanced*
 records (see :func:`~repro.bits.posindex.build_record_batch`) — so the
 errors of malformed records come out of the same code as ever.  Word
 mode keeps one standalone buffer per record.  Every record path takes
-its inputs from :func:`record_inputs`.
+its inputs from here through :func:`repro.resilience.recovery.drive_records`.
 """
 
 from __future__ import annotations
@@ -137,15 +137,3 @@ def record_buffers(
             else:
                 yield standalone(k)
         i = j
-
-
-def record_inputs(
-    engine: Any, stream: RecordStream, start: int = 0, stop: int | None = None
-) -> Iterator[Any]:
-    """What ``engine.run`` gets for records ``[start, stop)``, in order: a
-    two-stage (JSONSki) engine's own batched inputs
-    (``JsonSki.record_buffers``), any other engine each record's bytes."""
-    batched = getattr(engine, "record_buffers", None)
-    if batched is not None:
-        return batched(stream, start, stop)
-    return (stream.record(i) for i in range(start, len(stream) if stop is None else stop))

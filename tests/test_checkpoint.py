@@ -429,9 +429,10 @@ class TestCheckpointedPool:
             "$.a", _Batch(5, [b'{"a": 42}']), 30.0, False,
             lambda start, out: harvested.update({start: out}),
         )
-        # The worker's output: its evaluate_record pairs, and no metrics
-        # snapshot for an unmetered dispatch.
-        assert ok and harvested[5] == ([([42], None)], None)
+        # The worker's output: its lenient drive_records results (indexed
+        # within the batch), and no metrics snapshot for an unmetered
+        # dispatch.
+        assert ok and harvested[5] == ([(0, [42], None)], None)
 
     def test_isolated_trial_convicts_worker_killer(self):
         from repro.parallel.real_pool import _Batch, _isolated_trial

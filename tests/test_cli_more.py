@@ -71,6 +71,17 @@ class TestFlagCombinations:
         assert code == 4
         assert "^" in err  # the caret line
 
+    @pytest.mark.parametrize("extra", [[], ["--paths"]])
+    def test_jsonl_error_context_is_the_failing_record(self, tmp_path, extra):
+        bad = b'{"a":{"b":2},"c":[1,2,3}'
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b'{"a":{"b":1}}\n' + bad + b'\n{"a":{"b":3}}\n')
+        code, _, err = run_cli(["$.a.b", str(path), "--jsonl", *extra])
+        message, context, caret = err.splitlines()
+        assert code == 4 and message.startswith("error: record 1: ")
+        position = int(message.rsplit("(at byte ", 1)[1].rstrip(")"))
+        assert context == bad.decode() and caret == " " * position + "^"
+
     def test_stdlib_engine_from_cli(self, doc):
         code, out, _ = run_cli(["$.a[1]", doc, "--engine", "stdlib"])
         assert code == 0 and out.strip() == "20"

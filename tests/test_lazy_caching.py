@@ -269,6 +269,18 @@ class TestSidecar:
         assert second.sidecar == first.sidecar
         assert second.buffer.index.chunks_built == 0
 
+    def test_warm_load_checksums_the_corpus_once(self, tmp_path, monkeypatch):
+        data = _corpus()
+        IndexedBuffer.load_or_build(data, tmp_path, chunk_size=CHUNK)
+        sizes = []
+        crc = sidecar._crc
+        monkeypatch.setattr(sidecar, "_crc", lambda b: sizes.append(len(b)) or crc(b))
+        warm = IndexedBuffer.load_or_build(data, tmp_path, chunk_size=CHUNK)
+        assert warm.buffer.index.chunks_built == 0
+        # One pass over the corpus (name and fingerprint check), one over
+        # the sidecar payload (its checksum).
+        assert len(sizes) == 2 and sizes.count(len(data)) == 1
+
     def test_prepared_index_routes_through_cache(self, tmp_path):
         data = _corpus()
         eng = repro.compile("$[*].a.b")

@@ -26,12 +26,12 @@ from repro.bits.posindex import build_position_chunk, build_record_batch
 from repro.data.datasets import DATASETS, record_stream
 from repro.engine.multi import JsonSkiMulti
 from repro.engine.output import MatchList
+from repro.errors import DeadlineExceededError, ReproError
 from repro.parallel import run_records_pool_resilient
 from repro.resilience import Limits, run_with_recovery
 from repro.resilience.faults import MUTATORS, mutate
-from repro.resilience.recovery import evaluate_record
-from repro.serve.app import _run_record_batch
-from repro.stream.batches import BATCH_BYTES, record_buffers
+from repro.resilience.recovery import drive_records, evaluate_record
+from repro.stream.batches import BATCH_BYTES, BatchRecord, record_buffers
 from repro.stream.records import RecordStream
 
 SMALL_QUERIES = [(name, q.small) for name, spec in DATASETS.items() for q in spec.queries if q.small]
@@ -268,6 +268,26 @@ class TestObservability:
             want = {(c.name, c.labels): c.value for c in reference.counters() if c.name == "scanner.calls"}
             assert calls == want and sum(calls.values()) > 0, query
 
+    def test_every_record_path_observes_each_record(self):
+        stream = _stream(300)
+        seen = []
+        for run in (
+            lambda engine: engine.run_records(stream),
+            lambda engine: run_with_recovery(engine, stream),
+            lambda engine: list(drive_records(engine, stream, lenient=True, materialize=False)),
+        ):
+            tracer, registry = repro.Tracer(), repro.MetricsRegistry()
+            engine = repro.compile("$.a.b", collect_stats=True, tracer=tracer, metrics=registry)
+            run(engine)
+            stats = engine.last_stats
+            seen.append((
+                registry.value("engine.records"), len(tracer.named("record")),
+                stats.total_length, dict(stats.chars.items()),
+            ))
+        record_bytes = sum(len(stream.record(i)) for i in range(len(stream)))
+        assert seen[0][:3] == (len(stream), len(stream), record_bytes)
+        assert seen[1] == seen[0] and seen[2] == seen[0]
+
     def test_record_views_share_one_batch_index(self):
         stream = _stream(10)
         buffers = list(record_buffers(stream))
@@ -345,6 +365,10 @@ class TestLenientPathsDifferential:
         assert {"UndecodableMatch", "JsonSyntaxError"} <= errors
         assert len(HOSTILE.record(700)) > BATCH_BYTES
         assert len(_expected_batches(HOSTILE, 0, 700)) > 1
+        # Records fail both inside batches and standalone (unbalanced).
+        inputs = list(record_buffers(HOSTILE))
+        failing = {f[0] for q in QUERIES for f in _reference(repro.compile(q), HOSTILE, False)[1]}
+        assert {isinstance(inputs[i], BatchRecord) for i in failing} == {True, False}
 
     @pytest.mark.parametrize("materialize", [True, False])
     @pytest.mark.parametrize("max_failures", [None, 2])
@@ -368,12 +392,42 @@ class TestLenientPathsDifferential:
         start, step, n = 7, 250, len(HOSTILE)
         pairs = []
         for i in range(start, n, step):
-            pairs.extend(_run_record_batch(prepared, HOSTILE, i, min(n, i + step)))
+            results = drive_records(prepared, HOSTILE, i, min(n, i + step), lenient=True)
+            pairs.extend((v, f) for _, v, f in results)
         values, failures = _reference(repro.compile(query, limits=Limits()), HOSTILE)
         assert [_value(v) for v, _ in pairs] == values[start:]
         assert [_failure(f) for _, f in pairs if f is not None] == [
             f for f in failures if f[0] >= start
         ]
+
+    @pytest.mark.parametrize("query", QUERIES)
+    def test_run_records(self, query):
+        # Every failure is the first one of the suffix that starts after
+        # the one before it: strict run_records raises there with the
+        # lenient reference's error, and the records in between give its
+        # values.
+        values, failures = _reference(repro.compile(query), HOSTILE, materialize=False)
+        offsets = HOSTILE.offsets
+        start = 0
+        for failure in failures + [None]:
+            stop = len(HOSTILE) if failure is None else failure[0]
+            segment = RecordStream(HOSTILE.payload, offsets[start:stop])
+            clean = repro.compile(query).run_records(segment)
+            assert clean.offsets() == [o for v in values[start:stop] for o in v[0]]
+            assert clean.to_jsonl() == b"".join(v[1] for v in values[start:stop])
+            if failure is None:
+                break
+            with pytest.raises((ReproError, ValueError)) as info:
+                repro.compile(query).run_records(RecordStream(HOSTILE.payload, offsets[start:]))
+            exc = info.value
+            if isinstance(exc, ReproError):
+                assert exc.record == stop - start
+                error = type(exc).__name__
+            else:  # a filter predicate met an undecodable value
+                error = "UndecodableMatch"
+            assert (stop, "error", error, str(exc), getattr(exc, "position", None)) == failure
+            start = stop + 1
+        assert 700 not in {f[0] for f in failures}
 
 
 class TestBatchCountGate:
@@ -400,32 +454,73 @@ class TestBatchCountGate:
         assert registry.value("parallel.batch_records") == len(self.STREAM)
 
     def test_serve_ndjson_request(self):
-        import asyncio
-
-        from repro.serve import CorpusRegistry, QueryService, ServeConfig
-
-        class Writer:
-            def write(self, data: bytes) -> None:
-                pass
-
-            async def drain(self) -> None:
-                pass
-
-        corpora = CorpusRegistry()
-        corpus = corpora.register("t", self.STREAM.payload)
-        service = QueryService(corpora, ServeConfig(batch_size=256))
         registry = repro.MetricsRegistry()
-        service.registry.compile = lambda query, engine, limits: repro.compile(
-            query, engine=engine, limits=limits, metrics=registry
-        )
-        spec = {"corpus": corpus, "query": "$.a.b", "engine": "jsonski", "offset": 0, "workers": 0}
-        limits = service.base_limits(60.0)
-        outcome = asyncio.run(service._dispatch_streaming(spec, limits, "strict", Writer()))
+        outcome, stream = _serve_ndjson(self.STREAM, "strict", registry)
         assert outcome == "served"
-        stream = corpus.stream
         n = len(stream)
         batches = sum(
             len(_expected_batches(stream, i, min(n, i + 256))) for i in range(0, n, 256)
         )
         assert batches < n
         assert registry.value("index.chunks_built") == batches
+
+
+def _serve_ndjson(stream: RecordStream, mode: str, registry) -> tuple[str, RecordStream]:
+    """One ``$.a.b`` NDJSON request in ``mode`` over ``stream``'s payload,
+    its engine metered on ``registry``, in batches of 256 records:
+    ``(outcome, the corpus's record stream)``."""
+    import asyncio
+
+    from repro.serve import CorpusRegistry, QueryService, ServeConfig
+
+    class Writer:
+        def write(self, data: bytes) -> None:
+            pass
+
+        async def drain(self) -> None:
+            pass
+
+    corpora = CorpusRegistry()
+    corpus = corpora.register("t", stream.payload)
+    service = QueryService(corpora, ServeConfig(batch_size=256))
+    service.registry.compile = lambda query, engine, limits: repro.compile(
+        query, engine=engine, limits=limits, metrics=registry
+    )
+    spec = {"corpus": corpus, "query": "$.a.b", "engine": "jsonski", "offset": 0, "workers": 0}
+    limits = service.base_limits(60.0)
+    outcome = asyncio.run(service._dispatch_streaming(spec, limits, mode, Writer()))
+    return outcome, corpus.records_for(mode)
+
+
+class TestServeStopsAtTheFailure:
+    """An NDJSON request runs no record past the one that ends it."""
+
+    def test_strict_batch(self):
+        records = [BASE[i % 3] for i in range(256)]
+        records[2] = b'{"a": [1}'
+        registry = repro.MetricsRegistry()
+        stream = RecordStream.from_records(records, separator=b"\n")
+        outcome, _ = _serve_ndjson(stream, "strict", registry)
+        assert outcome == "failed"
+        assert registry.value("engine.records") == 3 and registry.value("engine.runs") == 2
+
+    def test_deadline_in_a_lenient_batch(self):
+        from repro.serve.app import _frame_pairs
+
+        class Expiring:
+            """Its third run meets an expired deadline."""
+
+            last_stats = None
+            runs = 0
+
+            def run(self, record):
+                self.runs += 1
+                if self.runs == 3:
+                    raise DeadlineExceededError("deadline expired")
+                return MatchList()
+
+        engine = Expiring()
+        results = drive_records(engine, _stream(256), 0, 256, lenient=True)
+        framed, emitted, skipped, stop_at = _frame_pairs(results, strict=False)
+        assert engine.runs == 3 and stop_at.index == 2 and stop_at.error == "DeadlineExceededError"
+        assert framed.count(b'"index"') == 2 and skipped == 0

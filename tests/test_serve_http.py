@@ -347,10 +347,11 @@ class TestBatchedRecordsByteIdentity:
         queries = ("$.a", "$.b", "$.c")
         batched = [self.respond(payload, q, mode, offset) for q in queries]
 
-        def per_record(prepared, records, start, stop):
-            return [evaluate_record(prepared, j, records.record(j)) for j in range(start, stop)]
+        def per_record(prepared, records, start, stop, lenient):
+            return [(j, *evaluate_record(prepared, j, records.record(j)))
+                    for j in range(start, stop)]
 
-        monkeypatch.setattr(app, "_run_record_batch", per_record)
+        monkeypatch.setattr(app, "drive_records", per_record)
         reference = [self.respond(payload, q, mode, offset) for q in queries]
         assert batched == reference
         assert all(b"\r\n0\r\n\r\n" in body for body in batched)
@@ -467,8 +468,8 @@ class TestWireBytes:
 
     @pytest.mark.parametrize("mode", ["strict", "lenient"])
     def test_deadline_failure_mid_batch(self, monkeypatch, mode):
+        from repro.resilience import recovery
         from repro.resilience.recovery import RecordFailure, evaluate_record
-        from repro.serve import app
 
         def expire_at_five(engine, index, record, materialize=True):
             if index == 5:
@@ -477,7 +478,7 @@ class TestWireBytes:
                 )
             return evaluate_record(engine, index, record, materialize)
 
-        monkeypatch.setattr(app, "evaluate_record", expire_at_five)
+        monkeypatch.setattr(recovery, "evaluate_record", expire_at_five)
         # Record 5 is the second of [4, 6); record 3 is ok in this corpus.
         payload = self.MIXED.replace(b'{"a": \n', b'{"a": 3}\n')
         body, outcome, _ = self.serve(payload, {"query": "$.a"}, mode)
