@@ -11,19 +11,24 @@ string-filtered metacharacter bitmaps:
   after ``lo`` (Algorithm 4's ``getPosition``, which pins the closing brace
   that ends an object).
 
-Two implementations are provided:
+Two implementations are provided, one per stage-1 index:
 
-- :class:`WordScanner` walks mirrored 64-bit words one at a time with the
-  bit tricks of Algorithm 3 — the paper-faithful mode.
-- :class:`VectorScanner` answers from per-chunk sorted position arrays
-  and depth tables with ``bisect`` — the wide-SIMD stand-in.  It also
-  fuses each of stage 2's G1/G5 moves into one leveled lookup
-  (:meth:`VectorScanner.leveled_obj_attr_named`,
+- :class:`WordScanner` walks the mirrored 64-bit words of a
+  :class:`~repro.bits.index.BufferIndex` one at a time with the bit
+  tricks of Algorithm 3 — the paper-faithful mode.
+- :class:`VectorScanner` answers from the per-chunk sorted position
+  arrays and depth tables of a
+  :class:`~repro.bits.posindex.PositionBufferIndex` with ``bisect`` —
+  the wide-SIMD stand-in.  It also fuses each of stage 2's G1/G5 moves
+  into one leveled lookup (:meth:`VectorScanner.leveled_obj_attr_named`,
   :meth:`VectorScanner.leveled_ary_elem`,
   :meth:`VectorScanner.leveled_skip_elems`).
 
-Both are exact; the property-based test suite asserts they agree
-everywhere, and ablation A2 measures the performance gap.
+:class:`repro.stream.buffer.StreamBuffer` picks the index and its
+scanner together, by mode, and the fast-forwarder follows the scanner
+(:func:`repro.engine.fastforward.make_fastforwarder`); no other pairing
+is built.  Both are exact; the property-based test suite asserts they
+agree everywhere, and ablation A2 measures the performance gap.
 """
 
 from __future__ import annotations
@@ -40,8 +45,7 @@ from repro.bits.words import WORD_BITS, WORD_MASK, lowest_bit_position, popcount
 #: Sentinel returned when no further occurrence exists in the stream.
 NOT_FOUND = -1
 
-_LBRACE, _RBRACE = CharClass.LBRACE, CharClass.RBRACE
-_LBRACKET, _RBRACKET = CharClass.LBRACKET, CharClass.RBRACKET
+_LBRACE = CharClass.LBRACE
 #: A per-chunk cursor that matches no chunk.
 _NO_CURSOR: tuple[int, Any] = (-1, None)
 
@@ -52,11 +56,6 @@ class Scanner(ABC):
     def __init__(self, index: BufferIndex) -> None:
         self.index = index
         self._metrics_registry = None
-        #: True when the index carries depth state (a
-        #: :class:`~repro.bits.posindex.PositionBufferIndex`), enabling the
-        #: depth-table queries; consumed by
-        #: :func:`repro.engine.fastforward.make_fastforwarder`.
-        self.leveled = False
 
     @property
     def size(self) -> int:
@@ -267,18 +266,18 @@ class WordScanner(Scanner):
 
 
 class VectorScanner(Scanner):
-    """Vectorized scanner over per-chunk sorted position lists.
+    """Vectorized scanner over per-chunk sorted position lists and
+    depth tables of a :class:`~repro.bits.posindex.PositionBufferIndex`.
 
     Each class's positions are decoded once per chunk (a selection of
-    the position index's classified stream, or ``np.unpackbits`` +
-    ``np.flatnonzero`` over a word-bitmap chunk — the batch, SIMD-like
+    the position index's classified stream — the batch, SIMD-like
     step); every query then becomes a scalar binary search over the
     decoded positions.  The public methods are overridden with flat
     ``bisect`` loops because the fast-forward algorithms issue these
     queries millions of times.
     """
 
-    def __init__(self, index: BufferIndex) -> None:
+    def __init__(self, index: PositionBufferIndex) -> None:
         super().__init__(index)
         self._n_chunks = index.n_chunks
         self._chunk_size = index.chunk_size
@@ -288,10 +287,6 @@ class VectorScanner(Scanner):
         # so this removes the index/dict hops from the common path while
         # leaving eviction behaviour (bounded memory) to the BufferIndex.
         self._cursor: dict[CharClass, tuple[int, list[int]]] = {}
-        # Depth-table queries (O(log) pair_close, leveled comma maps) need
-        # the depth carries only PositionBufferIndex chains; over a plain
-        # word-bitmap index the scanner falls back to the interval walk.
-        self.leveled = isinstance(index, PositionBufferIndex)
         self._dt_cursor: tuple[int, Any] | None = None
         # Per pair class: (chunk_id, PairTable) of the chunk the last
         # depth-table pair_close started in, and the quote list of the
@@ -387,8 +382,7 @@ class VectorScanner(Scanner):
     def pair_close(self, open_cls: CharClass, close_cls: CharClass, pos: int, num_open: int) -> int:
         """Counting-based pairing as two binary searches (stage 2).
 
-        Over a :class:`~repro.bits.posindex.PositionBufferIndex` the
-        chunk's :class:`~repro.bits.posindex.DepthTables` answer directly:
+        The chunk's :class:`~repro.bits.posindex.DepthTables` answer directly:
         the closer ending ``num_open`` outstanding opens is the first
         closer at or after ``pos`` whose pair depth *after* processing it
         equals ``depth_before(pos) - num_open``.  Pair depth moves by ±1
@@ -399,14 +393,10 @@ class VectorScanner(Scanner):
 
         The in-chunk case — every G2/G4 skip whose closer lies in the
         chunk of the previous skip — is answered inline: one cursor
-        check, two bisects and one dict get.
+        check, two bisects and one dict get.  Only the brace and bracket
+        pairs have depth tables; every caller passes one of them.
         """
-        if open_cls is _LBRACE and close_cls is _RBRACE:
-            cursor = self._brace_cursor
-        elif open_cls is _LBRACKET and close_cls is _RBRACKET:
-            cursor = self._bracket_cursor
-        else:
-            return self._pair_close_walk(open_cls, close_cls, pos, num_open)
+        cursor = self._brace_cursor if open_cls is _LBRACE else self._bracket_cursor
         if cursor[0] == pos // self._chunk_size:
             pair = cursor[1]
             j = bisect_left(pair.events, pos)
@@ -421,8 +411,6 @@ class VectorScanner(Scanner):
         """:meth:`pair_close` of a brace or bracket pair through the
         tables of ``pos``'s chunk and the later ones; sets the pair
         cursor for the in-chunk case."""
-        if not self.leveled:
-            return self._pair_close_walk(open_cls, close_cls, pos, num_open)
         if pos >= self._size:
             return NOT_FOUND
         brace = open_cls is _LBRACE
@@ -522,25 +510,24 @@ class VectorScanner(Scanner):
                 return arr[i]
         return NOT_FOUND
 
-    def count_commas_at_depth(self, depth: int, lo: int, hi: int) -> int:
-        """Number of commas at combined depth ``depth`` in ``[lo, hi)`` —
-        the element separators crossed by a leveled G1 array sweep."""
-        if hi <= lo:
-            return 0
-        hi = min(hi, self._size)
-        first = lo // self._chunk_size
-        last = max(hi - 1, lo) // self._chunk_size
-        total = 0
-        for chunk_id in range(first, last + 1):
-            arr = self._tables(chunk_id).commas_by_depth.get(depth)
-            if not arr:
-                continue
-            i = bisect_left(arr, lo) if chunk_id == first else 0
-            j = bisect_left(arr, hi) if chunk_id == last else len(arr)
-            total += j - i
-        return total
-
     # -- fused G1/G5 seeks: one scanner call per fast-forward ------------
+
+    def _enclosing_close(self, pos: int, chunk_id: int) -> tuple[Any, int, int]:
+        """The step every fused lookup starts with: ``(tables, depth,
+        end)`` — the depth tables of ``pos``'s chunk ``chunk_id``, the
+        combined depth before ``pos``, and the enclosing container's
+        closer, the first close at or after ``pos`` at ``depth - 1``
+        (:data:`NOT_FOUND` if the stream ends first).  The closer is
+        read from the chunk's tables, or on spill from
+        :meth:`close_at_combined_depth` over the later chunks."""
+        tables = self._tables(chunk_id)
+        depth = tables.depth_before(pos)
+        closes = tables.closes_by_depth.get(depth - 1)
+        if closes:
+            i = bisect_left(closes, pos)
+            if i < len(closes):
+                return tables, depth, closes[i]
+        return tables, depth, self.close_at_combined_depth(depth - 1, (chunk_id + 1) * self._chunk_size)
 
     def leveled_obj_attr_named(self, pos: int, want_byte: int) -> tuple[int, int, int, int]:
         """Fused object G1 sweep:
@@ -557,19 +544,10 @@ class VectorScanner(Scanner):
         the decomposed cross-chunk queries.
         """
         chunk_id = pos // self._chunk_size
-        chunk_end = (chunk_id + 1) * self._chunk_size
-        tables = self._tables(chunk_id)
-        depth = tables.depth_before(pos)
-        end = NOT_FOUND
-        arr = tables.closes_by_depth.get(depth - 1)
-        if arr:
-            i = bisect_left(arr, pos)
-            if i < len(arr):
-                end = arr[i]
+        tables, depth, end = self._enclosing_close(pos, chunk_id)
         if end == NOT_FOUND:
-            end = self.close_at_combined_depth(depth - 1, chunk_end)
-            if end == NOT_FOUND:
-                return NOT_FOUND, NOT_FOUND, NOT_FOUND, NOT_FOUND
+            return NOT_FOUND, NOT_FOUND, NOT_FOUND, NOT_FOUND
+        chunk_end = (chunk_id + 1) * self._chunk_size
         found = NOT_FOUND
         opens = tables.opens_by_depth(want_byte).get(depth + 1)
         j = bisect_left(opens, pos) if opens else 0
@@ -593,19 +571,10 @@ class VectorScanner(Scanner):
         as one range count on the leveled comma map.
         """
         chunk_id = pos // self._chunk_size
-        chunk_end = (chunk_id + 1) * self._chunk_size
-        tables = self._tables(chunk_id)
-        depth = tables.depth_before(pos)
-        end = NOT_FOUND
-        arr = tables.closes_by_depth.get(depth - 1)
-        if arr:
-            i = bisect_left(arr, pos)
-            if i < len(arr):
-                end = arr[i]
+        tables, depth, end = self._enclosing_close(pos, chunk_id)
         if end == NOT_FOUND:
-            end = self.close_at_combined_depth(depth - 1, chunk_end)
-            if end == NOT_FOUND:
-                return NOT_FOUND, NOT_FOUND, 0
+            return NOT_FOUND, NOT_FOUND, 0
+        chunk_end = (chunk_id + 1) * self._chunk_size
         found = NOT_FOUND
         spill = True
         opens = tables.opens_by_depth(want_byte).get(depth + 1)
@@ -623,7 +592,8 @@ class VectorScanner(Scanner):
             commas = tables.commas_by_depth.get(depth)
             n = (bisect_left(commas, bound) - bisect_left(commas, pos)) if commas else 0
             return end, found, n
-        return end, found, self.count_commas_at_depth(depth, pos, bound)
+        # More commas than bytes cannot exist: this ``k`` only counts.
+        return end, found, self.commas_at_depth(depth, pos, bound, bound - pos + 1)[1]
 
     def leveled_skip_elems(self, pos: int, k: int) -> tuple[int, int, int]:
         """Fused G5 ``goOverElems(k)``: ``(array_end, kth_comma, crossed)``.
@@ -638,18 +608,10 @@ class VectorScanner(Scanner):
         if pos >= self._size:
             return NOT_FOUND, NOT_FOUND, 0
         chunk_id = pos // self._chunk_size
-        tables = self._tables(chunk_id)
-        depth = tables.depth_before(pos)
-        end = NOT_FOUND
-        closes = tables.closes_by_depth.get(depth - 1)
-        if closes:
-            i = bisect_left(closes, pos)
-            if i < len(closes):
-                end = closes[i]
+        tables, depth, end = self._enclosing_close(pos, chunk_id)
         if end == NOT_FOUND:
-            end = self.close_at_combined_depth(depth - 1, (chunk_id + 1) * self._chunk_size)
-            if end == NOT_FOUND:
-                return NOT_FOUND, NOT_FOUND, 0
+            return NOT_FOUND, NOT_FOUND, 0
+        if end >= (chunk_id + 1) * self._chunk_size:
             comma, crossed = self.commas_at_depth(depth, pos, end, k)
             return end, comma, crossed
         commas = tables.commas_by_depth.get(depth)
@@ -679,57 +641,3 @@ class VectorScanner(Scanner):
         if close == NOT_FOUND:
             return NOT_FOUND, NOT_FOUND
         return self.find_prev(CharClass.QUOTE, close - 1), close
-
-    def _pair_close_walk(self, open_cls: CharClass, close_cls: CharClass, pos: int, num_open: int) -> int:
-        """Fused Algorithm 4 loop over the two position lists.
-
-        Identical interval-by-interval semantics to the base class, but
-        each step is two bisects and index arithmetic instead of three
-        full scanner calls.  Kept as the fallback for word-bitmap indexes
-        and non-brace/bracket class pairs.
-        """
-        chunk_size = self._chunk_size
-        chunk_id = pos // chunk_size
-        while chunk_id < self._n_chunks:
-            opens = self._list(open_cls, chunk_id)
-            closes = self._list(close_cls, chunk_id)
-            n_opens, n_closes = len(opens), len(closes)
-            io = bisect_left(opens, pos)
-            ic = bisect_left(closes, pos)
-            while True:
-                if io < n_opens:
-                    next_open = opens[io]
-                else:
-                    # No further open in this chunk: the current interval
-                    # spills over; consume this chunk's remaining closes.
-                    n_close = n_closes - ic
-                    if n_close >= num_open:
-                        return closes[ic + num_open - 1]
-                    num_open -= n_close
-                    break
-                j = bisect_left(closes, next_open, ic)
-                n_close = j - ic
-                if n_close >= num_open:
-                    return closes[ic + num_open - 1]
-                num_open += 1 - n_close
-                ic = j
-                io += 1
-            chunk_id += 1
-            pos = chunk_id * chunk_size
-        return NOT_FOUND
-
-
-#: Registry used by engine constructors (``mode='word'`` / ``mode='vector'``).
-SCANNERS: dict[str, type[Scanner]] = {
-    "word": WordScanner,
-    "vector": VectorScanner,
-}
-
-
-def make_scanner(index: BufferIndex, mode: str = "vector") -> Scanner:
-    """Instantiate a scanner by mode name (``'word'`` or ``'vector'``)."""
-    try:
-        factory = SCANNERS[mode]
-    except KeyError:
-        raise ValueError(f"unknown scanner mode {mode!r}; expected one of {sorted(SCANNERS)}") from None
-    return factory(index)

@@ -168,6 +168,11 @@ def _read_input(path: str) -> bytes:
         return handle.read()
 
 
+def _render(match, raw: bool):
+    """A match as printed: its raw text (``--raw``) or its decoded value."""
+    return match.text.decode("utf-8", "replace") if raw else match.value()
+
+
 def _print_stats(engine, err) -> None:
     stats = engine.last_stats
     if stats is None:
@@ -413,7 +418,7 @@ def _run_checkpointed_single(args, data, limits, info, registry, trace_sink, out
         print(n, file=out)
         return 0 if n else 1
     for match in list(matches)[: 1 if args.first else n]:
-        print(match.text.decode("utf-8", "replace") if args.raw else match.value(), file=out)
+        print(_render(match, args.raw), file=out)
     return 0 if n else 1
 
 
@@ -562,7 +567,7 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
         if args.first and info.early_terminating and not args.jsonl and not args.paths:
             match = engine.first(record)
             if match is not None:
-                print(match.text.decode("utf-8", "replace") if args.raw else match.value(), file=out)
+                print(_render(match, args.raw), file=out)
             code = _finish_observability(args, info, registry, trace_sink, data,
                                          1 if match is not None else 0, err)
             return code or (0 if match is not None else 1)
@@ -583,11 +588,32 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
             pairs = engine.run_with_paths(record)
         else:
             matches = engine.run(record)
-    except ReproError as exc:
+        # Decoded here, inside the try: a value that does not decode
+        # fails the run before anything is printed.
+        if args.paths:
+            n = len(pairs)
+            lines = [
+                "$" + "".join(f"[{k!r}]" if isinstance(k, str) else f"[{k}]" for k in path)
+                + f"\t{_render(match, args.raw)}"
+                for path, match in pairs[: 1 if args.first else n]
+            ]
+        elif args.count:
+            n = len(matches)
+            lines = [str(n)]
+        else:
+            n = len(matches)
+            lines = [_render(match, args.raw) for match in list(matches)[: 1 if args.first else n]]
+    except (ReproError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+        # A decode error is a matched slice (printed, or a filter
+        # predicate's operand) that json.loads rejects — stage 2 does not
+        # validate what it skips — so malformed input, exit 4; the
+        # lenient paths report it as UndecodableMatch.
+        undecodable = not isinstance(exc, ReproError)
+        message = f"undecodable match: {exc}" if undecodable else exc
         failed = getattr(exc, "record", None)
         # A record's error position is relative to that record's bytes.
         where = data if failed is None else RecordStream.from_jsonl(data).record(failed)
-        print(f"error: {exc}" if failed is None else f"error: record {failed}: {exc}", file=err)
+        print(f"error: {message}" if failed is None else f"error: record {failed}: {message}", file=err)
         # JsonPathSyntaxError.position is an offset into the query, not
         # the input — a data caret would point at the wrong text.
         position = None if isinstance(exc, JsonPathSyntaxError) else getattr(exc, "position", None)
@@ -596,35 +622,20 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
 
             print(format_error_context(where, position), file=err)
         if registry is not None:
-            registry.counter("cli.errors", error=type(exc).__name__).add(1)
+            registry.counter("cli.errors", error="UndecodableMatch" if undecodable else type(exc).__name__).add(1)
         # Flush --metrics/--trace even on failure: the error counters are
         # the part an operator most wants to scrape.
         _finish_observability(args, info, registry, trace_sink, data, 0, err)
-        return _exit_code_for(exc)
+        return 4 if undecodable else _exit_code_for(exc)
 
     if args.stats and info.instrumented:
         _print_stats(engine, err)
 
-    code = _finish_observability(args, info, registry, trace_sink, data,
-                                 len(pairs) if args.paths else len(matches), err)
+    code = _finish_observability(args, info, registry, trace_sink, data, n, err)
     if code:
         return code
-
-    if args.paths:
-        n = len(pairs)
-        for path, match in pairs[: 1 if args.first else n]:
-            rendered = "$" + "".join(f"[{k!r}]" if isinstance(k, str) else f"[{k}]" for k in path)
-            value = match.text.decode("utf-8", "replace") if args.raw else match.value()
-            print(f"{rendered}\t{value}", file=out)
-        return 0 if n else 1
-
-    n = len(matches)
-    if args.count:
-        print(n, file=out)
-        return 0 if n else 1
-    shown = list(matches)[: 1 if args.first else n]
-    for match in shown:
-        print(match.text.decode("utf-8", "replace") if args.raw else match.value(), file=out)
+    for line in lines:
+        print(line, file=out)
     return 0 if n else 1
 
 

@@ -32,7 +32,7 @@ stream ends: the buffer's end, or a batched record's end (see
 from __future__ import annotations
 
 from repro.bits.classify import CharClass
-from repro.bits.scanner import NOT_FOUND
+from repro.bits.scanner import NOT_FOUND, VectorScanner
 from repro.errors import StreamExhaustedError
 from repro.stream.buffer import StreamBuffer
 
@@ -81,25 +81,42 @@ class FastForwarder:
             )
         return end + 1
 
+    # The four closer skips below call ``pair_close`` directly (one
+    # scanner call, no helper frame) and treat a closer at or past
+    # ``size`` — a later record's, in a record batch — as the end of
+    # the stream.
+
     def go_over_obj(self, pos: int) -> int:
         """``goOverObj()``: move past the object starting at ``pos``."""
         if self.data[pos] != _LBRACE:
             raise StreamExhaustedError("expected '{' to go over an object", pos)
-        return self._go_to_close(pos + 1, CharClass.LBRACE, CharClass.RBRACE, 1)
+        end = self.pair_close(CharClass.LBRACE, CharClass.RBRACE, pos + 1, 1)
+        if end < 0 or end >= self.size:
+            raise StreamExhaustedError("stream ended with unclosed '{'", self.size)
+        return end + 1
 
     def go_over_ary(self, pos: int) -> int:
         """``goOverAry()``: move past the array starting at ``pos``."""
         if self.data[pos] != _LBRACKET:
             raise StreamExhaustedError("expected '[' to go over an array", pos)
-        return self._go_to_close(pos + 1, CharClass.LBRACKET, CharClass.RBRACKET, 1)
+        end = self.pair_close(CharClass.LBRACKET, CharClass.RBRACKET, pos + 1, 1)
+        if end < 0 or end >= self.size:
+            raise StreamExhaustedError("stream ended with unclosed '['", self.size)
+        return end + 1
 
     def go_to_obj_end(self, pos: int) -> int:
         """``goToObjEnd()`` (G4): from inside an object to after its ``}``."""
-        return self._go_to_close(pos, CharClass.LBRACE, CharClass.RBRACE, 1)
+        end = self.pair_close(CharClass.LBRACE, CharClass.RBRACE, pos, 1)
+        if end < 0 or end >= self.size:
+            raise StreamExhaustedError("stream ended with unclosed '{'", self.size)
+        return end + 1
 
     def go_to_ary_end(self, pos: int) -> int:
         """``goToAryEnd()`` (G5): from inside an array to after its ``]``."""
-        return self._go_to_close(pos, CharClass.LBRACKET, CharClass.RBRACKET, 1)
+        end = self.pair_close(CharClass.LBRACKET, CharClass.RBRACKET, pos, 1)
+        if end < 0 or end >= self.size:
+            raise StreamExhaustedError("stream ended with unclosed '['", self.size)
+        return end + 1
 
     def go_over_pri(self, pos: int, in_object: bool) -> int:
         """``goOverPriAttr()`` / ``goOverPriElem()``: position of the
@@ -281,22 +298,20 @@ class FastForwarder:
 
 
 class VectorFastForwarder(FastForwarder):
-    """Stage-2 fast-forwards over the leveled depth tables.
+    """Stage-2 fast-forwards over the leveled depth tables of a
+    :class:`~repro.bits.scanner.VectorScanner`.
 
-    Requires a scanner with :attr:`~repro.bits.scanner.Scanner.leveled`
-    set (a :class:`~repro.bits.scanner.VectorScanner` over a
-    :class:`~repro.bits.posindex.PositionBufferIndex`).  Every move is
-    one scanner call: the G2/G4 closer skips call the bound depth-table
-    ``pair_close`` directly, and the per-value G1 sweeps and the
-    per-element G5 loop become single fused leveled lookups (next
-    wanted-type open at the current depth with its name's quotes; k-th
-    comma at the current depth with the enclosing closer).  Positions,
-    statistics, and error classes on well-formed input match the
-    word-at-a-time path byte for byte (the vector-vs-word equivalence
-    suite enforces this); inside *malformed* skip regions the leveled
-    lookup may tolerate delimiter garbage the byte loop would trip over
-    — the paper's Section 3.3 stance that skipped regions are not
-    validated.
+    Every move is one scanner call: the G2/G4 closer skips are the base
+    class's direct depth-table ``pair_close`` calls, and the per-value
+    G1 sweeps and the per-element G5 loop become single fused leveled
+    lookups (next wanted-type open at the current depth with its name's
+    quotes; k-th comma at the current depth with the enclosing closer).
+    Positions, statistics, and error classes on well-formed input match
+    the word-at-a-time path byte for byte (the vector-vs-word
+    equivalence suite enforces this); inside *malformed* skip regions
+    the leveled lookup may tolerate delimiter garbage the byte loop
+    would trip over — the paper's Section 3.3 stance that skipped
+    regions are not validated.
 
     ``[start, end)`` bounds one record of a record batch
     (:mod:`repro.stream.batches`), in the batch's coordinates: ``end``
@@ -316,34 +331,6 @@ class VectorFastForwarder(FastForwarder):
         self._leveled_obj_attr_named = scanner.leveled_obj_attr_named
         self._leveled_ary_elem = scanner.leveled_ary_elem
         self._leveled_skip_elems = scanner.leveled_skip_elems
-
-    def go_over_obj(self, pos: int) -> int:
-        if self.data[pos] != _LBRACE:
-            raise StreamExhaustedError("expected '{' to go over an object", pos)
-        end = self.pair_close(CharClass.LBRACE, CharClass.RBRACE, pos + 1, 1)
-        if end < 0 or end >= self.size:
-            raise StreamExhaustedError("stream ended with unclosed '{'", self.size)
-        return end + 1
-
-    def go_over_ary(self, pos: int) -> int:
-        if self.data[pos] != _LBRACKET:
-            raise StreamExhaustedError("expected '[' to go over an array", pos)
-        end = self.pair_close(CharClass.LBRACKET, CharClass.RBRACKET, pos + 1, 1)
-        if end < 0 or end >= self.size:
-            raise StreamExhaustedError("stream ended with unclosed '['", self.size)
-        return end + 1
-
-    def go_to_obj_end(self, pos: int) -> int:
-        end = self.pair_close(CharClass.LBRACE, CharClass.RBRACE, pos, 1)
-        if end < 0 or end >= self.size:
-            raise StreamExhaustedError("stream ended with unclosed '{'", self.size)
-        return end + 1
-
-    def go_to_ary_end(self, pos: int) -> int:
-        end = self.pair_close(CharClass.LBRACKET, CharClass.RBRACKET, pos, 1)
-        if end < 0 or end >= self.size:
-            raise StreamExhaustedError("stream ended with unclosed '['", self.size)
-        return end + 1
 
     def go_to_obj_attr(self, pos: int, want: str) -> tuple[bool, int, bytes | None, int]:
         """``goToObjAttr()`` as one fused leveled lookup: the enclosing
@@ -399,11 +386,12 @@ class VectorFastForwarder(FastForwarder):
 
 
 def make_fastforwarder(buffer: StreamBuffer, start: int = 0, end: int | None = None) -> FastForwarder:
-    """Pick the fast-forwarder matching the buffer's scanner: the leveled
-    :class:`VectorFastForwarder` when depth tables are available (with a
-    batched record's bounds, if any), the word-semantics
-    :class:`FastForwarder` otherwise (word mode runs every record over
-    its own buffer)."""
-    if getattr(buffer.scanner, "leveled", False):
+    """The fast-forwarder for the scanner the buffer was built with: the
+    leveled :class:`VectorFastForwarder` over a
+    :class:`~repro.bits.scanner.VectorScanner` (with a batched record's
+    bounds, if any), the word-semantics :class:`FastForwarder` over a
+    :class:`~repro.bits.scanner.WordScanner` (word mode runs every
+    record over its own buffer)."""
+    if isinstance(buffer.scanner, VectorScanner):
         return VectorFastForwarder(buffer, start, end)
     return FastForwarder(buffer)

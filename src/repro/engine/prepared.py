@@ -290,7 +290,7 @@ class IndexedBuffer:
         def build() -> "IndexedBuffer":
             built = cls(corpus, mode=mode, chunk_size=chunk_size).warm()
             try:
-                built.save(path, fs=fs, metrics=registry)
+                sidecar.save_buffer(built.buffer, path, fs=fs, metrics=registry, fp=fp)
                 built.sidecar = FsPath(path)
             except OSError:
                 # Read-only or full cache dir: serve the built index anyway.
@@ -352,9 +352,14 @@ class PreparedQuery:
             return IndexedBuffer.load_or_build(data, cache_dir, mode=mode, chunk_size=size)
         return IndexedBuffer(data, mode=mode, chunk_size=size)
 
-    @staticmethod
-    def _coerce(data: Any) -> Any:
-        return data.buffer if isinstance(data, IndexedBuffer) else data
+    def _coerce(self, data: Any) -> Any:
+        # A two-stage engine runs stage 2 over the indexed buffer; the
+        # others read bytes, so an indexed input hands them its text.
+        if isinstance(data, IndexedBuffer):
+            data = data.buffer
+        if isinstance(data, StreamBuffer) and self.info is not None and not self.info.two_stage:
+            return data.data
+        return data
 
     # -- execution views (all accept bytes / StreamBuffer / IndexedBuffer)
 

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import json
 import mmap
-import os
 import struct
 import zlib
 from pathlib import Path
@@ -83,8 +82,10 @@ def save_buffer(
     *,
     fs: RealFS = REAL_FS,
     metrics: Any = None,
+    fp: dict | None = None,
 ) -> Path:
-    """Write ``buffer``'s fully-built stage-1 index to ``path``.
+    """Write ``buffer``'s fully-built stage-1 index to ``path`` (corpus
+    fingerprint ``fp``, if known).
 
     Builds any not-yet-built chunk first (the sidecar is a snapshot of
     the *complete* index), then persists through
@@ -133,7 +134,7 @@ def save_buffer(
         "mode": buffer.mode,
         "chunk_size": index.chunk_size,
         "n_chunks": index.n_chunks,
-        "corpus": fingerprint(buffer.data),
+        "corpus": fp or fingerprint(buffer.data),
         "payload_len": len(payload),
         "payload_crc32": _crc(payload),
         "chunks": chunk_meta,

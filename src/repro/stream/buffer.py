@@ -11,7 +11,8 @@ from __future__ import annotations
 from repro.bits.classify import WHITESPACE
 from repro.bits.index import DEFAULT_CHUNK_SIZE, BufferIndex
 from repro.bits.posindex import PositionBufferIndex
-from repro.bits.scanner import Scanner, make_scanner
+from repro.bits.scanner import Scanner, VectorScanner, WordScanner
+from repro.errors import ConfigurationError
 
 _WS = frozenset(WHITESPACE)
 
@@ -19,9 +20,13 @@ _WS = frozenset(WHITESPACE)
 class StreamBuffer:
     """JSON text plus its lazily-built structural index and scanner.
 
-    Parameters mirror :class:`BufferIndex`; ``mode`` selects the scanner
-    implementation (``'vector'`` default, ``'word'`` for the
-    paper-faithful word-at-a-time mode).
+    Parameters mirror :class:`BufferIndex`; ``mode`` selects the stage-1
+    index and the scanner over it, together: ``'vector'`` (default) a
+    :class:`PositionBufferIndex` with a
+    :class:`~repro.bits.scanner.VectorScanner`, ``'word'`` the
+    paper-faithful word bitmaps with a
+    :class:`~repro.bits.scanner.WordScanner`.  This is the one place the
+    pair is chosen; the fast-forwarder follows the scanner.
     """
 
     def __init__(
@@ -35,14 +40,18 @@ class StreamBuffer:
             data = data.encode("utf-8")
         self.data = data
         self.mode = mode
-        # Vector mode reads only per-class positions, so it can use the
-        # cheaper position-based index; word mode needs the mirrored word
-        # bitmaps of Algorithm 3.
+        # Vector mode reads only per-class positions and depth tables,
+        # so it uses the position-based index; word mode needs the
+        # mirrored word bitmaps of Algorithm 3.
+        self.scanner: Scanner
         if mode == "vector":
             self.index = PositionBufferIndex(data, chunk_size=chunk_size, cache_chunks=cache_chunks)
-        else:
+            self.scanner = VectorScanner(self.index)
+        elif mode == "word":
             self.index = BufferIndex(data, chunk_size=chunk_size, cache_chunks=cache_chunks)
-        self.scanner: Scanner = make_scanner(self.index, mode)
+            self.scanner = WordScanner(self.index)
+        else:
+            raise ConfigurationError(f"unknown scanner mode {mode!r}; expected one of ['vector', 'word']")
 
     def __len__(self) -> int:
         return len(self.data)

@@ -82,6 +82,20 @@ class TestFlagCombinations:
         position = int(message.rsplit("(at byte ", 1)[1].rstrip(")"))
         assert context == bad.decode() and caret == " " * position + "^"
 
+    @pytest.mark.parametrize("query, name, extra", [
+        ("$.a[0].b", "u.json", []),
+        ("$.a[0].b", "u.jsonl", ["--jsonl"]),
+        ("$.a[?(@.b == 2)]", "u.jsonl", ["--jsonl"]),
+    ], ids=["printed", "printed-jsonl", "filter-predicate"])
+    def test_undecodable_match_is_malformed_input(self, tmp_path, query, name, extra):
+        # Stage 2 skips ``tru`` unvalidated; decoding the match (to print
+        # it, or for the predicate's comparison) is what rejects it.
+        path = tmp_path / name
+        path.write_bytes(b'{"a":[{"b":tru}]}\n')
+        code, out, err = run_cli([query, str(path), *extra])
+        assert code == 4 and out == ""
+        assert err.startswith("error: undecodable match: ") and "Traceback" not in err
+
     def test_stdlib_engine_from_cli(self, doc):
         code, out, _ = run_cli(["$.a[1]", doc, "--engine", "stdlib"])
         assert code == 0 and out.strip() == "20"

@@ -281,6 +281,19 @@ class TestSidecar:
         # the sidecar payload (its checksum).
         assert len(sizes) == 2 and sizes.count(len(data)) == 1
 
+    def test_cold_build_checksums_the_corpus_once(self, tmp_path, monkeypatch):
+        data = _corpus()
+        sizes = []
+        crc = sidecar._crc
+        monkeypatch.setattr(sidecar, "_crc", lambda b: sizes.append(len(b)) or crc(b))
+        cold = IndexedBuffer.load_or_build(data, tmp_path, chunk_size=CHUNK)
+        assert cold.sidecar is not None
+        # One pass over the corpus (name and header fingerprint), one
+        # over the written payload (its checksum).
+        assert len(sizes) == 2 and sizes.count(len(data)) == 1
+        warm = IndexedBuffer.load_or_build(data, tmp_path, chunk_size=CHUNK)
+        assert warm.buffer.index.chunks_built == 0
+
     def test_prepared_index_routes_through_cache(self, tmp_path):
         data = _corpus()
         eng = repro.compile("$[*].a.b")

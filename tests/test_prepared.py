@@ -78,6 +78,13 @@ class TestIndexedBuffer:
         assert prepared.exists(indexed)
         assert [m.value() for _, m in prepared.run_with_paths(indexed)] == [1, 2]
 
+    @pytest.mark.parametrize("engine", list(repro.ENGINES))
+    def test_every_engine_runs_an_indexed_buffer(self, engine):
+        # Engines without a stage 1 of their own get the indexed bytes.
+        data = b'{"a": 7}'
+        prepared = repro.compile("$.a", engine=engine)
+        assert prepared.run(repro.index(data)).values() == prepared.run(data).values() == [7]
+
     def test_legacy_engine_accepts_indexed(self):
         # the one-shot surface and the two-stage surface share coercion
         engine = repro.JsonSki("$.pd[*].id")

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from repro.bits.classify import CharClass
 from repro.bits.index import BufferIndex
 from repro.bits.posindex import PositionBufferIndex
-from repro.bits.scanner import NOT_FOUND, VectorScanner, WordScanner, make_scanner
+from repro.bits.scanner import NOT_FOUND, VectorScanner, WordScanner
 from repro.bits.strings import naive_string_mask
+from repro.engine.fastforward import FastForwarder, VectorFastForwarder, make_fastforwarder
+from repro.stream.buffer import StreamBuffer
 
 _DENSE = st.lists(st.sampled_from(list(b'a" \\{}[]:,')), max_size=250).map(bytes)
 _CLASSES = [cls for cls in CharClass if cls is not CharClass.BACKSLASH]
@@ -34,15 +36,23 @@ def _scanners(data: bytes, chunk_size: int = 64):
     return word, vector
 
 
-class TestMakeScanner:
+class TestBackendChoice:
+    """``StreamBuffer`` picks the index, scanner and fast-forwarder
+    together, by mode."""
+
     def test_known_modes(self):
-        idx = BufferIndex(b"{}", chunk_size=64)
-        assert isinstance(make_scanner(idx, "word"), WordScanner)
-        assert isinstance(make_scanner(idx, "vector"), VectorScanner)
+        for mode, index, scanner, ff in [
+            ("word", BufferIndex, WordScanner, FastForwarder),
+            ("vector", PositionBufferIndex, VectorScanner, VectorFastForwarder),
+        ]:
+            buffer = StreamBuffer(b"{}", mode=mode, chunk_size=64)
+            assert type(buffer.index) is index
+            assert type(buffer.scanner) is scanner
+            assert type(make_fastforwarder(buffer)) is ff
 
     def test_unknown_mode(self):
-        with pytest.raises(ValueError, match="unknown scanner mode"):
-            make_scanner(BufferIndex(b"{}", chunk_size=64), "simd")
+        with pytest.raises(ValueError, match=r"unknown scanner mode 'simd'; expected one of \['vector', 'word'\]"):
+            StreamBuffer(b"{}", mode="simd", chunk_size=64)
 
 
 class TestPrimitivesAgainstOracle:
@@ -199,7 +209,7 @@ class TestLeveledQueries:
         stop = self.DATA.index(b'], "e"')
         # $.c has 3 element-separating commas; nested containers' commas
         # (none here) would sit deeper
-        assert sc.count_commas_at_depth(2, start, stop) == 3
+        assert sc.commas_at_depth(2, start, stop, 4) == (NOT_FOUND, 3)
 
     def test_open_at_depth_bounded(self):
         sc = self._vector()
