@@ -31,8 +31,9 @@ Two further scenario families ride in each record:
   (``MatchList.to_jsonl``).  The ratio is the on-demand-materialization
   win in isolation; ``--check`` requires it stays >=
   ``--emission-floor`` (default 1.3x).
-- **warm_index** (fig10 only) — stage-1 cost with a cold build vs a
-  sidecar load (:meth:`repro.engine.prepared.IndexedBuffer.load`);
+- **warm_index** (fig10 only) — stage-1 cost with a cold build (best of
+  20) vs a sidecar load (best of 50,
+  :meth:`repro.engine.prepared.IndexedBuffer.load`);
   ``--check`` requires the warm load cost at most ``--warm-fraction``
   (default 35%) of the cold build.
 """
@@ -131,9 +132,16 @@ def measure_fig11(size: int, repeat: int) -> dict:
 EMISSION_QUERIES = ("NSPL2", "GMD2")
 
 
+#: Best-of sample counts for the warm-index cells.  The warm load is
+#: sub-millisecond, so a best of a few reads scheduler noise, not the load.
+COLD_BUILD_SAMPLES, WARM_LOAD_SAMPLES = 20, 50
+
+
 def _best_of(fn, repeat: int):
     best, result = float("inf"), None
     for _ in range(repeat):
+        # Free the previous repetition's result before the clock starts.
+        result = None
         t0 = time.perf_counter()
         result = fn()
         best = min(best, time.perf_counter() - t0)
@@ -192,17 +200,17 @@ def measure_emission(fig: int, size: int, repeat: int) -> dict:
     return out
 
 
-def measure_warm_index(size: int, repeat: int) -> dict:
+def measure_warm_index(size: int) -> dict:
     """Cold stage-1 build vs sidecar-backed warm load (same corpus)."""
     import tempfile
 
     from repro.engine.prepared import IndexedBuffer
 
     data = get_large("TT", size)
-    cold_s, built = _best_of(lambda: IndexedBuffer(data).warm(), repeat)
+    cold_s, built = _best_of(lambda: IndexedBuffer(data).warm(), COLD_BUILD_SAMPLES)
     with tempfile.TemporaryDirectory() as tmp:
         path = built.save(Path(tmp) / "tt.ridx")
-        warm_s, loaded = _best_of(lambda: IndexedBuffer.load(path, data), repeat)
+        warm_s, loaded = _best_of(lambda: IndexedBuffer.load(path, data), WARM_LOAD_SAMPLES)
         if loaded.buffer.index.chunks_built:
             raise InvariantError("sidecar load built chunks — cache not warm")
     return {
@@ -228,7 +236,7 @@ def build_record(fig: int, size: int, repeat: int) -> dict:
         "emission_geomean": round(_geomean([q["ratio"] for q in emission.values()]), 4),
     }
     if fig == 10:
-        record["warm_index"] = measure_warm_index(size, repeat)
+        record["warm_index"] = measure_warm_index(size)
     return record
 
 

@@ -14,9 +14,8 @@ Run::
 from __future__ import annotations
 
 from repro.bits.classify import CharClass
-from repro.bits.index import BufferIndex
-from repro.bits.intervals import IntervalBuilder
-from repro.engine.fastforward import FastForwarder
+from repro.bits.words import interval_between, lowest_bit
+from repro.engine.fastforward import make_fastforwarder
 from repro.stream.buffer import StreamBuffer
 
 RECORD = b'{"coordinates": [40.74, -73.99], "user": {"id": 6253282}, "place": {"name": "Manhattan", "tags": ["a{b", "c}d"]}}'
@@ -30,21 +29,25 @@ def main() -> None:
     print(RECORD.decode())
     print(ruler(RECORD))
 
-    buffer = StreamBuffer(RECORD, chunk_size=64, cache_chunks=None)
-    ff = FastForwarder(buffer)
+    # Word mode: the paper-faithful word-at-a-time scanner and its
+    # fast-forwarder.
+    buffer = StreamBuffer(RECORD, mode="word", cache_chunks=None)
+    scanner = buffer.scanner
+    ff = make_fastforwarder(buffer)
 
     # --- 1. the string mask: metacharacters inside strings are invisible
-    word_index = BufferIndex(RECORD, chunk_size=1 << 16, cache_chunks=None)
-    braces = list(word_index.get(0).positions_list(CharClass.LBRACE))
+    braces = list(buffer.index.get(0).positions_list(CharClass.LBRACE))
     print(f"\nstructural '{{' positions (note: none inside \"a{{b\"): {braces}")
 
-    # --- 2. structural intervals (Definition 4.1)
-    ib = IntervalBuilder(word_index)
-    interval = ib.build(0, CharClass.COLON)
-    print(f"colon interval from 0: [{interval.start}, {interval.end}) "
-          f"-> text {RECORD[interval.start:interval.end]!r}")
-    words = list(ib.word_bitmaps(interval))
-    print(f"  spans {len(words)} word bitmap(s); first word bits: {words[0][1]:064b}"[:90])
+    # --- 2. structural intervals (Definition 4.1): the interval from 0
+    # ends at the next ':', which find_next reports
+    end = scanner.find_next(CharClass.COLON, 0)
+    print(f"colon interval from 0: [0, {end}) -> text {RECORD[0:end]!r}")
+    # Algorithm 3 in the first word: isolate the next ':' bit, subtract
+    word = int(buffer.index.get(0).words[CharClass.COLON][0])
+    bitmap = interval_between(1 << 0, lowest_bit(word))
+    bits = f"{bitmap:064b}"[::-1]
+    print(f"  interval bitmap of word 0 (bit 0 first): {bits}")
 
     # --- 3. counting-based pairing: goOverObj on the 'user' value
     user_obj = RECORD.index(b'{"id"')

@@ -12,16 +12,17 @@ This subpackage provides everything below the fast-forward algorithms:
   remove pseudo-metacharacters inside strings.
 - :mod:`repro.bits.index` — :class:`ChunkIndex` and :class:`BufferIndex`,
   the lazily-built, forward-only streaming index over the input.
-- :mod:`repro.bits.intervals` — structural intervals (Definition 4.1) as
-  literal word bitmaps, matching Algorithm 3 line by line.
-- :mod:`repro.bits.scanner` — the three-primitive scanner interface that
-  the fast-forward functions are written against, with a paper-faithful
-  word-at-a-time implementation and a vectorized implementation.
+- :mod:`repro.bits.posindex` — :class:`PositionBufferIndex`, the
+  vector mode's index of sorted structural positions and depth tables.
+- :mod:`repro.bits.scanner` — the scanners the fast-forward functions
+  are written against: the paper-faithful word-at-a-time
+  :class:`WordScanner`, whose ``find_next`` is the end of a structural
+  interval (Definition 4.1) and whose ``pair_close`` is Algorithm 4's
+  interval walk, and the depth-table :class:`VectorScanner`.
 """
 
 from repro.bits.classify import CharClass, classify_chunk
 from repro.bits.index import BufferIndex, ChunkIndex
-from repro.bits.intervals import IntervalBuilder, StructuralInterval
 from repro.bits.posindex import PositionBufferIndex, PositionChunk, build_position_chunk
 from repro.bits.scanner import Scanner, VectorScanner, WordScanner
 from repro.bits.words import (
@@ -43,11 +44,9 @@ __all__ = [
     "BufferIndex",
     "CharClass",
     "ChunkIndex",
-    "IntervalBuilder",
     "PositionBufferIndex",
     "PositionChunk",
     "Scanner",
-    "StructuralInterval",
     "VectorScanner",
     "WordScanner",
     "build_position_chunk",

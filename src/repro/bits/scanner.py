@@ -1,26 +1,29 @@
 """Scanner primitives over the structural index.
 
-Every fast-forward algorithm in the paper reduces to three queries over
-string-filtered metacharacter bitmaps:
+Every stage-2 fast-forward starts from two queries over the
+string-filtered metacharacter bitmaps, which every scanner answers:
 
 - ``find_next(cls, pos)`` — position of the next occurrence of ``cls`` at
-  or after ``pos`` (the boundary of a structural interval, Definition 4.1);
-- ``count_range(cls, lo, hi)`` — occurrences in ``[lo, hi)`` (the POPCNT of
-  Algorithm 4, used by the counting-based pairing of Theorem 4.3);
-- ``kth_in_range(cls, lo, k)`` — position of the ``k``-th occurrence at or
-  after ``lo`` (Algorithm 4's ``getPosition``, which pins the closing brace
-  that ends an object).
+  or after ``pos`` (the end of a structural interval, Definition 4.1);
+- ``find_prev(cls, pos)`` — the last occurrence at or before ``pos`` (G1's
+  attribute-name recovery);
 
-Two implementations are provided, one per stage-1 index:
+plus ``pair_close``, the counting-based pairing of Theorem 4.3 that
+locates every object and array end.  Each scanner keeps only what its
+stage 2 calls:
 
 - :class:`WordScanner` walks the mirrored 64-bit words of a
   :class:`~repro.bits.index.BufferIndex` one at a time with the bit
-  tricks of Algorithm 3 — the paper-faithful mode.
+  tricks of Algorithm 3 — the paper-faithful mode.  Its ``pair_close``
+  is Algorithm 4's interval walk over two more word primitives,
+  ``count_range`` (the POPCNT) and ``kth_in_range`` (``getPosition``),
+  which the word-mode G1 array sweep also counts commas with.
 - :class:`VectorScanner` answers from the per-chunk sorted position
   arrays and depth tables of a
   :class:`~repro.bits.posindex.PositionBufferIndex` with ``bisect`` —
-  the wide-SIMD stand-in.  It also fuses each of stage 2's G1/G5 moves
-  into one leveled lookup (:meth:`VectorScanner.leveled_obj_attr_named`,
+  the wide-SIMD stand-in.  Its ``pair_close`` is two binary searches in
+  the depth tables, and it fuses each of stage 2's G1/G5 moves into one
+  leveled lookup (:meth:`VectorScanner.leveled_obj_attr_named`,
   :meth:`VectorScanner.leveled_ary_elem`,
   :meth:`VectorScanner.leveled_skip_elems`).
 
@@ -53,6 +56,10 @@ _NO_CURSOR: tuple[int, Any] = (-1, None)
 class Scanner(ABC):
     """Positional queries over one :class:`BufferIndex`."""
 
+    #: The query methods stage 2 calls, which :meth:`attach_metrics`
+    #: counts; each subclass adds the ones it defines.
+    METERED_OPS: tuple[str, ...] = ("find_next", "find_prev", "pair_close")
+
     def __init__(self, index: BufferIndex) -> None:
         self.index = index
         self._metrics_registry = None
@@ -64,18 +71,19 @@ class Scanner(ABC):
     def attach_metrics(self, registry: Any) -> None:
         """Count scanner primitive calls into ``registry``.
 
-        Wraps the five public query methods with per-op counters
-        (``scanner.calls{op=...}``) as *instance* attributes, so the
-        metrics-off path — and every consumer that cached a bound method
-        before attachment — pays nothing.  Idempotent per registry; a
-        second attachment with a different registry rebinds the wrappers.
-        Must be called before fast-forwarders bind the methods (the
-        engine attaches in ``_buffer()``, ahead of run construction).
+        Wraps each of the class's :attr:`METERED_OPS` with a per-op
+        counter (``scanner.calls{op=...}``) as an *instance* attribute,
+        so the metrics-off path — and every consumer that cached a bound
+        method before attachment — pays nothing.  Idempotent per
+        registry; a second attachment with a different registry rebinds
+        the wrappers.  Must be called before fast-forwarders bind the
+        methods (the engine attaches in ``_buffer()``, ahead of run
+        construction).
         """
         if registry is None or registry is self._metrics_registry:
             return
         self._metrics_registry = registry
-        for op in ("find_next", "find_prev", "count_range", "kth_in_range", "pair_close"):
+        for op in self.METERED_OPS:
             # Unwrap first so re-attachment wraps the class implementation,
             # not a previous registry's wrapper.
             self.__dict__.pop(op, None)
@@ -106,34 +114,13 @@ class Scanner(ABC):
         """
 
     @abstractmethod
-    def count_range(self, cls: CharClass, lo: int, hi: int) -> int:
-        """Number of ``cls`` occurrences in ``[lo, hi)``."""
-
-    @abstractmethod
-    def kth_in_range(self, cls: CharClass, lo: int, k: int) -> int:
-        """Position of the ``k``-th (1-based) ``cls`` at or after ``lo``."""
-
     def pair_close(self, open_cls: CharClass, close_cls: CharClass, pos: int, num_open: int) -> int:
         """Counting-based pairing (Algorithm 4 / Theorem 4.3): position of
         the ``close_cls`` character that balances ``num_open`` outstanding
-        ``open_cls`` characters, scanning from ``pos``.
-
-        Walks the structural intervals between successive opens, counting
-        closers per interval; returns :data:`NOT_FOUND` if the stream ends
-        first.  Subclasses may override with a fused implementation — the
-        semantics must match this reference loop exactly.
+        ``open_cls`` characters, scanning from ``pos``; :data:`NOT_FOUND`
+        if the stream ends first.  Every caller passes the brace or the
+        bracket pair.
         """
-        cur = pos
-        while True:
-            next_open = self.find_next(open_cls, cur)
-            interval_end = next_open if next_open != NOT_FOUND else self.size
-            n_close = self.count_range(close_cls, cur, interval_end)
-            if n_close >= num_open:
-                return self.kth_in_range(close_cls, cur, num_open)
-            if next_open == NOT_FOUND:
-                return NOT_FOUND
-            num_open += 1 - n_close
-            cur = next_open + 1
 
 
 class WordScanner(Scanner):
@@ -143,6 +130,8 @@ class WordScanner(Scanner):
     ``b & -b`` / popcount / k-th-bit selection — the exact operations the
     paper issues per word, at word (not character) granularity.
     """
+
+    METERED_OPS = (*Scanner.METERED_OPS, "count_range", "kth_in_range")
 
     def find_next(self, cls: CharClass, pos: int) -> int:
         if pos >= self.size:
@@ -172,7 +161,26 @@ class WordScanner(Scanner):
                 return found
         return NOT_FOUND
 
+    def pair_close(self, open_cls: CharClass, close_cls: CharClass, pos: int, num_open: int) -> int:
+        """Algorithm 4's interval walk: across the structural intervals
+        between successive opens, count the closers per interval; the
+        interval holding at least ``num_open`` of them ends the
+        structure at its ``num_open``-th closer, otherwise the unpaired
+        count is carried into the next interval."""
+        cur = pos
+        while True:
+            next_open = self.find_next(open_cls, cur)
+            interval_end = next_open if next_open != NOT_FOUND else self.size
+            n_close = self.count_range(close_cls, cur, interval_end)
+            if n_close >= num_open:
+                return self.kth_in_range(close_cls, cur, num_open)
+            if next_open == NOT_FOUND:
+                return NOT_FOUND
+            num_open += 1 - n_close
+            cur = next_open + 1
+
     def count_range(self, cls: CharClass, lo: int, hi: int) -> int:
+        """Number of ``cls`` occurrences in ``[lo, hi)``."""
         if hi <= lo:
             return 0
         hi = min(hi, self.size)
@@ -183,6 +191,7 @@ class WordScanner(Scanner):
         return total
 
     def kth_in_range(self, cls: CharClass, lo: int, k: int) -> int:
+        """Position of the ``k``-th (1-based) ``cls`` at or after ``lo``."""
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
         if lo >= self.size:
@@ -272,10 +281,14 @@ class VectorScanner(Scanner):
     Each class's positions are decoded once per chunk (a selection of
     the position index's classified stream — the batch, SIMD-like
     step); every query then becomes a scalar binary search over the
-    decoded positions.  The public methods are overridden with flat
-    ``bisect`` loops because the fast-forward algorithms issue these
-    queries millions of times.
+    decoded positions.  The public methods are flat ``bisect`` loops
+    because the fast-forward algorithms issue these queries millions
+    of times.
     """
+
+    METERED_OPS = (
+        *Scanner.METERED_OPS, "leveled_obj_attr_named", "leveled_ary_elem", "leveled_skip_elems",
+    )
 
     def __init__(self, index: PositionBufferIndex) -> None:
         super().__init__(index)
@@ -343,42 +356,6 @@ class VectorScanner(Scanner):
                 return positions[idx - 1]
         return NOT_FOUND
 
-    def count_range(self, cls: CharClass, lo: int, hi: int) -> int:
-        if hi <= lo:
-            return 0
-        hi = min(hi, self._size)
-        first = lo // self._chunk_size
-        last = max(hi - 1, lo) // self._chunk_size
-        if first == last:
-            positions = self._list(cls, first)
-            return bisect_left(positions, hi) - bisect_left(positions, lo)
-        total = 0
-        for chunk_id in range(first, last + 1):
-            positions = self._list(cls, chunk_id)
-            if chunk_id == first:
-                total += len(positions) - bisect_left(positions, lo)
-            elif chunk_id == last:
-                total += bisect_left(positions, hi)
-            else:
-                total += len(positions)
-        return total
-
-    def kth_in_range(self, cls: CharClass, lo: int, k: int) -> int:
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        if lo >= self._size:
-            return NOT_FOUND
-        first = lo // self._chunk_size
-        remaining = k
-        for chunk_id in range(first, self._n_chunks):
-            positions = self._list(cls, chunk_id)
-            idx = bisect_left(positions, lo) if chunk_id == first else 0
-            available = len(positions) - idx
-            if available >= remaining:
-                return positions[idx + remaining - 1]
-            remaining -= available
-        return NOT_FOUND
-
     def pair_close(self, open_cls: CharClass, close_cls: CharClass, pos: int, num_open: int) -> int:
         """Counting-based pairing as two binary searches (stage 2).
 
@@ -386,10 +363,11 @@ class VectorScanner(Scanner):
         the closer ending ``num_open`` outstanding opens is the first
         closer at or after ``pos`` whose pair depth *after* processing it
         equals ``depth_before(pos) - num_open``.  Pair depth moves by ±1
-        per event, so that closer is exactly where the reference interval
-        walk's outstanding count first reaches zero — on well-formed and
-        malformed byte streams alike.  Depths are absolute, so a miss
-        continues into later chunks with the same target.
+        per event, so that closer is exactly where Algorithm 4's interval
+        walk (:meth:`WordScanner.pair_close`) first owes no closer — on
+        well-formed and malformed byte streams alike.  Depths are
+        absolute, so a miss continues into later chunks with the same
+        target.
 
         The in-chunk case — every G2/G4 skip whose closer lies in the
         chunk of the previous skip — is answered inline: one cursor

@@ -359,7 +359,7 @@ def _run_checkpointed_records(args, engine, data, info, registry, trace_sink, ou
     return 0 if ck.emitted else 1
 
 
-def _run_checkpointed_single(args, data, limits, info, registry, trace_sink, out, err, stop) -> int:
+def _run_checkpointed_single(args, data, limits, out, err, stop) -> int:
     """``--checkpoint`` on one record: intra-record suspend/resume."""
     from repro.checkpoint import SUSPEND_KIND, CheckpointStore, SuspendableRun
     from repro.errors import CheckpointError
@@ -411,9 +411,6 @@ def _run_checkpointed_single(args, data, limits, info, registry, trace_sink, out
     save(True)
     matches = run.matches()
     n = len(matches)
-    code = _finish_observability(args, info, registry, trace_sink, data, n, err)
-    if code:
-        return code
     if args.count:
         print(n, file=out)
         return 0 if n else 1
@@ -492,6 +489,13 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
             print("--checkpoint on a single record requires --engine jsonski "
                   "(intra-record suspension)", file=err)
             return 2
+        if not args.jsonl:
+            # A suspended run's steps collect no stats, metrics or spans.
+            for flag, given in (("--stats", args.stats), ("--metrics", args.metrics is not None),
+                                ("--trace", args.trace is not None)):
+                if given:
+                    print(f"--checkpoint on a single record does not support {flag}", file=err)
+                    return 2
         if args.jsonl and args.first:
             print("--checkpoint with --jsonl does not support --first", file=err)
             return 2
@@ -546,9 +550,7 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
                     return _run_checkpointed_records(
                         args, engine, data, info, registry, trace_sink, out, err, stop
                     )
-                return _run_checkpointed_single(
-                    args, data, limits, info, registry, trace_sink, out, err, stop
-                )
+                return _run_checkpointed_single(args, data, limits, out, err, stop)
             finally:
                 restore()
 

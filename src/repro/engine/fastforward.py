@@ -2,10 +2,10 @@
 
 All functions operate on absolute positions over a
 :class:`repro.stream.buffer.StreamBuffer` and find their targets purely
-through the scanner primitives (structural-interval boundaries, counting,
-k-th selection) — never by examining characters one at a time.  The
-counting-based pairing of Lemma 4.2 / Theorem 4.3 locates every object and
-array end.
+through the scanner's queries (structural-interval ends, and in word
+mode counting and k-th selection) — never by examining characters one
+at a time.  The counting-based pairing of Lemma 4.2 / Theorem 4.3
+(the scanner's ``pair_close``) locates every object and array end.
 
 Position conventions:
 
@@ -55,36 +55,15 @@ class FastForwarder:
         # structure, so attribute-lookup cost matters.
         self._find_next = buffer.scanner.find_next
         self._find_prev = buffer.scanner.find_prev
-        self._count_range = buffer.scanner.count_range
-        self._kth_in_range = buffer.scanner.kth_in_range
         #: The scanner's (metered) ``pair_close``, also called directly
         #: by the engine's closer skips (G4, G5 past the range).
         self.pair_close = buffer.scanner.pair_close
 
     # ------------------------------------------------------------------
-    # G2/G3 core: counting-based pairing (Algorithm 4, Theorem 4.3)
-
-    def _go_to_close(self, pos: int, open_cls: CharClass, close_cls: CharClass, num_open: int) -> int:
-        """Position after the closer that balances ``num_open`` opens.
-
-        Delegates Algorithm 4's interval-counting walk (Theorem 4.3) to
-        the scanner's :meth:`~repro.bits.scanner.Scanner.pair_close`: if an
-        interval between successive opens holds at least ``num_open``
-        closers, the structure ends there and the ``num_open``-th closer
-        is its end; otherwise the unpaired-open count is carried into the
-        next interval.
-        """
-        end = self.pair_close(open_cls, close_cls, pos, num_open)
-        if end == NOT_FOUND:
-            raise StreamExhaustedError(
-                f"stream ended with unclosed {open_cls.value!r}", self.size
-            )
-        return end + 1
-
-    # The four closer skips below call ``pair_close`` directly (one
-    # scanner call, no helper frame) and treat a closer at or past
-    # ``size`` — a later record's, in a record batch — as the end of
-    # the stream.
+    # G2/G4 closer skips: counting-based pairing (Algorithm 4,
+    # Theorem 4.3).  Each is one ``pair_close`` call (no helper frame)
+    # and treats a closer at or past ``size`` — a later record's, in a
+    # record batch — as the end of the stream.
 
     def go_over_obj(self, pos: int) -> int:
         """``goOverObj()``: move past the object starting at ``pos``."""
@@ -199,10 +178,7 @@ class FastForwarder:
                 name_start, name_raw = self._attr_name_before(nxt_open)
                 return False, name_start, name_raw, nxt_open
             # A structured value of the other type: go over it and resume.
-            if open_byte == _LBRACE:
-                cur = self._go_to_close(nxt_open + 1, CharClass.LBRACE, CharClass.RBRACE, 1)
-            else:
-                cur = self._go_to_close(nxt_open + 1, CharClass.LBRACKET, CharClass.RBRACKET, 1)
+            cur = self.go_over_obj(nxt_open) if open_byte == _LBRACE else self.go_over_ary(nxt_open)
 
     def go_to_ary_elem(self, pos: int, want: str) -> tuple[bool, int, int]:
         """``goToObjElem()`` / ``goToAryElem()``: sweep to the next element
@@ -213,7 +189,7 @@ class FastForwarder:
         past ``]`` when ``ended``, else the element's opening character.
         """
         want_byte = _LBRACE if want == "object" else _LBRACKET
-        data, find_next, count_range = self.data, self._find_next, self._count_range
+        data, find_next, count_range = self.data, self._find_next, self.scanner.count_range
         cur = pos
         commas = 0
         while True:
@@ -228,10 +204,7 @@ class FastForwarder:
             open_byte = data[nxt_open]
             if open_byte == want_byte:
                 return False, nxt_open, commas
-            if open_byte == _LBRACE:
-                cur = self._go_to_close(nxt_open + 1, CharClass.LBRACE, CharClass.RBRACE, 1)
-            else:
-                cur = self._go_to_close(nxt_open + 1, CharClass.LBRACKET, CharClass.RBRACKET, 1)
+            cur = self.go_over_obj(nxt_open) if open_byte == _LBRACE else self.go_over_ary(nxt_open)
 
     # ------------------------------------------------------------------
     # G5: index-constrained element skipping
@@ -255,9 +228,9 @@ class FastForwarder:
                 raise StreamExhaustedError("stream ended inside an array", cur)
             byte = data[cur]
             if byte == _LBRACE:
-                cur = self._go_to_close(cur + 1, CharClass.LBRACE, CharClass.RBRACE, 1)
+                cur = self.go_over_obj(cur)
             elif byte == _LBRACKET:
-                cur = self._go_to_close(cur + 1, CharClass.LBRACKET, CharClass.RBRACKET, 1)
+                cur = self.go_over_ary(cur)
             else:
                 cur = self.go_over_pri(cur, in_object=False)
             # After the value: the next structural char is ',' or ']'.

@@ -91,6 +91,14 @@ class TestFlagValidation:
         )
         assert code == 2 and "jsonski" in err
 
+    @pytest.mark.parametrize("flag", [["--stats"], ["--metrics"], ["--trace", "-"]], ids=lambda f: f[0])
+    def test_single_record_checkpoint_rejects_observability_flags(self, big_file, tmp_path, flag):
+        # A suspended run's steps collect no stats, metrics or spans, so
+        # these flags would report nothing (or zeros) for a scanned record.
+        code, out, err = run_cli(["$.rows[1]", big_file, "--checkpoint", str(tmp_path / "ck"), *flag])
+        assert code == 2 and out == ""
+        assert f"--checkpoint on a single record does not support {flag[0]}" in err
+
 
 class TestRecordMode:
     def test_run_and_resume_after_completion(self, jsonl_file, tmp_path):

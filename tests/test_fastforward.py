@@ -9,13 +9,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.data.synth import random_json
-from repro.engine.fastforward import FastForwarder
+from repro.engine.fastforward import FastForwarder, make_fastforwarder
 from repro.errors import StreamExhaustedError
 from repro.stream.buffer import StreamBuffer
 
 
 def ff_for(data: bytes, mode: str = "vector", chunk_size: int = 64) -> FastForwarder:
-    return FastForwarder(StreamBuffer(data, mode=mode, chunk_size=chunk_size))
+    return make_fastforwarder(StreamBuffer(data, mode=mode, chunk_size=chunk_size))
 
 
 def _matching_close(data: bytes, pos: int) -> int:

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine.fastforward import FastForwarder
+from repro.engine.fastforward import FastForwarder, make_fastforwarder
 from repro.errors import StreamExhaustedError
 from repro.stream.buffer import StreamBuffer
 
 
 def ff_for(data: bytes, chunk_size: int = 64) -> FastForwarder:
-    return FastForwarder(StreamBuffer(data, chunk_size=chunk_size))
+    return make_fastforwarder(StreamBuffer(data, chunk_size=chunk_size))
 
 
 class TestGoOverPriFastPaths:

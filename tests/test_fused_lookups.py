@@ -23,11 +23,12 @@ move over a standalone index of the record answers, shifted by
 
 ``tests/data/scanner_calls_v1.json`` holds the per-op ``scanner.calls``
 totals of the twelve Table 5 queries over one seeded large record each
-(vector mode, at the default chunk size and at 4 KiB chunks) and of the
-small-record queries over one seeded record stream.  The counters are
-the ones ``Scanner.attach_metrics`` wraps, so a fast-forward that stops
-going through a metered primitive — or starts going through one twice
-— fails here, as does any change in how often stage 2 asks.
+(vector mode at the default chunk size and at 4 KiB chunks, and word
+mode) and of the small-record queries over one seeded record stream.
+The counters are each scanner's ``METERED_OPS``, the calls its stage 2
+makes, so a fast-forward that stops going through a metered primitive
+— or starts going through one twice — fails here, as does any change
+in how often stage 2 asks.
 
 Regenerate the fixture (only deliberately) with
 ``PYTHONPATH=src python tests/test_fused_lookups.py``.
@@ -46,8 +47,8 @@ from repro.bits.classify import CharClass
 from repro.bits.posindex import PositionBufferIndex
 from repro.bits.scanner import NOT_FOUND, Scanner, VectorScanner
 from repro.data.datasets import DATASETS, large_record, record_stream
-from repro.engine.fastforward import FastForwarder, make_fastforwarder
-from repro.errors import ReproError
+from repro.engine.fastforward import make_fastforwarder
+from repro.errors import ReproError, StreamExhaustedError
 from repro.stream.batches import BatchRecord, record_buffers
 from repro.stream.records import RecordStream
 
@@ -56,7 +57,8 @@ FIXTURE = Path(__file__).parent / "data" / "scanner_calls_v1.json"
 DOC_BYTES = 120_000
 STREAM_BYTES = 60_000
 SEED = 11
-CHUNK_SIZES = {"default": None, "4k": 4096}
+#: Document cases: ``kind -> (engine, chunk size or None for the default)``.
+DOC_KINDS = {"default": ("jsonski", None), "4k": ("jsonski", 4096), "word": ("jsonski-word", None)}
 
 TABLE5 = [(name, q) for name, spec in DATASETS.items() for q in spec.queries]
 
@@ -69,10 +71,11 @@ def _calls(registry: repro.MetricsRegistry) -> dict[str, int]:
     }
 
 
-def _doc_calls(name: str, query: str, chunk: str) -> dict[str, int]:
+def _doc_calls(name: str, query: str, kind: str) -> dict[str, int]:
     registry = repro.MetricsRegistry()
-    opts = {} if CHUNK_SIZES[chunk] is None else {"chunk_size": CHUNK_SIZES[chunk]}
-    repro.compile(query, metrics=registry, **opts).run(large_record(name, DOC_BYTES, seed=SEED))
+    engine, chunk_size = DOC_KINDS[kind]
+    opts = {} if chunk_size is None else {"chunk_size": chunk_size}
+    repro.compile(query, engine=engine, metrics=registry, **opts).run(large_record(name, DOC_BYTES, seed=SEED))
     return _calls(registry)
 
 
@@ -86,8 +89,8 @@ def _cases() -> list[tuple[str, str, str, str]]:
     """``(case id, dataset, query, kind)`` in fixture order."""
     cases = []
     for name, spec in TABLE5:
-        for chunk in CHUNK_SIZES:
-            cases.append((f"{spec.qid}/doc/{chunk}", name, spec.large, chunk))
+        for kind in DOC_KINDS:
+            cases.append((f"{spec.qid}/doc/{kind}", name, spec.large, kind))
         if spec.small is not None:
             cases.append((f"{spec.qid}/records", name, spec.small, "records"))
     return cases
@@ -193,6 +196,16 @@ def _decomposed_skip_elems(scanner: VectorScanner, pos: int, k: int) -> tuple[in
     return (end, *scanner.commas_at_depth(depth, pos, end, k))
 
 
+def _after_closer(scanner: VectorScanner, open_cls: CharClass, close_cls: CharClass, pos: int) -> int:
+    """The G4 closer skip from the depth tables alone: the position after
+    the closer of the container ``pos`` is in, or the skip's
+    end-of-stream error."""
+    end = scanner._pair_close_tables(open_cls, close_cls, pos, 1)
+    if end == NOT_FOUND:
+        raise StreamExhaustedError(f"stream ended with unclosed {open_cls.value!r}", scanner.size)
+    return end + 1
+
+
 def _check_fused(fused: Scanner, buffer: repro.StreamBuffer, where: str) -> int:
     """Compare ``fused`` against the decomposed queries of ``buffer``'s
     scanner at every structural position; returns the number of
@@ -206,7 +219,7 @@ def _check_fused(fused: Scanner, buffer: repro.StreamBuffer, where: str) -> int:
                 got = fused.pair_close(open_cls, close_cls, pos, num_open)
                 assert got == alone._pair_close_tables(open_cls, close_cls, pos, num_open), (where, pos)
             got = _outcome(lambda: (ff.go_to_obj_end if open_cls is CharClass.LBRACE else ff.go_to_ary_end)(pos))
-            want = _outcome(lambda: FastForwarder._go_to_close(ff, pos, open_cls, close_cls, 1))
+            want = _outcome(lambda: _after_closer(alone, open_cls, close_cls, pos))
             assert got == want, (where, pos)
         for want in _WANTS:
             assert fused.leveled_obj_attr_named(pos, want) == _decomposed_obj_attr(alone, pos, want), (where, pos)

@@ -1,4 +1,10 @@
-"""Tests for structural intervals (Definition 4.1, Algorithm 3)."""
+"""Tests for structural intervals (Definition 4.1, Algorithm 3).
+
+An interval starts at a position and ends at the next string-filtered
+occurrence of a metacharacter class, which is ``find_next``; ``NOT_FOUND``
+is the open interval running to the end of the stream.  The per-word
+bitmaps of Figure 8's multi-word spill are ``words.interval_between``.
+"""
 
 from __future__ import annotations
 
@@ -7,97 +13,88 @@ from hypothesis import strategies as st
 
 from repro.bits.classify import CharClass
 from repro.bits.index import BufferIndex
-from repro.bits.intervals import IntervalBuilder, StructuralInterval
+from repro.bits.posindex import PositionBufferIndex
+from repro.bits.scanner import NOT_FOUND, VectorScanner, WordScanner
 from repro.bits.strings import naive_string_mask
+from repro.bits.words import WORD_BITS, interval_between
 
 _DENSE = st.lists(st.sampled_from(list(b'a" {}[]:,')), max_size=300).map(bytes)
 
 
-def _builder(data: bytes, chunk_size: int = 64) -> IntervalBuilder:
-    return IntervalBuilder(BufferIndex(data, chunk_size=chunk_size, cache_chunks=None))
+def scanners(data: bytes, chunk_size: int = 64):
+    return (
+        WordScanner(BufferIndex(data, chunk_size=chunk_size, cache_chunks=None)),
+        VectorScanner(PositionBufferIndex(data, chunk_size=chunk_size, cache_chunks=None)),
+    )
 
 
-def _oracle_next(data: bytes, cls: CharClass, pos: int) -> int | None:
+def word_bitmaps(start: int, end: int):
+    """``(word_base, bitmap)`` pieces covering ``[start, end)``."""
+    base = start - start % WORD_BITS
+    while base < end:
+        b_start = 1 << (max(start, base) - base)
+        b_end = 1 << (end - base) if end < base + WORD_BITS else 0
+        yield base, interval_between(b_start, b_end)
+        base += WORD_BITS
+
+
+def _oracle_next(data: bytes, cls: CharClass, pos: int) -> int:
     mask = naive_string_mask(data)
     for i in range(pos, len(data)):
         if data[i] in cls.chars and not (mask.in_string >> i & 1):
             return i
-    return None
-
-
-class TestStructuralInterval:
-    def test_contains(self):
-        iv = StructuralInterval(CharClass.COLON, 3, 8)
-        assert 3 in iv and 7 in iv
-        assert 8 not in iv and 2 not in iv
-
-    def test_open_interval_contains_everything_after(self):
-        iv = StructuralInterval(CharClass.COLON, 3, None)
-        assert iv.is_open
-        assert 1000 in iv
-
-    def test_length(self):
-        assert StructuralInterval(CharClass.COLON, 3, 8).length_to(100) == 5
-        assert StructuralInterval(CharClass.COLON, 3, None).length_to(10) == 7
+    return NOT_FOUND
 
 
 class TestBuild:
     def test_figure1_style(self):
         data = b'{ "user": { "id": 6253282 } }'
-        ib = _builder(data)
-        iv = ib.build(0, CharClass.COLON)
-        assert iv.start == 0
-        assert iv.end == data.index(b":")
+        for scanner in scanners(data):
+            assert scanner.find_next(CharClass.COLON, 0) == data.index(b":")
 
     def test_pos_itself_can_delimit(self):
-        data = b":abc:"
-        iv = _builder(data).build(0, CharClass.COLON)
-        assert iv.end == 0
+        for scanner in scanners(b":abc:"):
+            assert scanner.find_next(CharClass.COLON, 0) == 0
 
     def test_no_occurrence_gives_open_interval(self):
-        iv = _builder(b"abcdef").build(2, CharClass.COLON)
-        assert iv.is_open
+        for scanner in scanners(b"abcdef"):
+            assert scanner.find_next(CharClass.COLON, 2) == NOT_FOUND
 
     def test_pseudo_metachars_excluded(self):
-        data = b'"a:b" :'
-        iv = _builder(data).build(0, CharClass.COLON)
-        assert iv.end == 6
+        for scanner in scanners(b'"a:b" :'):
+            assert scanner.find_next(CharClass.COLON, 0) == 6
 
     def test_spans_word_boundaries(self):
         data = b"a" * 100 + b":"
-        iv = _builder(data).build(0, CharClass.COLON)
-        assert iv.end == 100
+        for scanner in scanners(data):
+            assert scanner.find_next(CharClass.COLON, 0) == 100
 
     @given(_DENSE, st.sampled_from([CharClass.COLON, CharClass.COMMA, CharClass.LBRACE]))
     def test_matches_oracle(self, data, cls):
-        ib = _builder(data)
+        word, vector = scanners(data)
         for pos in range(len(data) + 1):
-            iv = ib.build(pos, cls)
-            assert iv.start == pos
-            assert iv.end == _oracle_next(data, cls, pos)
+            want = _oracle_next(data, cls, pos)
+            assert word.find_next(cls, pos) == want
+            assert vector.find_next(cls, pos) == want
 
 
 class TestNext:
     def test_enumerates_successive_intervals(self):
-        data = b"a,bb,ccc,"
-        ib = _builder(data)
-        ends = [ib.next(CharClass.COMMA).end for _ in range(3)]
-        assert ends == [1, 4, 8]
-
-    def test_reset(self):
-        data = b"a,b,"
-        ib = _builder(data)
-        assert ib.next(CharClass.COMMA).end == 1
-        ib.reset(CharClass.COMMA)
-        assert ib.next(CharClass.COMMA).end == 1
+        for scanner in scanners(b"a,bb,ccc,"):
+            ends, pos = [], 0
+            for _ in range(3):
+                pos = scanner.find_next(CharClass.COMMA, pos)
+                ends.append(pos)
+                pos += 1
+            assert ends == [1, 4, 8]
 
     def test_independent_cursors_per_class(self):
-        data = b"a,b:c,d:"
-        ib = _builder(data)
-        assert ib.next(CharClass.COMMA).end == 1
-        assert ib.next(CharClass.COLON).end == 3
-        assert ib.next(CharClass.COMMA).end == 5
-        assert ib.next(CharClass.COLON).end == 7
+        # Interleaved queries for two classes do not disturb each other.
+        for scanner in scanners(b"a,b:c,d:"):
+            assert scanner.find_next(CharClass.COMMA, 0) == 1
+            assert scanner.find_next(CharClass.COLON, 0) == 3
+            assert scanner.find_next(CharClass.COMMA, 2) == 5
+            assert scanner.find_next(CharClass.COLON, 4) == 7
 
 
 class TestWordBitmaps:
@@ -107,12 +104,13 @@ class TestWordBitmaps:
         (Figure 8's multi-word spill)."""
         if not data:
             return
-        ib = _builder(data)
-        iv = ib.build(0, CharClass.COMMA)
+        word, _ = scanners(data)
+        end = word.find_next(CharClass.COMMA, 0)
+        if end == NOT_FOUND:
+            end = word.size
         covered = set()
-        for word_base, bitmap in ib.word_bitmaps(iv):
-            for bit in range(64):
+        for word_base, bitmap in word_bitmaps(0, end):
+            for bit in range(WORD_BITS):
                 if bitmap >> bit & 1:
                     covered.add(word_base + bit)
-        end = iv.end if iv.end is not None else len(data)
         assert covered == set(range(0, end))

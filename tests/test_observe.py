@@ -292,8 +292,7 @@ class TestEngineObservability:
         assert reg.value("engine.matches") == 2
         assert reg.value("index.chunks_built") == 1
         assert reg.value("index.words_classified") > 0
-        assert sum(reg.value("scanner.calls", op=op) for op in
-                   ("find_next", "find_prev", "count_range", "kth_in_range", "pair_close")) > 0
+        assert sum(c.value for c in reg.counters() if c.name == "scanner.calls") > 0
 
     def test_metrics_accumulate_across_runs_but_last_stats_is_per_run(self):
         reg = MetricsRegistry()

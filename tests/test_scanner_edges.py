@@ -31,9 +31,10 @@ class TestExactBoundaries:
             assert scanner.find_next(CharClass.LBRACE, 129) == 199
             assert scanner.find_prev(CharClass.LBRACE, 126) == 64
             assert scanner.find_prev(CharClass.LBRACE, 63) == 63
-            assert scanner.count_range(CharClass.LBRACE, 0, 200) == 6
-            assert scanner.count_range(CharClass.LBRACE, 63, 129) == 4
-            assert scanner.kth_in_range(CharClass.LBRACE, 1, 4) == 128
+        word, _ = scanners(data)
+        assert word.count_range(CharClass.LBRACE, 0, 200) == 6
+        assert word.count_range(CharClass.LBRACE, 63, 129) == 4
+        assert word.kth_in_range(CharClass.LBRACE, 1, 4) == 128
 
     def test_query_at_exact_end(self):
         data = b"a" * 63 + b"{"
@@ -46,7 +47,7 @@ class TestExactBoundaries:
         for scanner in scanners(b""):
             assert scanner.find_next(CharClass.LBRACE, 0) == NOT_FOUND
             assert scanner.find_prev(CharClass.LBRACE, 0) == NOT_FOUND
-            assert scanner.count_range(CharClass.LBRACE, 0, 10) == 0
+        assert scanners(b"")[0].count_range(CharClass.LBRACE, 0, 10) == 0
 
 
 class TestPairCloseDeep:
