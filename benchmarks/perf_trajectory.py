@@ -31,11 +31,12 @@ Two further scenario families ride in each record:
   (``MatchList.to_jsonl``).  The ratio is the on-demand-materialization
   win in isolation; ``--check`` requires it stays >=
   ``--emission-floor`` (default 1.3x).
-- **warm_index** (fig10 only) — stage-1 cost with a cold build (best of
-  20) vs a sidecar load (best of 50,
-  :meth:`repro.engine.prepared.IndexedBuffer.load`);
-  ``--check`` requires the warm load cost at most ``--warm-fraction``
-  (default 35%) of the cold build.
+- **warm_index** (fig10 only) — stage-1 cost with a cold build vs a
+  sidecar load (:meth:`repro.engine.prepared.IndexedBuffer.load`) of a
+  fixed 2 MB TT corpus, whatever ``--size`` the figures use, as 31
+  cold/warm pairs interleaved in one process; ``--check`` requires the
+  median per-pair warm/cold ratio stays at most ``--warm-fraction``
+  (default 35%).
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import statistics
 import subprocess
 import sys
 import time
@@ -132,20 +134,10 @@ def measure_fig11(size: int, repeat: int) -> dict:
 EMISSION_QUERIES = ("NSPL2", "GMD2")
 
 
-#: Best-of sample counts for the warm-index cells.  The warm load is
-#: sub-millisecond, so a best of a few reads scheduler noise, not the load.
-COLD_BUILD_SAMPLES, WARM_LOAD_SAMPLES = 20, 50
-
-
-def _best_of(fn, repeat: int):
-    best, result = float("inf"), None
-    for _ in range(repeat):
-        # Free the previous repetition's result before the clock starts.
-        result = None
-        t0 = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, result
+#: The warm-index cell's corpus size and pair count.  At 400 kB both
+#: cells are under 2 ms and bimodal across processes, so their ratio
+#: read process noise; 2 MB and a median of paired ratios do not.
+WARM_INDEX_SIZE, WARM_INDEX_PAIRS = 2_000_000, 31
 
 
 def _encode_values(matches) -> bytes:
@@ -200,23 +192,35 @@ def measure_emission(fig: int, size: int, repeat: int) -> dict:
     return out
 
 
-def measure_warm_index(size: int) -> dict:
-    """Cold stage-1 build vs sidecar-backed warm load (same corpus)."""
+def measure_warm_index() -> dict:
+    """Cold stage-1 build vs sidecar-backed warm load of the same corpus:
+    the medians of :data:`WARM_INDEX_PAIRS` interleaved cold/warm pairs,
+    each result freed before the next clock starts."""
     import tempfile
 
     from repro.engine.prepared import IndexedBuffer
 
-    data = get_large("TT", size)
-    cold_s, built = _best_of(lambda: IndexedBuffer(data).warm(), COLD_BUILD_SAMPLES)
+    data = get_large("TT", WARM_INDEX_SIZE)
+    colds, warms = [], []
     with tempfile.TemporaryDirectory() as tmp:
-        path = built.save(Path(tmp) / "tt.ridx")
-        warm_s, loaded = _best_of(lambda: IndexedBuffer.load(path, data), WARM_LOAD_SAMPLES)
-        if loaded.buffer.index.chunks_built:
-            raise InvariantError("sidecar load built chunks — cache not warm")
+        path = IndexedBuffer(data).save(Path(tmp) / "tt.ridx")
+        for _ in range(WARM_INDEX_PAIRS):
+            t0 = time.perf_counter()
+            built = IndexedBuffer(data).warm()
+            t1 = time.perf_counter()
+            loaded = IndexedBuffer.load(path, data)
+            t2 = time.perf_counter()
+            if loaded.buffer.index.chunks_built:
+                raise InvariantError("sidecar load built chunks — cache not warm")
+            del built, loaded
+            colds.append(t1 - t0)
+            warms.append(t2 - t1)
     return {
-        "cold_s": round(cold_s, 6),
-        "warm_s": round(warm_s, 6),
-        "warm_fraction": round(warm_s / cold_s, 4),
+        "size": len(data),
+        "pairs": WARM_INDEX_PAIRS,
+        "cold_s": round(statistics.median(colds), 6),
+        "warm_s": round(statistics.median(warms), 6),
+        "warm_fraction": round(statistics.median(w / c for w, c in zip(warms, colds)), 4),
     }
 
 
@@ -236,7 +240,7 @@ def build_record(fig: int, size: int, repeat: int) -> dict:
         "emission_geomean": round(_geomean([q["ratio"] for q in emission.values()]), 4),
     }
     if fig == 10:
-        record["warm_index"] = measure_warm_index(size)
+        record["warm_index"] = measure_warm_index()
     return record
 
 
@@ -271,7 +275,8 @@ def print_record(record: dict) -> None:
     warm = record.get("warm_index")
     if warm:
         print(
-            f"  warm index: cold {warm['cold_s']:.4f}s  warm {warm['warm_s']:.4f}s"
+            f"  warm index ({warm['size']} B, median of {warm['pairs']} pairs):"
+            f" cold {warm['cold_s']:.4f}s  warm {warm['warm_s']:.4f}s"
             f"  ({warm['warm_fraction']:.1%} of cold)"
         )
 

@@ -33,12 +33,13 @@ in vector mode).  Seeded with it
 (:meth:`~repro.bits.index.BufferIndex.seed_cursor`), the resumed run
 classifies the chunk it re-enters from the scan position on instead of
 from the chunk start, so a resume classifies only the rest of that
-chunk.  The cursor is read off the index, never derived from the
-frames: the two disagree once a stray byte has shifted the string or
-depth state.  A state without it — written before the field existed,
-or suspended where the chunk holding the scan position was no longer
-cached — resumes from the chunk start as before; readers that predate
-the field ignore it, so ``STATE_VERSION`` stays 2.
+chunk — a 256 KiB one by default (:data:`SUSPEND_CHUNK_SIZE`).  The
+cursor is read off the index, never derived from the frames: the two
+disagree once a stray byte has shifted the string or depth state.  A
+state without it — written before the field existed, or suspended where
+the chunk holding the scan position was no longer cached — resumes from
+the chunk start as before; readers that predate the field ignore it, so
+``STATE_VERSION`` stays 2.
 
 Not supported here: filter queries (they evaluate by engine composition,
 not by one automaton), ``run_with_paths``, early termination, and the
@@ -49,7 +50,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from repro.bits.index import DEFAULT_CHUNK_SIZE
 from repro.checkpoint.store import fingerprint
 from repro.engine.jsonski import ARY, OBJ, _Run
 from repro.engine.output import MatchList
@@ -63,6 +63,15 @@ from repro.stream.buffer import StreamBuffer
 #: ``(escape, in_string)`` pairs to 5-tuples that include the structural
 #: depth counters the two-stage hot path chains across chunks.
 STATE_VERSION = 2
+
+#: Stage-1 chunking of a fresh run.  A resume re-classifies its entry
+#: chunk from the scan position on, plus the chunk it spills into, so a
+#: chunk a quarter of :data:`~repro.bits.index.DEFAULT_CHUNK_SIZE` cuts
+#: that tail; sixteen cached chunks keep the same 4 MiB bound on
+#: retained index memory as four of the default size.  A state carries
+#: its own chunking, so one written at another size resumes with it.
+SUSPEND_CHUNK_SIZE = 256 * 1024
+SUSPEND_CACHE_CHUNKS = 16
 
 
 @dataclass(frozen=True)
@@ -178,8 +187,8 @@ class SuspendableRun:
         query: str,
         data: bytes | str,
         mode: str = "vector",
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        cache_chunks: int | None = 4,
+        chunk_size: int = SUSPEND_CHUNK_SIZE,
+        cache_chunks: int | None = SUSPEND_CACHE_CHUNKS,
         limits: Limits | None = None,
     ) -> "SuspendableRun":
         """Start a fresh suspendable evaluation of ``query`` over ``data``."""
@@ -242,9 +251,13 @@ class SuspendableRun:
             problem = _cursor_problem(state.cursor, state.mode)
             if problem is not None:
                 raise CheckpointError(f"engine state cursor {state.cursor!r} {problem}")
-        # One validation pass, then one bulk load: no per-match call.
+        # One pass validates each match, loads it and collects the open slots.
+        matches = self._run.matches
+        append = matches.appender
+        open_slots: set[int] = set()
         for entry in state.matches:
             if entry is None:
+                open_slots.add(matches.reserve())
                 continue
             try:
                 start, end = entry
@@ -254,8 +267,7 @@ class SuspendableRun:
                 raise CheckpointError(
                     f"engine state match {entry!r} is not a [start, end] pair within the input"
                 )
-        self._run.matches.extend(MatchList.from_offsets(data, state.matches))
-        open_slots = {i for i, entry in enumerate(state.matches) if entry is None}
+            append((data, start, end))
         for frame in state.frames:
             try:
                 kind, idx, slot, start = frame["kind"], frame["idx"], frame["slot"], frame["vstart"]

@@ -198,17 +198,6 @@ class MatchList:
         until the next :meth:`rebase`."""
         return self._matches.append
 
-    @classmethod
-    def from_offsets(cls, source: bytes, offsets: list) -> "MatchList":
-        """The list :meth:`offsets` describes, over ``source``, built in
-        one pass (``None`` stays a reserved slot).  The caller vouches
-        that every pair lies within ``source``."""
-        matches = cls()
-        matches._matches = [
-            None if pair is None else (source, pair[0], pair[1]) for pair in offsets
-        ]
-        return matches
-
     def add_match(self, match: Match) -> None:
         """Adopt an existing view, preserving its memoized value.
 

@@ -18,8 +18,9 @@ import time
 
 import pytest
 
-from repro.checkpoint import CheckpointStore
+from repro.checkpoint import SUSPEND_KIND, CheckpointStore, SuspendableRun
 from repro.cli import EXIT_CODES, EXIT_INTERRUPTED, exit_code_table, main
+from repro.data.datasets import DATASETS, large_record
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 REPO = os.path.dirname(SRC)
@@ -147,6 +148,29 @@ class TestSingleRecordMode:
             ["$.rows[*].name", big_file, "--checkpoint", ck, "--resume", "--count"]
         )
         assert code == 2 and "query" in err
+
+    def test_resume_of_state_written_at_one_mib_chunking(self, tmp_path):
+        # A checkpoint whose run indexed in 1 MiB chunks, not the
+        # default 256 KiB, resumes with that chunking.
+        data = large_record("TT", 1_200_000, seed=4)
+        query = DATASETS["TT"].queries[0].large
+        path = tmp_path / "tt.json"
+        path.write_bytes(data)
+        ck = str(tmp_path / "tt.ckpt")
+        run = SuspendableRun.begin(query, data, chunk_size=1 << 20, cache_chunks=4)
+        assert not run.step(300 * 1024)
+        store = CheckpointStore(ck)
+        store.save({
+            "kind": SUSPEND_KIND,
+            "query": query,
+            "done": False,
+            "engine_state": run.suspend().to_dict(),
+        })
+        code, out, _ = run_cli([query, str(path), "--checkpoint", ck, "--resume", "--raw"])
+        _, expected, _ = run_cli([query, str(path), "--raw"])
+        assert code == 0 and out == expected
+        state = store.load_latest().payload["engine_state"]
+        assert state["done"] and state["chunk_size"] == 1 << 20
 
 
 class TestSignalInterrupt:

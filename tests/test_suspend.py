@@ -19,6 +19,7 @@ import pytest
 from repro import JsonSki
 from repro.bits.classify import CharClass
 from repro.checkpoint import SuspendableRun
+from repro.checkpoint.suspend import SUSPEND_CACHE_CHUNKS, SUSPEND_CHUNK_SIZE
 from repro.data.datasets import DATASETS, large_record
 from repro.errors import CheckpointError, DepthLimitError, RecordTooLargeError, ReproError
 from repro.resilience.guards import Limits
@@ -351,6 +352,54 @@ def test_resume_classifies_from_the_suspension_point(mode):
         resumes += 1
     assert resumes > 20
     assert words <= WORDS_FROM_SUSPENSION_POINT, words
+
+
+#: Words every run of a 1 MB TT record classifies at the default
+#: chunking, stepped at 256 KiB: 27,153.  At 1 MiB chunks, where each
+#: resume classifies the rest of a 1 MiB chunk, it is 37,969.
+WORDS_AT_DEFAULT_CHUNKING = 28_000
+
+
+# BB's step 0 classifies the whole record (the root-level closer lookup
+# spills to the document's end), so only its output is gated.
+@pytest.mark.parametrize("name, max_words", [("TT", WORDS_AT_DEFAULT_CHUNKING), ("BB", None)])
+def test_default_chunking_bounds_resume_work(name, max_words):
+    """Step a 1 MB record at 256 KiB through default-chunked runs, with
+    a JSON round trip per step, summing the words every run classifies."""
+    data = large_record(name, 1_000_000, seed=1)
+    query = DATASETS[name].queries[0].large
+    run = SuspendableRun.begin(query, data)
+    words = 0
+    while True:
+        done = run.step(256 * 1024)
+        words += run.buffer.index.words_built
+        if done:
+            break
+        run = SuspendableRun.resume(data, json.loads(json.dumps(run.suspend().to_dict())))
+    assert run.match_offsets() == JsonSki(query).run(data).spans()
+    if max_words is not None:
+        assert words <= max_words, words
+
+
+def test_begin_defaults_to_suspend_chunking():
+    run = SuspendableRun.begin("$.a", b'{"a": 1}')
+    assert run.buffer.index.chunk_size == SUSPEND_CHUNK_SIZE == 256 * 1024
+    assert run.buffer.index.cache_chunks == SUSPEND_CACHE_CHUNKS == 16
+
+
+def test_state_at_one_mib_chunking_resumes_with_it():
+    data = large_record("TT", 1_200_000, seed=4)
+    query = DATASETS["TT"].queries[0].large
+    run = SuspendableRun.begin(query, data, chunk_size=1 << 20, cache_chunks=4)
+    assert not run.step(300 * 1024)
+    state = json.loads(json.dumps(run.suspend().to_dict()))
+    assert (state["chunk_size"], state["cache_chunks"]) == (1 << 20, 4)
+    resumed = SuspendableRun.resume(data, state)
+    assert (resumed.buffer.index.chunk_size, resumed.buffer.index.cache_chunks) == (1 << 20, 4)
+    assert not resumed.step(300 * 1024)
+    assert resumed.suspend().chunk_size == 1 << 20
+    resumed.run_to_completion()
+    assert resumed.match_offsets() == JsonSki(query).run(data).spans()
 
 
 def test_state_without_cursor_resumes_as_before():
