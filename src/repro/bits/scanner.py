@@ -490,16 +490,20 @@ class VectorScanner(Scanner):
 
     # -- fused G1/G5 seeks: one scanner call per fast-forward ------------
 
-    def _enclosing_close(self, pos: int, chunk_id: int) -> tuple[Any, int, int]:
+    def _enclosing_close(self, pos: int, chunk_id: int, end: int) -> tuple[Any, int, int]:
         """The step every fused lookup starts with: ``(tables, depth,
         end)`` — the depth tables of ``pos``'s chunk ``chunk_id``, the
         combined depth before ``pos``, and the enclosing container's
         closer, the first close at or after ``pos`` at ``depth - 1``
         (:data:`NOT_FOUND` if the stream ends first).  The closer is
         read from the chunk's tables, or on spill from
-        :meth:`close_at_combined_depth` over the later chunks."""
+        :meth:`close_at_combined_depth` over the later chunks — unless
+        the caller already knows it (``end >= pos``: an earlier lookup in
+        the same container returned it), which is then used as is."""
         tables = self._tables(chunk_id)
         depth = tables.depth_before(pos)
+        if end >= pos:
+            return tables, depth, end
         closes = tables.closes_by_depth.get(depth - 1)
         if closes:
             i = bisect_left(closes, pos)
@@ -507,22 +511,24 @@ class VectorScanner(Scanner):
                 return tables, depth, closes[i]
         return tables, depth, self.close_at_combined_depth(depth - 1, (chunk_id + 1) * self._chunk_size)
 
-    def leveled_obj_attr_named(self, pos: int, want_byte: int) -> tuple[int, int, int, int]:
+    def leveled_obj_attr_named(self, pos: int, want_byte: int, end: int = NOT_FOUND) -> tuple[int, int, int, int]:
         """Fused object G1 sweep:
         ``(container_end, wanted_open, name_open, name_close)``.
 
         ``container_end`` is the enclosing container's closer
         (:data:`NOT_FOUND` if the stream ends first, in which case the
-        rest is meaningless); ``wanted_open`` is the first ``want_byte``
-        open at value depth before that end, or :data:`NOT_FOUND`; the
-        name's quotes are :meth:`prev_quote_pair` just before it (both
-        :data:`NOT_FOUND` without a wanted open).  The in-chunk case —
-        overwhelmingly common with megabyte chunks — resolves with one
-        tables fetch and four binary searches; chunk-spill falls back to
-        the decomposed cross-chunk queries.
+        rest is meaningless) — ``end`` itself when the caller passes the
+        closer an earlier lookup in the same container returned, so each
+        container's closer is found once; ``wanted_open`` is the first
+        ``want_byte`` open at value depth before that end, or
+        :data:`NOT_FOUND`; the name's quotes are :meth:`prev_quote_pair`
+        just before it (both :data:`NOT_FOUND` without a wanted open).
+        The in-chunk case — overwhelmingly common with megabyte chunks —
+        resolves with one tables fetch and four binary searches;
+        chunk-spill falls back to the decomposed cross-chunk queries.
         """
         chunk_id = pos // self._chunk_size
-        tables, depth, end = self._enclosing_close(pos, chunk_id)
+        tables, depth, end = self._enclosing_close(pos, chunk_id, end)
         if end == NOT_FOUND:
             return NOT_FOUND, NOT_FOUND, NOT_FOUND, NOT_FOUND
         chunk_end = (chunk_id + 1) * self._chunk_size
@@ -540,16 +546,17 @@ class VectorScanner(Scanner):
             return end, NOT_FOUND, NOT_FOUND, NOT_FOUND
         return (end, found, *self.prev_quote_pair(found - 1))
 
-    def leveled_ary_elem(self, pos: int, want_byte: int) -> tuple[int, int, int]:
+    def leveled_ary_elem(self, pos: int, want_byte: int, end: int = NOT_FOUND) -> tuple[int, int, int]:
         """Fused array G1 sweep: ``(array_end, wanted_open, commas)``.
 
-        Same bound and open as :meth:`leveled_obj_attr_named` plus the
-        count of element-level commas crossed up to the wanted open (or
-        up to the array end when there is none) — Algorithm 5's counter
-        as one range count on the leveled comma map.
+        Same bound (and known ``end``) and open as
+        :meth:`leveled_obj_attr_named` plus the count of element-level
+        commas crossed up to the wanted open (or up to the array end when
+        there is none) — Algorithm 5's counter as one range count on the
+        leveled comma map.
         """
         chunk_id = pos // self._chunk_size
-        tables, depth, end = self._enclosing_close(pos, chunk_id)
+        tables, depth, end = self._enclosing_close(pos, chunk_id, end)
         if end == NOT_FOUND:
             return NOT_FOUND, NOT_FOUND, 0
         chunk_end = (chunk_id + 1) * self._chunk_size
@@ -586,7 +593,7 @@ class VectorScanner(Scanner):
         if pos >= self._size:
             return NOT_FOUND, NOT_FOUND, 0
         chunk_id = pos // self._chunk_size
-        tables, depth, end = self._enclosing_close(pos, chunk_id)
+        tables, depth, end = self._enclosing_close(pos, chunk_id, NOT_FOUND)
         if end == NOT_FOUND:
             return NOT_FOUND, NOT_FOUND, 0
         if end >= (chunk_id + 1) * self._chunk_size:

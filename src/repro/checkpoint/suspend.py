@@ -6,7 +6,8 @@ at the first member boundary (the start of an attribute or element at
 any depth) at or past its budget: the loop raises an internal
 ``_Suspend``, and as it unwinds the recursion every open
 ``_object``/``_array`` activation appends its frame — container kind,
-automaton state, element index, pending reserved slot, container start.
+automaton state, element index, pending reserved slot, container start
+and, once a fused lookup has found it, the container's closer.
 The next step rebuilds the recursion top-down from those frames: each
 non-top frame first re-enters its child, then fills the child's reserved
 slot, then continues with G4 or its delimiter.
@@ -41,6 +42,16 @@ the chunk holding the scan position was no longer cached — resumes from
 the chunk start as before; readers that predate the field ignore it, so
 ``STATE_VERSION`` stays 2.
 
+A frame's optional ``end`` is its container's closer, written once a
+fused G1/G5 lookup has found it (the engine keeps one closer per
+container; :mod:`repro.engine.jsonski`).  It is state, not a cache: on
+malformed input the closer found again from a later position can differ
+from the kept one (after a stray ``]``, the uninterrupted run may raise
+where a run that re-finds its closers returns matches), so a resumed
+frame uses the carried one.  ``_restore`` accepts it only as an int
+strictly between the frame's start and the input's end.  A frame
+without it finds its closer again; ``STATE_VERSION`` stays 2 here too.
+
 Not supported here: filter queries (they evaluate by engine composition,
 not by one automaton), ``run_with_paths``, early termination, and the
 per-run statistics/trace instruments (see docs/robustness.md).
@@ -50,6 +61,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+from repro.bits.scanner import NOT_FOUND
 from repro.checkpoint.store import fingerprint
 from repro.engine.jsonski import ARY, OBJ, _Run
 from repro.engine.output import MatchList
@@ -284,8 +296,13 @@ class SuspendableRun:
                 )
             if not _offset(start, size):
                 raise CheckpointError(f"engine state frame start {start!r} is outside the input")
+            end = frame.get("end", NOT_FOUND)
+            if "end" in frame and (type(end) is not int or not start < end < size):
+                raise CheckpointError(
+                    f"engine state frame end {end!r} is not a closer between its start and the input's end"
+                )
             open_slots.discard(slot)
-            self._frames.append([kind, automaton_state, idx, slot, start])
+            self._frames.append([kind, automaton_state, idx, slot, start, end])
         self._run.pos = state.pos
         self.done = state.done
         if state.cursor is not None:
@@ -293,16 +310,18 @@ class SuspendableRun:
 
     def suspend(self) -> EngineState:
         """Capture the current state (only legal between :meth:`step` calls)."""
-        frames = [
-            {
+        frames = []
+        for kind, state, idx, slot, start, end in self._frames:
+            frame = {
                 "kind": kind,
                 "frontier": sorted(self.qa.frontier(state)),
                 "idx": idx,
                 "slot": slot,
                 "vstart": start,
             }
-            for kind, state, idx, slot, start in self._frames
-        ]
+            if end != NOT_FOUND:
+                frame["end"] = end
+            frames.append(frame)
         return EngineState(
             query=self.query_text,
             mode=self.mode,

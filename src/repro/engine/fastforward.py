@@ -19,7 +19,11 @@ Position conventions:
 - The G1 sweeps (:meth:`go_to_obj_attr`, :meth:`go_to_ary_elem`) and the
   G5 skip (:meth:`go_over_elems`) return plain tuples (documented on each
   method) — they sit on the engine's innermost loop, where object
-  allocation is measurable.
+  allocation is measurable.  Each leaves the enclosing container's
+  closer it used in :attr:`FastForwarder.last_end` (:data:`NOT_FOUND`
+  when it used none), and the G1 sweeps accept that closer back as
+  ``end``: the engine keeps one closer per container, for its later G1
+  sweeps, G4 and the past-range G5.
 
 Validation semantics follow the paper (Section 3.3): fast-forwarded
 segments are checked only for brace/bracket pairing; a stream that ends
@@ -45,6 +49,12 @@ _WS = frozenset(b" \t\n\r")
 
 class FastForwarder:
     """The Table 1 function groups over one stream buffer."""
+
+    #: The enclosing container's closer the last G1/G5 move used.  The
+    #: word-semantics moves find no closer up front, so it stays
+    #: :data:`NOT_FOUND` here and the engine pairs G4 and the past-range
+    #: G5 with ``pair_close``, as Algorithm 4 does.
+    last_end = NOT_FOUND
 
     def __init__(self, buffer: StreamBuffer) -> None:
         self.buffer = buffer
@@ -144,10 +154,10 @@ class FastForwarder:
     # ------------------------------------------------------------------
     # G1: type-directed sweeps (Algorithm 5)
 
-    def go_to_obj_attr(self, pos: int, want: str) -> tuple[bool, int, bytes | None, int]:
+    def go_to_obj_attr(self, pos: int, want: str, end: int = NOT_FOUND) -> tuple[bool, int, bytes | None, int]:
         """``goToObjAttr()`` / ``goToAryAttr()``: sweep to the next
         attribute whose value is an object (``want='object'``) or array
-        (``want='array'``).
+        (``want='array'``).  The word sweep ignores a known ``end``.
 
         ``pos`` must be at the current level of the object (at an
         attribute name, or just after ``{`` or ``,``).  Runs of primitive
@@ -180,10 +190,11 @@ class FastForwarder:
             # A structured value of the other type: go over it and resume.
             cur = self.go_over_obj(nxt_open) if open_byte == _LBRACE else self.go_over_ary(nxt_open)
 
-    def go_to_ary_elem(self, pos: int, want: str) -> tuple[bool, int, int]:
+    def go_to_ary_elem(self, pos: int, want: str, end: int = NOT_FOUND) -> tuple[bool, int, int]:
         """``goToObjElem()`` / ``goToAryElem()``: sweep to the next element
         of the wanted structured type, counting crossed commas so index
-        constraints stay exact (Algorithm 5's counter).
+        constraints stay exact (Algorithm 5's counter).  The word sweep
+        ignores a known ``end``.
 
         Returns ``(ended, position, commas_skipped)``; ``position`` is one
         past ``]`` when ``ended``, else the element's opening character.
@@ -305,17 +316,19 @@ class VectorFastForwarder(FastForwarder):
         self._leveled_ary_elem = scanner.leveled_ary_elem
         self._leveled_skip_elems = scanner.leveled_skip_elems
 
-    def go_to_obj_attr(self, pos: int, want: str) -> tuple[bool, int, bytes | None, int]:
+    def go_to_obj_attr(self, pos: int, want: str, end: int = NOT_FOUND) -> tuple[bool, int, bytes | None, int]:
         """``goToObjAttr()`` as one fused leveled lookup: the enclosing
-        object's closer bounds the sweep, the next wanted-type open at
+        object's closer bounds the sweep (``end``, when an earlier
+        lookup in the object found it), the next wanted-type open at
         the attribute-value depth is read straight from the opens-by-
         depth map (wrong-type siblings nest deeper and never surface),
         and the name's quotes are the two unescaped quotes before it."""
         end, found, name_start, close = self._leveled_obj_attr_named(
-            pos, _LBRACE if want == "object" else _LBRACKET
+            pos, _LBRACE if want == "object" else _LBRACKET, end
         )
         if end < 0 or end >= self.size:
             raise StreamExhaustedError("stream ended inside an object", pos)
+        self.last_end = end
         if found == NOT_FOUND:
             return True, end + 1, None, 0
         if close < self.start:
@@ -324,13 +337,15 @@ class VectorFastForwarder(FastForwarder):
             raise StreamExhaustedError("unpaired quote before attribute value", close)
         return False, name_start, self.data[name_start + 1 : close], found
 
-    def go_to_ary_elem(self, pos: int, want: str) -> tuple[bool, int, int]:
+    def go_to_ary_elem(self, pos: int, want: str, end: int = NOT_FOUND) -> tuple[bool, int, int]:
         """``goToAryElem()`` leveled: next wanted-type open at the element
-        depth, with crossed commas counted from the leveled comma map so
-        index constraints stay exact."""
-        end, found, commas = self._leveled_ary_elem(pos, _LBRACE if want == "object" else _LBRACKET)
+        depth (before ``end``, the array's closer, when already known),
+        with crossed commas counted from the leveled comma map so index
+        constraints stay exact."""
+        end, found, commas = self._leveled_ary_elem(pos, _LBRACE if want == "object" else _LBRACKET, end)
         if end < 0 or end >= self.size:
             raise StreamExhaustedError("stream ended inside an array", pos)
+        self.last_end = end
         if found == NOT_FOUND:
             return True, end + 1, commas
         return False, found, commas
@@ -343,6 +358,7 @@ class VectorFastForwarder(FastForwarder):
         data = self.data
         size = self.size
         if k <= 0:
+            self.last_end = NOT_FOUND
             cur = pos
             while cur < size and data[cur] in _WS:
                 cur += 1
@@ -350,6 +366,7 @@ class VectorFastForwarder(FastForwarder):
         end, comma, crossed = self._leveled_skip_elems(pos, k)
         if end < 0 or end >= size:
             raise StreamExhaustedError("stream ended inside an array", pos)
+        self.last_end = end
         if comma == NOT_FOUND:
             return True, end + 1, crossed
         cur = comma + 1

@@ -43,6 +43,7 @@ from typing import Iterator
 
 from repro.bits.classify import CharClass
 from repro.bits.index import DEFAULT_CHUNK_SIZE
+from repro.bits.scanner import NOT_FOUND
 from repro.engine.base import EngineBase
 from repro.engine.names import decode_name
 from repro.engine.fastforward import make_fastforwarder
@@ -385,9 +386,11 @@ class _Run:
         #: ``is not None`` test per member.  Otherwise they call
         #: :meth:`_boundary` at the first member at or past this position.
         self.stop_at = None if self.deadline is None else 0
-        #: Suspension frames ``[kind, state, idx, slot, start]``: the ones
-        #: a resumed pass re-enters (outermost first), and the ones a
-        #: suspension unwound (innermost first).
+        #: Suspension frames ``[kind, state, idx, slot, start, end]``
+        #: (``end``: the container's closer, :data:`NOT_FOUND` until a
+        #: fast-forward found it): the ones a resumed pass re-enters
+        #: (outermost first), and the ones a suspension unwound
+        #: (innermost first).
         self.resume_frames: list[list] = []
         self.saved_frames: list[list] = []
         self.data = buffer.data
@@ -515,15 +518,16 @@ class _Run:
             return self.saved_frames[::-1]
         return None
 
-    def _reenter(self, depth: int, closer: int, skippable: bool) -> int:
+    def _reenter(self, depth: int, closer: int, skippable: bool, end: int) -> int:
         """Rebuild the recursion below the resumed frame at ``depth``:
         continue its open child (which first continues its own), fill
         the child's reserved slot, then take G4 (``skippable``: the child
-        matched, or it would not have been descended into) or the
-        delimiter.  Returns the next member's position, or -1 once the
-        container closed (``self.pos`` after it)."""
+        matched, or it would not have been descended into) — to ``end``,
+        the resumed frame's own closer, when known — or the delimiter.
+        Returns the next member's position, or -1 once the container
+        closed (``self.pos`` after it)."""
         frame = self.resume_frames[depth]
-        kind, state, _, slot, start = frame
+        kind, state, _, slot, start, _ = frame
         try:
             (self._object if kind == OBJ else self._array)(state, depth + 1, frame)
         except _Suspend:
@@ -533,7 +537,7 @@ class _Run:
         if slot is not None:
             self._fill(slot, start, pos)
         if skippable:
-            self.pos = self.ff.go_to_obj_end(pos)  # G4
+            self.pos = end + 1 if end >= pos else self.ff.go_to_obj_end(pos)  # G4
             self._record("G4", pos, self.pos)
             return -1
         pos = self._skip_ws(pos)
@@ -605,6 +609,11 @@ class _Run:
     # over, descended into and emitted without an intermediate frame.
     # Whitespace skips are inline; a primitive's trailing whitespace is
     # trimmed only when the byte before its delimiter is whitespace.
+    # ``known_end`` is the container's closer once a fused G1/G5 lookup
+    # returned it: later G1 lookups, G4 and the past-range G5 reuse it
+    # instead of pairing again.  One behind ``pos`` (only on malformed
+    # input, where a child's own pairing ran past it) counts as unknown,
+    # so no move ever goes backwards.
 
     def _object(self, state: int, depth: int = 1, frame: list | None = None) -> None:
         """Stream one object; ``frame`` re-enters a suspended one."""
@@ -634,13 +643,14 @@ class _Run:
                     self._record("G2", pos, end)
                 self.pos = end
                 return
+            known_end = NOT_FOUND
         else:
-            origin, pos = frame[4], self.pos
+            origin, pos, known_end = frame[4], self.pos, frame[5]
         names, query_names, key_map = self.names, qa.query_names, qa.key_moves(state)
         paths = self.match_paths
         try:
             if frame is not None and depth < len(self.resume_frames):
-                pos = self._reenter(depth, _RBRACE, skippable)
+                pos = self._reenter(depth, _RBRACE, skippable, known_end)
                 if pos < 0:
                     return
             while True:
@@ -650,12 +660,13 @@ class _Run:
                 if stop_at is not None and pos >= stop_at:
                     stop_at = self._boundary(pos)
                 if typed:
-                    ended, p1, name_raw, vstart = ff.go_to_obj_attr(pos, expected)  # G1
+                    ended, p1, name_raw, vstart = ff.go_to_obj_attr(pos, expected, known_end)  # G1
                     if recording:
                         self._record("G1", pos, p1)
                     if ended:
                         self.pos = p1
                         return
+                    known_end = ff.last_end
                 else:
                     if data[pos] != _QUOTE:
                         raise JsonSyntaxError("expected attribute name", pos)
@@ -738,9 +749,11 @@ class _Run:
                     self._fill(token, vstart, end)
                 pos = vend
                 if flags and skippable:
-                    end = ff.pair_close(_LBRACE_CLS, _RBRACE_CLS, pos, 1)  # G4
-                    if end < 0 or end >= size:
-                        raise StreamExhaustedError("stream ended with unclosed '{'", size)
+                    end = known_end  # G4
+                    if end < pos:
+                        end = ff.pair_close(_LBRACE_CLS, _RBRACE_CLS, pos, 1)
+                        if end < 0 or end >= size:
+                            raise StreamExhaustedError("stream ended with unclosed '{'", size)
                     if recording:
                         self._record("G4", pos, end + 1)
                     self.pos = end + 1
@@ -758,7 +771,7 @@ class _Run:
                 else:
                     raise JsonSyntaxError("expected ',' or '}' in object", pos)
         except _Suspend:
-            self.saved_frames.append([OBJ, state, 0, None, origin])
+            self.saved_frames.append([OBJ, state, 0, None, origin, known_end])
             raise
 
     # -- array (Algorithm 2, array side) -----------------------------------
@@ -789,13 +802,13 @@ class _Run:
                     self._record("G2", pos, end)
                 self.pos = end
                 return
-            idx = 0
+            idx, known_end = 0, NOT_FOUND
         else:
-            origin, idx, pos = frame[4], frame[2], self.pos
+            origin, idx, pos, known_end = frame[4], frame[2], self.pos, frame[5]
         moves, paths = qa.element_moves(state), self.match_paths
         try:
             if frame is not None and depth < len(self.resume_frames):
-                pos = self._reenter(depth, _RBRACKET, False)
+                pos = self._reenter(depth, _RBRACKET, False, known_end)
                 if pos < 0:
                     return
                 idx += 1
@@ -804,9 +817,11 @@ class _Run:
                 if stop_at is not None and pos >= stop_at:
                     stop_at = self._boundary(pos)
                 if stop is not None and idx >= stop:
-                    end = ff.pair_close(_LBRACKET_CLS, _RBRACKET_CLS, pos, 1)  # G5 (past the range)
-                    if end < 0 or end >= size:
-                        raise StreamExhaustedError("stream ended with unclosed '['", size)
+                    end = known_end  # G5 (past the range)
+                    if end < pos:
+                        end = ff.pair_close(_LBRACKET_CLS, _RBRACKET_CLS, pos, 1)
+                        if end < 0 or end >= size:
+                            raise StreamExhaustedError("stream ended with unclosed '['", size)
                     if recording:
                         self._record("G5", pos, end + 1)
                     self.pos = end + 1
@@ -819,19 +834,21 @@ class _Run:
                         self.pos = p1
                         return
                     idx += skipped
+                    known_end = ff.last_end
                     pos = p1
                     continue
                 if pos >= size:
                     raise JsonSyntaxError("stream ended inside an array", pos)
                 vbyte = data[pos]
                 if want_byte >= 0 and vbyte != want_byte:
-                    ended, p1, commas = ff.go_to_ary_elem(pos, expected)  # G1
+                    ended, p1, commas = ff.go_to_ary_elem(pos, expected, known_end)  # G1
                     if recording:
                         self._record("G1", pos, p1)
                     if ended:
                         self.pos = p1
                         return
                     idx += commas
+                    known_end = ff.last_end
                     pos = p1
                     continue
                 move = moves[idx] if idx < ELEMENT_MEMO else None
@@ -896,5 +913,5 @@ class _Run:
                 else:
                     raise JsonSyntaxError("expected ',' or ']' in array", pos)
         except _Suspend:
-            self.saved_frames.append([ARY, state, idx, None, origin])
+            self.saved_frames.append([ARY, state, idx, None, origin, known_end])
             raise

@@ -9,7 +9,8 @@ replaced answer:
 - ``leveled_obj_attr_named`` (object G1) — what ``leveled_obj_attr``
   answered (the enclosing ``close_at_combined_depth``, then the first
   wanted ``open_at_depth`` before it) and then ``prev_quote_pair``
-  before the wanted value;
+  before the wanted value; handed that closer as its known ``end``, it
+  and ``leveled_ary_elem`` answer the same;
 - ``leveled_skip_elems`` (G5) — the structural depth before ``pos``,
   ``close_at_combined_depth`` one level up and ``commas_at_depth``.
 
@@ -222,7 +223,14 @@ def _check_fused(fused: Scanner, buffer: repro.StreamBuffer, where: str) -> int:
             want = _outcome(lambda: _after_closer(alone, open_cls, close_cls, pos))
             assert got == want, (where, pos)
         for want in _WANTS:
-            assert fused.leveled_obj_attr_named(pos, want) == _decomposed_obj_attr(alone, pos, want), (where, pos)
+            expected = _decomposed_obj_attr(alone, pos, want)
+            assert fused.leveled_obj_attr_named(pos, want) == expected, (where, pos)
+            # Handed the closer it found, a G1 lookup answers the same.
+            if expected[0] != NOT_FOUND:
+                assert fused.leveled_obj_attr_named(pos, want, expected[0]) == expected, (where, pos)
+            elem = fused.leveled_ary_elem(pos, want)
+            if elem[0] != NOT_FOUND:
+                assert fused.leveled_ary_elem(pos, want, elem[0]) == elem, (where, pos)
         for k in (1, 3):
             assert fused.leveled_skip_elems(pos, k) == _decomposed_skip_elems(alone, pos, k), (where, pos)
     return len(positions)

@@ -16,7 +16,10 @@ scanned value, shows up as 2x, not 1.05x.
 
 from __future__ import annotations
 
+import gc
+import statistics
 import time
+from operator import truediv
 
 import pytest
 
@@ -33,6 +36,26 @@ def _best_seconds(fn, rounds: int = 5) -> float:
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def _interleaved_seconds(*calls, rounds: int) -> list[list[float]]:
+    """Per-call times (one list per call) from ``rounds`` rounds that run
+    every call back to back in this process, alternating the order so
+    slow drift of the host cancels, with each round's results freed
+    before the next round's clock starts.  A gate on the median of the
+    per-round ratios reads the cost of a variant, not which process or
+    minute it ran in."""
+    seconds: list[list[float]] = [[] for _ in calls]
+    for i in range(rounds):
+        order = range(len(calls)) if i % 2 == 0 else reversed(range(len(calls)))
+        results = []
+        for j in order:
+            t0 = time.perf_counter()
+            results.append(calls[j]())
+            seconds[j].append(time.perf_counter() - t0)
+        del results
+        gc.collect()
+    return seconds
 
 
 def test_noop_observability_overhead_fig10_style():
@@ -72,7 +95,8 @@ def test_default_guard_overhead_under_five_percent():
 def test_checkpoint_overhead_under_five_percent(tmp_path):
     """``checkpoint_every=1000`` must stay within the 5% resilience budget
     of the plain record loop: one staged list append per record, and one
-    json+fsync+rename commit amortized over every 1000 records."""
+    json+fsync+rename commit amortized over every 1000 records.  Gated
+    on the median over 21 interleaved plain/checkpointed rounds."""
     from repro.data.datasets import record_stream
     from repro.resilience import run_with_recovery
 
@@ -80,14 +104,18 @@ def test_checkpoint_overhead_under_five_percent(tmp_path):
     plain_engine = JsonSki("$.text")
     ckpt_engine = JsonSki("$.text")
     run_with_recovery(plain_engine, stream)  # warm caches
-    t_plain = _best_seconds(lambda: run_with_recovery(plain_engine, stream))
-    t_ckpt = _best_seconds(
+    plain, ckpt = _interleaved_seconds(
+        lambda: run_with_recovery(plain_engine, stream),
         lambda: run_with_recovery(
             ckpt_engine, stream,
             checkpoint=tmp_path / "run.ckpt", checkpoint_every=1000,
-        )
+        ),
+        rounds=21,
     )
-    assert t_ckpt <= t_plain * 1.05 + 0.005, (t_plain, t_ckpt)
+    # Each round's checkpointed time over its budget: 5% of the plain
+    # loop plus the noise floor, which also covers the one commit's fsync.
+    over = [c / (p * 1.05 + 0.005) for p, c in zip(plain, ckpt)]
+    assert statistics.median(over) <= 1.0, (statistics.median(plain), statistics.median(ckpt))
 
 
 def test_collect_stats_overhead_is_modest():
@@ -106,28 +134,30 @@ def test_collect_stats_overhead_is_modest():
 def test_lenient_record_paths_stay_near_run_records():
     """``run_with_recovery`` and the single-worker pool take their record
     inputs from batched stage 1, as ``run_records`` does, so over the 10
-    small-record queries each stays within 1.3x of ``run_records``
-    (geomean).  Per-record stage 1 measured about 2.7x."""
-    import math
-
+    small-record queries each stays within 1.3x of ``run_records``: the
+    median per-round ratio over 11 interleaved rounds per query.
+    Per-record stage 1 measured about 2.7x."""
     import repro
     from repro.data.datasets import DATASETS, record_stream
     from repro.parallel import run_records_pool_resilient
     from repro.resilience import run_with_recovery
 
     ratios: dict[str, list[float]] = {"run_with_recovery": [], "pool": []}
+    queries = 0
     for name, spec in DATASETS.items():
         for query in (q.small for q in spec.queries if q.small):
             stream = record_stream(name, 200_000, seed=7)
             engine = repro.compile(query)
             engine.run_records(stream)  # warm caches
-            base = _best_seconds(lambda: engine.run_records(stream), rounds=3)
-            recovery = _best_seconds(lambda: run_with_recovery(engine, stream), rounds=3)
-            pool = _best_seconds(
-                lambda: run_records_pool_resilient(query, stream, n_workers=1), rounds=3
+            base, recovery, pool = _interleaved_seconds(
+                lambda: engine.run_records(stream),
+                lambda: run_with_recovery(engine, stream),
+                lambda: run_records_pool_resilient(query, stream, n_workers=1),
+                rounds=11,
             )
-            ratios["run_with_recovery"].append(recovery / base)
-            ratios["pool"].append(pool / base)
-    assert len(ratios["pool"]) == 10
-    geomean = {k: math.exp(sum(map(math.log, v)) / len(v)) for k, v in ratios.items()}
-    assert all(ratio <= 1.3 for ratio in geomean.values()), geomean
+            ratios["run_with_recovery"] += map(truediv, recovery, base)
+            ratios["pool"] += map(truediv, pool, base)
+            queries += 1
+    assert queries == 10
+    medians = {k: statistics.median(v) for k, v in ratios.items()}
+    assert all(ratio <= 1.3 for ratio in medians.values()), medians

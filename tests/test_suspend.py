@@ -307,6 +307,86 @@ def test_resume_rejects_cursor_on_done_state():
 
 
 # ---------------------------------------------------------------------------
+# A frame carries its container's closer once a fused lookup found it.
+# ---------------------------------------------------------------------------
+
+#: ``(query, record)``: a typed root and object (``$.a.c.d`` wants
+#: object values) whose G1 lookups find each closer before the run
+#: descends, and an array whose G5 skip finds its closer before element
+#: 1 is descended into and the past-range G5 cuts to it.
+CLOSER_CASES = [
+    ("$.a.c.d", b'{"x": 1, "y": {"q": 2}, "a": {"z": 0, "c": {"d": 5}, "e": 1}, "w": {"c": 3}}'),
+    ("$.l[1:2][0]", b'{"l": [[0], [1, 2], [3], [4]]}'),
+]
+
+
+def _budget_one_states(query, data):
+    """Every state of a vector run stepped one byte at a time, each
+    round-tripped through JSON and resumed."""
+    run = SuspendableRun.begin(query, data)
+    states = []
+    while not run.step(1):
+        states.append(json.loads(json.dumps(run.suspend().to_dict())))
+        run = SuspendableRun.resume(data, states[-1])
+    return states
+
+
+@pytest.mark.parametrize("query, data", CLOSER_CASES, ids=["object", "array"])
+def test_mid_container_state_carries_its_closer(query, data):
+    expected = JsonSki(query).run(data)
+    carried = [
+        state for state in _budget_one_states(query, data)
+        if len(state["frames"]) >= 2 and "end" in state["frames"][0]
+    ]
+    assert carried, "no suspension inside a child carried its parent's closer"
+    for state in carried:
+        for frame in state["frames"]:
+            if "end" in frame:
+                # The container's own closer: its bytes are the container.
+                container = json.loads(data[frame["vstart"] : frame["end"] + 1])
+                assert isinstance(container, dict if frame["kind"] == "obj" else list)
+        run = SuspendableRun.resume(data, state)
+        run.run_to_completion()
+        assert run.match_offsets() == expected.spans()
+        assert run.matches().to_jsonl() == expected.to_jsonl()
+
+
+def _carried_state():
+    query, data = CLOSER_CASES[0]
+    state = next(s for s in _budget_one_states(query, data) if "end" in s["frames"][0])
+    return data, state
+
+
+@pytest.mark.parametrize("end", ["non-int", "at-vstart", "at-size"])
+def test_resume_rejects_malformed_frame_end(end):
+    data, state = _carried_state()
+    frame = state["frames"][0]
+    frame["end"] = {"non-int": str(frame["end"]), "at-vstart": frame["vstart"], "at-size": len(data)}[end]
+    with pytest.raises(CheckpointError, match="end"):
+        SuspendableRun.resume(data, state)
+
+
+#: A stray ``{`` after ``"e"`` and a stray ``]`` after ``"g":``.  The
+#: root's closer that the G1 lookup finds before ``a`` is the last byte;
+#: paired again from ``a``'s end, the stray ``{`` swallows it and the
+#: record ends unclosed.  A run resumed inside ``a.c`` takes the root's
+#: G4 in the re-entry after its children close, so it ends like the
+#: uninterrupted run only with the root's carried closer.
+STRAY_REENTER = b'{"a": {"b": 1, "c": {"d": 2}}, "e"{: {"f": [1, 2]}, "g":] 3}'
+
+
+def test_resumed_g4_takes_the_carried_closer():
+    query = "$.a.c.d"
+    expected = _outcome(lambda: JsonSki(query).run(STRAY_REENTER).spans())
+    assert expected == [(26, 27)]
+    deep = [s for s in _budget_one_states(query, STRAY_REENTER) if len(s["frames"]) >= 3]
+    assert deep and all(s["frames"][0].get("end") == len(STRAY_REENTER) - 1 for s in deep)
+    for state in deep:
+        run = SuspendableRun.resume(STRAY_REENTER, state)
+        assert _outcome(lambda: run.run_to_completion().spans()) == expected
+
+
+# ---------------------------------------------------------------------------
 # Stage 1 of a resumed run starts at the suspension point.
 # ---------------------------------------------------------------------------
 
