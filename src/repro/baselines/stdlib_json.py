@@ -72,8 +72,6 @@ class StdlibJson(EngineBase):
             self.limits.check_record_size(len(data.encode("utf-8", "surrogateescape")))
             text = data
         try:
-            # repro: ignore[RS010] -- the parse-everything baseline: its
-            # measured contract is exactly the eager decode the engines avoid.
             value = json.loads(text)
         except ValueError as exc:
             raise JsonSyntaxError(f"stdlib json rejected the record: {exc}", 0) from None

@@ -74,8 +74,6 @@ def to_python(node: AnyNode, source: bytes):
         return {name: to_python(value, source) for name, value in node.members}
     if isinstance(node, ArrayNode):
         return [to_python(value, source) for value in node.elements]
-    # repro: ignore[RS010] -- tree-baseline leaf materialization; the DOM
-    # baseline exists to measure the cost of exactly this.
     return json.loads(source[node.start : node.end])
 
 

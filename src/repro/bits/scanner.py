@@ -217,7 +217,7 @@ class WordScanner(Scanner):
         if first:
             return chunk.start + word_id * WORD_BITS + lowest_bit_position(first)
         for wid in range(word_id + 1, len(words)):
-            word = int(words[wid])  # repro: ignore[RS008] -- paper-faithful word path (Algorithm 3)
+            word = int(words[wid])
             if word:
                 return chunk.start + wid * WORD_BITS + lowest_bit_position(word)
         return NOT_FOUND
@@ -231,7 +231,7 @@ class WordScanner(Scanner):
         lo_word, hi_word = lo_off // WORD_BITS, (hi_off - 1) // WORD_BITS
         total = 0
         for wid in range(lo_word, hi_word + 1):
-            word = int(words[wid])  # repro: ignore[RS008] -- paper-faithful word path (Algorithm 3)
+            word = int(words[wid])
             if wid == lo_word:
                 word &= ~((1 << (lo_off % WORD_BITS)) - 1)
             if wid == hi_word and hi_off % WORD_BITS:
@@ -247,7 +247,7 @@ class WordScanner(Scanner):
         word_id = offset // WORD_BITS
         remaining = k
         for wid in range(word_id, len(words)):
-            word = int(words[wid])  # repro: ignore[RS008] -- paper-faithful word path (Algorithm 3)
+            word = int(words[wid])
             if wid == word_id:
                 word &= ~((1 << (offset % WORD_BITS)) - 1)
             count = popcount(word)
@@ -268,7 +268,7 @@ class WordScanner(Scanner):
         if first:
             return chunk.start + word_id * WORD_BITS + (first.bit_length() - 1)
         for wid in range(word_id - 1, -1, -1):
-            word = int(words[wid])  # repro: ignore[RS008] -- paper-faithful word path (Algorithm 3)
+            word = int(words[wid])
             if word:
                 return chunk.start + wid * WORD_BITS + (word.bit_length() - 1)
         return NOT_FOUND

@@ -13,7 +13,8 @@ Position conventions:
   ``[`` and return the position *after* the matching closer.
 - ``go_to_obj_end`` / ``go_to_ary_end`` take a position *inside* the
   container (at the current level) and likewise return the position after
-  its closer.
+  its closer.  Given the closer already (``end``), they pair only when it
+  is unknown or lies behind ``pos``.
 - ``go_over_pri`` returns the position of the value's structural
   delimiter (``,`` or the container's closer).
 - The G1 sweeps (:meth:`go_to_obj_attr`, :meth:`go_to_ary_elem`) and the
@@ -52,8 +53,8 @@ class FastForwarder:
 
     #: The enclosing container's closer the last G1/G5 move used.  The
     #: word-semantics moves find no closer up front, so it stays
-    #: :data:`NOT_FOUND` here and the engine pairs G4 and the past-range
-    #: G5 with ``pair_close``, as Algorithm 4 does.
+    #: :data:`NOT_FOUND` here and G4 and the past-range G5 pair with
+    #: ``pair_close``, as Algorithm 4 does.
     last_end = NOT_FOUND
 
     def __init__(self, buffer: StreamBuffer) -> None:
@@ -65,8 +66,7 @@ class FastForwarder:
         # structure, so attribute-lookup cost matters.
         self._find_next = buffer.scanner.find_next
         self._find_prev = buffer.scanner.find_prev
-        #: The scanner's (metered) ``pair_close``, also called directly
-        #: by the engine's closer skips (G4, G5 past the range).
+        #: The scanner's (metered) ``pair_close``.
         self.pair_close = buffer.scanner.pair_close
 
     # ------------------------------------------------------------------
@@ -93,18 +93,24 @@ class FastForwarder:
             raise StreamExhaustedError("stream ended with unclosed '['", self.size)
         return end + 1
 
-    def go_to_obj_end(self, pos: int) -> int:
-        """``goToObjEnd()`` (G4): from inside an object to after its ``}``."""
-        end = self.pair_close(CharClass.LBRACE, CharClass.RBRACE, pos, 1)
-        if end < 0 or end >= self.size:
-            raise StreamExhaustedError("stream ended with unclosed '{'", self.size)
+    def go_to_obj_end(self, pos: int, end: int = NOT_FOUND) -> int:
+        """``goToObjEnd()`` (G4): from inside an object to after its ``}``
+        — ``end``, when known.  A closer behind ``pos`` (only on
+        malformed input, where a child's own pairing ran past it) counts
+        as unknown, so the move never goes backwards."""
+        if end < pos:
+            end = self.pair_close(CharClass.LBRACE, CharClass.RBRACE, pos, 1)
+            if end < 0 or end >= self.size:
+                raise StreamExhaustedError("stream ended with unclosed '{'", self.size)
         return end + 1
 
-    def go_to_ary_end(self, pos: int) -> int:
-        """``goToAryEnd()`` (G5): from inside an array to after its ``]``."""
-        end = self.pair_close(CharClass.LBRACKET, CharClass.RBRACKET, pos, 1)
-        if end < 0 or end >= self.size:
-            raise StreamExhaustedError("stream ended with unclosed '['", self.size)
+    def go_to_ary_end(self, pos: int, end: int = NOT_FOUND) -> int:
+        """``goToAryEnd()`` (G5): from inside an array to after its ``]``
+        — ``end``, when known (see :meth:`go_to_obj_end`)."""
+        if end < pos:
+            end = self.pair_close(CharClass.LBRACKET, CharClass.RBRACKET, pos, 1)
+            if end < 0 or end >= self.size:
+                raise StreamExhaustedError("stream ended with unclosed '['", self.size)
         return end + 1
 
     def go_over_pri(self, pos: int, in_object: bool) -> int:

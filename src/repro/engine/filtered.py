@@ -67,7 +67,6 @@ class SlicePredicate:
             try:
                 # The predicate is this value's consumer; the memoized
                 # parse is shared with any later consumer of the view.
-                # repro: ignore[RS010] -- first touch of the lazy view, not an eager re-parse
                 return True, candidate.value()
             except ValueError:
                 # Undecodable element: the predicate fails; resource
@@ -76,7 +75,6 @@ class SlicePredicate:
         match = self._engines[path].first(candidate.text)
         if match is None:
             return False, None
-        # repro: ignore[RS010] -- predicate comparison consumes the sub-match value
         return True, match.value()
 
     def matches(self, candidate: Match | bytes) -> bool:
@@ -106,8 +104,6 @@ class SlicePredicate:
         raise InvariantError(f"unknown filter node {expr!r}")  # pragma: no cover
 
 
-# repro: ignore[RS007] -- internal composition engine: JsonSki's constructor
-# dispatches filter paths here; it is not separately user-selectable.
 class FilteredJsonSki(EngineBase):
     """Streaming evaluation of a path containing filter steps."""
 

@@ -49,7 +49,7 @@ from repro.engine.names import decode_name
 from repro.engine.fastforward import make_fastforwarder
 from repro.engine.output import MatchList
 from repro.engine.stats import FastForwardStats
-from repro.errors import JsonSyntaxError, ReproError, StreamExhaustedError, shift_position
+from repro.errors import JsonSyntaxError, ReproError, shift_position
 from repro.observe import NOOP_TRACER, MetricsRegistry
 from repro.jsonpath.ast import Path
 from repro.resilience.guards import Limits, depth_error_from_recursion, effective_limits
@@ -64,8 +64,6 @@ _LBRACKET, _RBRACKET = 0x5B, 0x5D
 _QUOTE, _COMMA, _COLON = 0x22, 0x2C, 0x3A
 _QUOTE_B, _BACKSLASH = b'"', 0x5C
 _WS = frozenset(b" \t\n\r")
-_LBRACE_CLS, _RBRACE_CLS = CharClass.LBRACE, CharClass.RBRACE
-_LBRACKET_CLS, _RBRACKET_CLS = CharClass.LBRACKET, CharClass.RBRACKET
 
 #: Input bytes between two deadline checks in the member loops.
 _DEADLINE_STRIDE = 4096
@@ -537,7 +535,7 @@ class _Run:
         if slot is not None:
             self._fill(slot, start, pos)
         if skippable:
-            self.pos = end + 1 if end >= pos else self.ff.go_to_obj_end(pos)  # G4
+            self.pos = self.ff.go_to_obj_end(pos, end)  # G4
             self._record("G4", pos, self.pos)
             return -1
         pos = self._skip_ws(pos)
@@ -611,9 +609,8 @@ class _Run:
     # trimmed only when the byte before its delimiter is whitespace.
     # ``known_end`` is the container's closer once a fused G1/G5 lookup
     # returned it: later G1 lookups, G4 and the past-range G5 reuse it
-    # instead of pairing again.  One behind ``pos`` (only on malformed
-    # input, where a child's own pairing ran past it) counts as unknown,
-    # so no move ever goes backwards.
+    # instead of pairing again (the fast-forwarder's closer skips take
+    # it, and pair only when it is unknown or behind ``pos``).
 
     def _object(self, state: int, depth: int = 1, frame: list | None = None) -> None:
         """Stream one object; ``frame`` re-enters a suspended one."""
@@ -749,14 +746,9 @@ class _Run:
                     self._fill(token, vstart, end)
                 pos = vend
                 if flags and skippable:
-                    end = known_end  # G4
-                    if end < pos:
-                        end = ff.pair_close(_LBRACE_CLS, _RBRACE_CLS, pos, 1)
-                        if end < 0 or end >= size:
-                            raise StreamExhaustedError("stream ended with unclosed '{'", size)
+                    self.pos = ff.go_to_obj_end(pos, known_end)  # G4
                     if recording:
-                        self._record("G4", pos, end + 1)
-                    self.pos = end + 1
+                        self._record("G4", pos, self.pos)
                     return
                 while pos < size and data[pos] in _WS:
                     pos += 1
@@ -817,14 +809,9 @@ class _Run:
                 if stop_at is not None and pos >= stop_at:
                     stop_at = self._boundary(pos)
                 if stop is not None and idx >= stop:
-                    end = known_end  # G5 (past the range)
-                    if end < pos:
-                        end = ff.pair_close(_LBRACKET_CLS, _RBRACKET_CLS, pos, 1)
-                        if end < 0 or end >= size:
-                            raise StreamExhaustedError("stream ended with unclosed '['", size)
+                    self.pos = ff.go_to_ary_end(pos, known_end)  # G5 (past the range)
                     if recording:
-                        self._record("G5", pos, end + 1)
-                    self.pos = end + 1
+                        self._record("G5", pos, self.pos)
                     return
                 if idx < start:
                     ended, p1, skipped = ff.go_over_elems(pos, start - idx)  # G5

@@ -43,9 +43,6 @@ class _MultiRun(_Run):
             self.per_query[qid].fill(slot, self.data, vstart, vend)
 
 
-# repro: ignore[RS007] -- multi-query engine: its constructor takes a
-# query *list*, so it cannot satisfy the single-query EngineInfo factory
-# surface; selected through its own API (see docs/parallel.md).
 class JsonSkiMulti(_Pass):
     """Shared-pass JSONSki over a fixed set of queries.
 

@@ -18,9 +18,6 @@ def decode_name(raw: bytes) -> str:
     if b"\\" not in raw:
         return raw.decode("utf-8", "surrogateescape")
     try:
-        # repro: ignore[RS010] -- decodes a key *name* for automaton
-        # comparison, not a matched value; names are short and this is
-        # the escaped-slow-path only.
         return json.loads(b'"' + raw + b'"')
     except ValueError:
         # Malformed escape sequence: fall back to a literal decoding so

@@ -308,10 +308,9 @@ class IndexedBuffer:
         return f"IndexedBuffer({len(self)} bytes, mode={self.mode!r})"
 
 
-# repro: ignore[RS003,RS007] -- not an engine: a wrapper the registry's
+# repro: ignore[RS003] -- not an engine: a wrapper the registry's
 # compile() puts around every constructed engine; it takes the engine
-# instance (limits and friends were already applied by the factory) and
-# is selected through compile(), never registered itself.
+# instance, to which the factory already applied limits and friends.
 class PreparedQuery:
     """A compiled query bound to one registered engine.
 

@@ -179,8 +179,6 @@ def load_buffer(
     if header_len > len(mm) - 16:
         raise _fail("truncated header", "truncated")
     try:
-        # repro: ignore[RS010] -- parses the sidecar's own tiny metadata
-        # header once per load, not matched corpus bytes.
         header = json.loads(mm[16 : 16 + header_len].decode("utf-8"))
         version = header["format_version"]
         mode = header["mode"]

@@ -102,10 +102,6 @@ class Histogram:
                     return
             self.bucket_counts[-1] += 1
 
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
     def merge(self, other: "Histogram") -> None:
         if other.bounds != self.bounds:
             raise ValueError(

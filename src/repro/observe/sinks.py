@@ -129,10 +129,6 @@ class PrometheusTextSink:
     def render(self) -> str:
         return render_prometheus(self.registry, self.prefix)
 
-    def write_to(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.render())
-
     def close(self) -> None:
         pass
 

@@ -109,6 +109,4 @@ def evaluate_bytes(path: Path | str, data: bytes | str) -> list[Any]:
     """Parse JSON text with :func:`json.loads`, then evaluate ``path``."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    # repro: ignore[RS010] -- the reference oracle's contract is to parse
-    # the whole document; it defines correctness, not performance.
     return evaluate(path, json.loads(data))

@@ -114,14 +114,6 @@ class Limits:
                 f"{self.max_record_bytes}-byte single-record limit"
             )
 
-    def check_depth(self, depth: int, position: int = -1) -> None:
-        """Raise :class:`DepthLimitError` when ``depth`` crosses the guard."""
-        if self.max_depth is not None and depth > self.max_depth:
-            raise DepthLimitError(
-                f"nesting depth {depth} exceeds max_depth={self.max_depth}",
-                position, depth,
-            )
-
     def enter(self, depth: int, position: int = -1) -> None:
         """One container boundary: depth guard + cooperative deadline."""
         if self.max_depth is not None and depth > self.max_depth:

@@ -4,8 +4,9 @@ The reproduction's correctness rests on a handful of contracts that hold
 only by convention — 64-bit clamping in the word kernels, the
 :mod:`repro.errors` raise taxonomy, ``limits=`` threading through engine
 composition, JSON-serializable checkpoint state, determinism on the
-resume and differential-fuzz paths, no silent exception swallowing, and
-registry completeness.  ``repro.staticcheck`` enforces them with a
+resume and differential-fuzz paths, no silent exception swallowing,
+bounded waits and durable writes in the service, and the concurrency
+contracts of the serve path.  ``repro.staticcheck`` enforces them with a
 single-pass AST analysis so a violation is a CI failure, not a latent
 divergence bug for the fuzzer to stumble on.
 
@@ -29,7 +30,7 @@ from repro.staticcheck.core import (
     check_sources,
     register_rule,
 )
-from repro.staticcheck import rules as _rules  # noqa: F401  (registers RS001-RS007)
+from repro.staticcheck import rules as _rules  # noqa: F401  (registers the rules)
 from repro.staticcheck.reporters import render_json, render_text
 
 __all__ = [

@@ -1,10 +1,11 @@
 """Whole-program call graph for the concurrency rules (RS012-RS014).
 
-The per-file rules (RS001-RS011) are pattern matchers; the concurrency
-rules need to answer questions no single file can: *is this function
-reachable from an ``async def`` without an executor hop?* and *is this
-attribute written from two execution contexts at once?*  This module
-builds the project-wide structure they share, in two phases:
+The per-file rules (RS001-RS006, RS009, RS011) are pattern matchers;
+the concurrency rules need to answer questions no single file can: *is
+this function reachable from an ``async def`` without an executor hop?*
+and *is this attribute written from two execution contexts at once?*
+This module builds the project-wide structure they share, in two
+phases:
 
 **Phase 1 — index.**  Every file contributes its module name, its
 imports (module- and function-level), its module-level bindings, and
@@ -115,8 +116,6 @@ class CallSite:
     dispatch: str | None = None
     #: Qualnames of the dispatched callables.
     dispatch_targets: tuple[str, ...] = ()
-    #: Whether the call is awaited (``await f()``).
-    in_await: bool = False
 
 
 @dataclass
@@ -127,7 +126,6 @@ class FunctionInfo:
     node: ast.AST
     ctx: FileContext
     module: str
-    class_name: str | None = None
     is_async: bool = False
     calls: list[CallSite] = field(default_factory=list)
 
@@ -171,8 +169,6 @@ class CallGraph:
         #: function qualname -> qualname of the lexically enclosing
         #: function (nested defs and lambdas).
         self.enclosing: dict[str, str] = {}
-        #: node -> qualname, for rules that walk from AST nodes.
-        self._node_owner: dict[int, str] = {}
         #: (function qualname, name) pairs currently being inferred —
         #: the cycle breaker for rebound names (see _infer_name_type).
         self._inferring_names: set[tuple[str, str]] = set()
@@ -206,7 +202,7 @@ class CallGraph:
             for target in targets:
                 if isinstance(target, ast.Name) and value is not None:
                     info.globals.setdefault(target.id, []).append(value)
-        self._index_scope(ctx.tree, ctx, module, module, None)
+        self._index_scope(ctx.tree, ctx, module, module)
 
     def _index_scope(
         self,
@@ -214,16 +210,15 @@ class CallGraph:
         ctx: FileContext,
         module: str,
         prefix: str,
-        class_name: str | None,
     ) -> None:
         for child in ast.iter_child_nodes(scope):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 qualname = f"{prefix}.{child.name}"
                 self._add_function(FunctionInfo(
-                    qualname, child, ctx, module, class_name,
+                    qualname, child, ctx, module,
                     is_async=isinstance(child, ast.AsyncFunctionDef),
                 ), prefix)
-                self._index_scope(child, ctx, module, qualname, None)
+                self._index_scope(child, ctx, module, qualname)
             elif isinstance(child, ast.ClassDef):
                 cls_qual = f"{prefix}.{child.name}"
                 cls = ClassInfo(
@@ -240,15 +235,12 @@ class CallGraph:
                         inferred = _annotation_class(item.annotation)
                         if inferred:
                             cls.attr_types.setdefault(item.target.id, inferred)
-                self._index_scope(child, ctx, module, cls_qual, child.name)
-            elif isinstance(child, _FUNC_TYPES):  # lambda as a child expr
-                self._index_lambdas(child, ctx, module, prefix, class_name)
+                self._index_scope(child, ctx, module, cls_qual)
             else:
-                self._index_lambdas(child, ctx, module, prefix, class_name)
+                self._index_lambdas(child, ctx, module, prefix)
 
     def _index_lambdas(
         self, node: ast.AST, ctx: FileContext, module: str, prefix: str,
-        class_name: str | None,
     ) -> None:
         """Register lambdas nested in expressions (dispatch callables)."""
         for sub in ast.walk(node):
@@ -256,13 +248,12 @@ class CallGraph:
                 qualname = f"{prefix}.<lambda@{sub.lineno}>"
                 if qualname not in self.functions:
                     self._add_function(
-                        FunctionInfo(qualname, sub, ctx, module, class_name),
+                        FunctionInfo(qualname, sub, ctx, module),
                         prefix,
                     )
 
     def _add_function(self, info: FunctionInfo, enclosing_prefix: str) -> None:
         self.functions[info.qualname] = info
-        self._node_owner[id(info.node)] = info.qualname
         if enclosing_prefix in self.functions:
             self.enclosing[info.qualname] = enclosing_prefix
 
@@ -271,12 +262,10 @@ class CallGraph:
         for cls in self.classes.values():
             for method_name, qualname in cls.methods.items():
                 self.methods_by_name.setdefault(method_name, []).append(qualname)
-            init = cls.methods.get("__init__") or cls.methods.get("__post_init__")
             for name in ("__init__", "__post_init__"):
                 qual = cls.methods.get(name)
                 if qual:
                     self._infer_attr_types(cls, self.functions[qual])
-            del init
 
     def _infer_attr_types(self, cls: ClassInfo, init: FunctionInfo) -> None:
         node = init.node
@@ -337,19 +326,11 @@ class CallGraph:
             body = [node.body]
         else:
             body = node.body  # type: ignore[union-attr]
-        awaited: set[int] = set()
-        for stmt in body:
-            for sub in ast.walk(stmt):
-                if isinstance(sub, _FUNC_TYPES) and sub is not node:
-                    continue  # handled as their own functions
-                if isinstance(sub, ast.Await) and isinstance(sub.value, ast.Call):
-                    awaited.add(id(sub.value))
         for stmt in body:
             for sub in _walk_own(stmt, node):
                 if isinstance(sub, ast.Call):
                     site = self._resolve_call(sub, info)
                     if site is not None:
-                        site.in_await = id(sub) in awaited
                         info.calls.append(site)
 
     def _resolve_call(self, call: ast.Call, info: FunctionInfo) -> CallSite | None:
@@ -636,9 +617,6 @@ class CallGraph:
     def module_global_names(self, module: str) -> set[str]:
         info = self.modules.get(module)
         return set(info.globals) if info else set()
-
-    def function_for_node(self, node: ast.AST) -> FunctionInfo | None:
-        return self.functions.get(self._node_owner.get(id(node), ""))
 
 
 def _walk_own(stmt: ast.AST, owner: ast.AST):

@@ -132,9 +132,6 @@ class Analysis:
     def racing_contexts(self, qualname: str) -> frozenset[str]:
         return self.contexts.get(qualname, frozenset()) & RACING
 
-    def shared_class_names(self) -> set[str]:
-        return {self.graph.classes[q].name for q in self.shared_classes}
-
     def chain_for(self, qualname: str) -> str:
         chain = self.blocking.get(qualname)
         if not chain:

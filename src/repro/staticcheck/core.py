@@ -7,7 +7,7 @@ One parse per file, one generic AST walk shared by every rule:
   bindings, suppression comments);
 - :class:`Rule` — a plugin with ``visit`` callbacks filtered by node
   type, plus an optional ``end_project`` hook for cross-module rules
-  (registry completeness, constructor threading);
+  (constructor threading, the whole-program concurrency rules);
 - :func:`check_paths` / :func:`check_sources` — the two entry points
   (filesystem walk for the CLI, in-memory sources for fixture tests).
 
@@ -88,7 +88,6 @@ class FileContext:
 
     def __init__(self, path: str, source: str, tree: ast.Module) -> None:
         self.path = path.replace("\\", "/")
-        self.source = source
         self.tree = tree
         visitor = _ParentVisitor()
         visitor.visit(tree)
@@ -117,14 +116,6 @@ class FileContext:
             if isinstance(anc, _SCOPE_TYPES):
                 return anc
         return self.tree
-
-    def enclosing_statement(self, node: ast.AST) -> ast.stmt | None:
-        if isinstance(node, ast.stmt):
-            return node
-        for anc in self.ancestors(node):
-            if isinstance(anc, ast.stmt):
-                return anc
-        return None
 
     def in_packages(self, *names: str) -> bool:
         """Whether the file lives under any of the given repro subpackages."""
@@ -273,18 +264,15 @@ class Rule:
     """Base class for one checker rule.
 
     Subclasses set ``code``/``name``/``summary``, declare the node
-    types they want via ``node_types`` (empty tuple = every node), and
-    implement :meth:`visit`.  Cross-module rules accumulate state on
-    ``self`` and emit from :meth:`end_project`.
+    types they want via ``node_types``, and implement :meth:`visit`.
+    Cross-module rules accumulate state on ``self`` and emit from
+    :meth:`end_project`.
     """
 
     code: str = "RS999"
     name: str = "unnamed"
     summary: str = ""
     node_types: tuple[type, ...] = ()
-
-    def start_file(self, ctx: FileContext, project: Project) -> None:
-        """Called before visiting a file's nodes."""
 
     def visit(self, node: ast.AST, ctx: FileContext, project: Project) -> None:
         """Called for each node whose type is in ``node_types``."""
@@ -338,11 +326,15 @@ def check_sources(
     select: Iterable[str] | None = None,
 ) -> list[Finding]:
     """Check in-memory sources (path -> text). The testable entry point."""
-    # Import for the side effect of registering RS001-RS007 when callers
+    # Import for the side effect of registering the rules when callers
     # use repro.staticcheck.core directly.
     from repro.staticcheck import rules as _rules  # noqa: F401
 
     rules = _select_rules(select)
+    dispatch: dict[type, list[Rule]] = {}
+    for rule in rules:
+        for node_type in rule.node_types:
+            dispatch.setdefault(node_type, []).append(rule)
     project = Project()
     suppression_map: dict[str, list[Suppression]] = {}
 
@@ -368,19 +360,8 @@ def check_sources(
                 suppressions.append(item)
         suppression_map[normalized] = suppressions
 
-        dispatch: dict[type, list[Rule]] = {}
-        catch_all: list[Rule] = []
-        for rule in rules:
-            rule.start_file(ctx, project)
-            if rule.node_types:
-                for node_type in rule.node_types:
-                    dispatch.setdefault(node_type, []).append(rule)
-            else:
-                catch_all.append(rule)
         for node in ast.walk(tree):
             for rule in dispatch.get(type(node), ()):
-                rule.visit(node, ctx, project)
-            for rule in catch_all:
                 rule.visit(node, ctx, project)
 
     for rule in rules:

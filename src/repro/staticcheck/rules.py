@@ -1,8 +1,9 @@
-"""The engine-contract rules (RS001-RS011).
+"""The engine-contract rules: RS001-RS006, RS009 and RS011-RS014.
 
 Each rule is documented in ``docs/static-analysis.md`` with its
-rationale and the exact exemptions it grants; the docstrings here are
-the normative short form.
+rationale, the exact exemptions it grants and the finding (or
+regression fixture) that justifies keeping it; the docstrings here are
+the normative short form.  Codes of deleted rules are not reused.
 """
 
 from __future__ import annotations
@@ -504,11 +505,18 @@ class DeterministicResume(Rule):
     Applies to ``repro/checkpoint/`` and ``repro/resilience/fuzz.py``.
     Seeded ``random.Random(seed)`` instances are the sanctioned
     randomness; wall-clock reads belong in injected clocks.
+
+    Builtin ``hash()`` is flagged there and in ``repro/data/`` and
+    ``benchmarks/`` too: str and bytes hashes are salted per process, so
+    a seed derived from one (``random.Random(hash(name) ^ seed)``) gives
+    different "seeded" data in every process.  ``zlib.crc32`` is stable.
+    Only the hash check reaches those two trees — benchmarks read clocks
+    by design.
     """
 
     code = "RS005"
     name = "deterministic-resume"
-    summary = "nondeterminism (clock/RNG/set order) on a determinism-critical path"
+    summary = "nondeterminism (clock/RNG/set order/str hash) on a determinism-critical path"
     node_types = (ast.Call, ast.For, ast.comprehension)
 
     def _in_scope(self, ctx: FileContext) -> bool:
@@ -517,6 +525,13 @@ class DeterministicResume(Rule):
         return ctx.in_packages("resilience") and ctx.module_name == "fuzz"
 
     def visit(self, node: ast.AST, ctx: FileContext, project: Project) -> None:
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "hash":
+            if self._in_scope(ctx) or ctx.in_packages("data", "benchmarks"):
+                project.add(self, ctx, node,
+                            "hash() of a str/bytes is salted per process; derive "
+                            "seeds and keys with zlib.crc32 instead")
+            return
         if not self._in_scope(ctx):
             return
         if isinstance(node, ast.Call):
@@ -630,90 +645,6 @@ class ExceptionSwallow(Rule):
         return False
 
 
-@register_rule
-class RegistryCompleteness(Rule):
-    """RS007: every engine class is registered with an ``EngineInfo``.
-
-    The registry is the single source of capability truth: CLI, harness
-    and cross-check only see registered engines.  An engine class that
-    never appears inside an ``EngineInfo(...)`` registration is dark
-    machinery — register it or suppress with the reason it is internal.
-    """
-
-    code = "RS007"
-    name = "registry-completeness"
-    summary = "engine class never registered via EngineInfo"
-    node_types = (ast.ClassDef, ast.Call)
-
-    def __init__(self) -> None:
-        self._engine_classes: list[tuple[str, ast.ClassDef]] = []
-        self._registered: set[str] = set()
-
-    def visit(self, node: ast.AST, ctx: FileContext, project: Project) -> None:
-        if isinstance(node, ast.ClassDef):
-            if ctx.in_packages("engine", "baselines") and _is_engine_class(node):
-                self._engine_classes.append((ctx.path, node))
-        else:
-            assert isinstance(node, ast.Call)
-            if _call_name(node) == "EngineInfo":
-                for sub in ast.walk(node):
-                    if isinstance(sub, ast.Name):
-                        self._registered.add(sub.id)
-
-    def end_project(self, project: Project) -> None:
-        for path, class_node in self._engine_classes:
-            if class_node.name not in self._registered:
-                project.add(self, path, class_node,
-                            f"engine class {class_node.name} is not registered "
-                            "in any EngineInfo(...); register it (with "
-                            "capability flags) or justify why it is internal",
-                            col=class_node.col_offset)
-
-
-@register_rule
-class PerWordIntLoop(Rule):
-    """RS008: no per-word Python-int loops outside the word layer.
-
-    The vectorized two-stage hot path exists precisely so stage 2 never
-    lifts bitmap words to Python ints one at a time; ``int(words[i])``
-    inside a ``for``/``while`` is the word-at-a-time idiom and belongs
-    in ``repro/bits/words.py`` or the explicitly paper-faithful word
-    scanner (suppressed with a reason).  Anywhere else it silently
-    reintroduces the per-word interpreter overhead the position index
-    was built to remove.
-    """
-
-    code = "RS008"
-    name = "per-word-int-loop"
-    summary = "per-word int() loop outside the word layer"
-    node_types = (ast.Call,)
-
-    def visit(self, node: ast.AST, ctx: FileContext, project: Project) -> None:
-        assert isinstance(node, ast.Call)
-        if not (isinstance(node.func, ast.Name) and node.func.id == "int" and node.args):
-            return
-        if ctx.in_packages("bits") and ctx.module_name == "words":
-            return
-        if not any(isinstance(anc, (ast.For, ast.While)) for anc in ctx.ancestors(node)):
-            return
-        if not self._references_words(node.args[0]):
-            return
-        project.add(self, ctx, node,
-                    "per-word int() inside a loop: word-at-a-time bit "
-                    "manipulation belongs in repro/bits/words.py (or the "
-                    "paper-faithful word path, with a suppression naming it); "
-                    "use the per-chunk position arrays instead")
-
-    @staticmethod
-    def _references_words(expr: ast.expr) -> bool:
-        for sub in ast.walk(expr):
-            if isinstance(sub, ast.Name) and sub.id in ("word", "words"):
-                return True
-            if isinstance(sub, ast.Attribute) and sub.attr == "words":
-                return True
-        return False
-
-
 #: ``await obj.ATTR(...)`` on one of these attributes paces the handler
 #: on a remote party — a client socket, a queue peer, a lock holder —
 #: and must therefore be bounded by ``asyncio.wait_for``.
@@ -779,63 +710,6 @@ class BoundedServeIO(Rule):
                         "handler — wrap it with the request's client_timeout")
 
 
-#: Receiver names that conventionally denote a match view in engine
-#: code, so a zero-arg ``.value()``/``.values()`` on them is a parse
-#: (dict ``.values()`` receivers are attributes or differently named).
-_MATCH_VIEW_NAMES = frozenset({"match", "matches", "candidate", "inner_match"})
-
-
-@register_rule
-class EagerMaterialization(Rule):
-    """RS010: engine hot paths do not eagerly materialize matched byte
-    ranges.
-
-    Matches are lazy views (:mod:`repro.engine.output`): decoding
-    happens at most once, on first touch, on the consumer's side.  A
-    ``json.loads`` — or a ``.value()`` / ``run(...).values()`` — inside
-    the scan path re-introduces exactly the per-match decode cost the
-    on-demand model removed, and it is invisible in correctness tests
-    because the decoded value is equal either way.  ``engine/output.py``
-    (the one legitimate materialization point) is exempt; the reference
-    oracle and the baselines, whose measured contract *is* to parse,
-    carry reasoned ``# repro: ignore[RS010]`` suppressions.
-    """
-
-    code = "RS010"
-    name = "eager-materialization"
-    summary = "eager json.loads/.value() in an engine hot path"
-    node_types = (ast.Call,)
-
-    def visit(self, node: ast.AST, ctx: FileContext, project: Project) -> None:
-        assert isinstance(node, ast.Call)
-        if not ctx.in_packages("engine", "reference", "baselines"):
-            return
-        if ctx.in_packages("engine") and ctx.module_name == "output":
-            return
-        func = node.func
-        if (isinstance(func, ast.Attribute) and func.attr == "loads"
-                and isinstance(func.value, ast.Name) and func.value.id == "json"):
-            project.add(self, ctx, node,
-                        "json.loads in a hot path: return the lazy Match view "
-                        "and let the consumer pay for decoding on first touch")
-            return
-        # Zero-arg .value()/.values() where the receiver is plainly a
-        # match view: chained off a call (run(...).values()) or bound to
-        # a conventional name.  Dict .values() on attribute receivers
-        # (self._counters.values()) stays legal.
-        if (isinstance(func, ast.Attribute)
-                and func.attr in ("value", "values")
-                and not node.args and not node.keywords):
-            recv = func.value
-            if isinstance(recv, ast.Call) or (
-                isinstance(recv, ast.Name) and recv.id in _MATCH_VIEW_NAMES
-            ):
-                project.add(self, ctx, node,
-                            f".{func.attr}() materializes matches inside the "
-                            "engine; keep the lazy view (count()/spans()/"
-                            "texts()) and let the consumer decide to decode")
-
-
 #: ``os.<attr>`` calls that are the tell-tale of a hand-rolled
 #: atomic-write protocol (the rename that publishes, the fsyncs that
 #: order it).
@@ -895,8 +769,8 @@ class HandRolledDurableWrite(Rule):
 # ---------------------------------------------------------------------
 # Concurrency rules (RS012-RS014): whole-program, built on the call
 # graph and execution-context analysis in callgraph.py / contexts.py.
-# They run from end_project (node_types names ast.Module only so the
-# per-node dispatcher never pays for them).
+# They run from end_project only (no node_types, so the per-node
+# dispatcher never calls them).
 # ---------------------------------------------------------------------
 
 
@@ -950,7 +824,6 @@ class BlockingCallInEventLoop(Rule):
     code = "RS012"
     name = "blocking-in-loop"
     summary = "blocking call reachable from the event loop without an executor hop"
-    node_types = (ast.Module,)
 
     def end_project(self, project: Project) -> None:
         from repro.staticcheck.contexts import is_blocking_site
@@ -1005,7 +878,6 @@ class UnguardedSharedState(Rule):
     code = "RS013"
     name = "unguarded-shared-state"
     summary = "shared state written from >=2 execution contexts without a lock"
-    node_types = (ast.Module,)
 
     def end_project(self, project: Project) -> None:
         analysis = project.analysis()
@@ -1129,7 +1001,6 @@ class AwaitSplitReadModifyWrite(Rule):
     code = "RS014"
     name = "await-split-rmw"
     summary = "read-modify-write of shared state split across an await"
-    node_types = (ast.Module,)
 
     def end_project(self, project: Project) -> None:
         analysis = project.analysis()

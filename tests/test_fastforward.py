@@ -100,6 +100,20 @@ class TestGoToEnds:
         data = b'[1, [2, 3], 4] t'
         assert ff_for(data).go_to_ary_end(3) == 14
 
+    def test_known_closer_is_used_without_pairing(self):
+        obj, ary = b'{"a": 1, "b": {"c": 2}} t', b'[1, [2, 3], 4] t'
+        for mode in ("vector", "word"):
+            ff = ff_for(obj, mode=mode)
+            ff.pair_close = None  # a pairing call would raise TypeError
+            assert ff.go_to_obj_end(9, 22) == 23
+            ff = ff_for(ary, mode=mode)
+            ff.pair_close = None
+            assert ff.go_to_ary_end(3, 13) == 14
+
+    def test_closer_behind_pos_counts_as_unknown(self):
+        assert ff_for(b'{"a": 1, "b": {"c": 2}} t').go_to_obj_end(9, 5) == 23
+        assert ff_for(b'[1, [2, 3], 4] t').go_to_ary_end(3, 2) == 14
+
 
 class TestGoOverPri:
     def test_attr_delimited_by_comma(self):
