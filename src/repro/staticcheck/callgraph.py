@@ -1,23 +1,22 @@
-"""Whole-program call graph for the concurrency rules (RS012-RS014).
+"""Whole-program analysis for the concurrency rules (RS012-RS014).
 
 The per-file rules (RS001-RS006, RS009, RS011) are pattern matchers;
 the concurrency rules need to answer questions no single file can: *is
 this function reachable from an ``async def`` without an executor hop?*
 and *is this attribute written from two execution contexts at once?*
-This module builds the project-wide structure they share, in two
-phases:
+:func:`build_graph` answers them in four steps:
 
-**Phase 1 — index.**  Every file contributes its module name, its
-imports (module- and function-level), its module-level bindings, and
-every function-like scope (functions, methods, nested defs, lambdas)
-under a dotted qualname (``repro.serve.app.QueryService._dispatch``).
-Classes record their methods, their base names, and a best-effort map
-of attribute name → class (from ``__init__`` assignments, parameter
+**1. Index.**  Every file contributes its module name, its imports
+(module- and function-level), its module-level bindings, and every
+function-like scope (functions, methods, nested defs, lambdas) under a
+dotted qualname (``repro.serve.app.QueryService._dispatch``).  Classes
+record their methods, their base names, and a best-effort map of
+attribute name → class (from ``__init__`` assignments, parameter
 annotations threaded through ``self.x = param``, and dataclass field
 annotations).
 
-**Phase 2 — resolve.**  Every call site in every function body is
-resolved to project qualnames where possible:
+**2. Resolve.**  Every call site in every function body is resolved to
+project qualnames where possible:
 
 - plain names resolve lexically (nested defs, module functions,
   imported symbols — following package re-exports), then to classes
@@ -34,7 +33,29 @@ resolved to project qualnames where possible:
   a different execution context, which is exactly the boundary the
   concurrency rules care about.  The dispatched callable (name, bound
   method, lambda, or ``functools.partial``) is recorded with the
-  context it will run in (see :mod:`repro.staticcheck.contexts`).
+  context it will run in.
+
+**3. Contexts.**  Every ``async def`` body runs on the event-loop
+thread (``loop``); a callable handed to ``run_in_executor``/
+``executor.submit`` runs on an executor thread (``executor``);
+``Thread(target=...)`` on a dedicated thread (``thread``); process-pool
+submissions in a *worker process* (``pool`` — its memory is not shared
+with ours, so it never races our state).  Contexts flow along ordinary
+call edges; a dispatch edge does *not* propagate the caller's context
+(switching contexts is its whole job), and neither does an edge *into*
+an ``async def`` (calling a coroutine function only creates the
+coroutine; its body always runs on the loop).
+
+**4. Blocking and sharing.**  A function *blocks* if it directly calls
+a blocking primitive (``fcntl.flock``, ``os.fsync``/``os.replace``,
+``mmap``, file open/read/write, ``time.sleep``) or calls — without a
+dispatch hop — a sync project function that blocks; the chain to the
+primitive is kept for the diagnostic (``indexed -> load_or_build ->
+flock``).  A class is *shared* (long-lived, reachable from several
+contexts at once) if an instance is bound at module level
+(``QUERY_CACHE = CompiledQueryCache()``), if it defines async methods
+(servers hold themselves across contexts), or if a shared class stores
+or returns it (attribute types, method return annotations).
 
 The graph deliberately under-approximates: an edge it cannot resolve
 with confidence is dropped, because for RS012/RS013 a wrong edge
@@ -46,8 +67,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from repro.staticcheck.core import FileContext
 
@@ -79,23 +99,52 @@ _DISPATCH_SPECS: dict[str, tuple[str, int | None]] = {
 #: memory with the submitter, unlike thread executors).
 _POOLISH = ("pool", "process", "proc")
 
+#: Contexts that share this process's memory and can interleave.
+#: ``pool`` is deliberately left out: a worker process mutating its own
+#: copy of a registry is not a race, and treating it as one would drown
+#: the real loop-vs-executor findings.
+RACING = frozenset({"loop", "executor", "thread"})
 
-def module_name_for(path: str) -> str:
-    """Dotted module name for a checked file (best effort).
+#: Fully resolved external callables that block the calling thread.
+BLOCKING_EXTERNAL = frozenset({
+    "time.sleep",
+    "os.fsync",
+    "os.fdatasync",
+    "os.replace",
+    "os.rename",
+    "os.link",
+    "os.unlink",
+    "os.remove",
+    "os.makedirs",
+    "os.stat",
+    "os.listdir",
+    "fcntl.flock",
+    "fcntl.lockf",
+    "mmap.mmap",
+    "open",
+    "shutil.rmtree",
+    "shutil.copyfile",
+    "shutil.move",
+    "subprocess.run",
+    "subprocess.check_output",
+})
 
-    ``src/repro/serve/app.py`` → ``repro.serve.app``;
-    ``benchmarks/serve_chaos.py`` → ``benchmarks.serve_chaos``;
-    package ``__init__`` files collapse onto the package name.
-    """
-    parts = list(Path(path).with_suffix("").parts)
-    while parts and parts[0] in ("src", ".", "/"):
-        parts = parts[1:]
-    if "repro" in parts:
-        idx = parts.index("repro")
-        parts = parts[idx:]
-    if parts and parts[-1] == "__init__":
-        parts = parts[:-1]
-    return ".".join(parts) if parts else Path(path).stem
+#: Attribute names that block even when the receiver cannot be typed —
+#: the ``pathlib.Path`` I/O surface plus the raw lock/sync syscalls.
+#: Deliberately narrow: generic names (``read``, ``write``, ``get``)
+#: would tar asyncio stream methods with the same brush.
+BLOCKING_ATTRS = frozenset({
+    "read_bytes",
+    "read_text",
+    "write_bytes",
+    "write_text",
+    "mkdir",
+    "rmdir",
+    "touch",
+    "flock",
+    "lockf",
+    "fsync",
+})
 
 
 @dataclass
@@ -158,7 +207,8 @@ class ModuleInfo:
 
 
 class CallGraph:
-    """The indexed project plus resolved call edges."""
+    """The indexed project, its resolved call edges, and the facts
+    RS012-RS014 read off them."""
 
     def __init__(self) -> None:
         self.modules: dict[str, ModuleInfo] = {}
@@ -172,11 +222,23 @@ class CallGraph:
         #: (function qualname, name) pairs currently being inferred —
         #: the cycle breaker for rebound names (see _infer_name_type).
         self._inferring_names: set[tuple[str, str]] = set()
+        #: function qualname -> execution contexts that can run it.
+        self.contexts: dict[str, frozenset[str]] = {}
+        #: Functions whose body starts an event-loop stint: ``async def``s
+        #: plus sync callables handed to ``call_soon``/``call_later``.
+        #: RS012 reports only at these roots (one finding per bad call
+        #: site, not one per function along the chain).
+        self.loop_roots: set[str] = set()
+        #: sync function qualname -> chain of callee names down to the
+        #: blocking primitive (last element).
+        self.blocking: dict[str, tuple[str, ...]] = {}
+        #: Class qualnames whose instances are long-lived/shared.
+        self.shared_classes: set[str] = set()
 
     # -- phase 1: indexing ---------------------------------------------
 
     def index_file(self, ctx: FileContext) -> None:
-        module = module_name_for(ctx.path)
+        module = ctx.module
         info = ModuleInfo(module, ctx)
         self.modules[module] = info
         for node in ast.walk(ctx.tree):
@@ -320,20 +382,11 @@ class CallGraph:
         return self.classes.get(prefix)
 
     def _resolve_function(self, info: FunctionInfo) -> None:
-        body: Iterable[ast.AST]
-        node = info.node
-        if isinstance(node, ast.Lambda):
-            body = [node.body]
-        else:
-            body = node.body  # type: ignore[union-attr]
-        for stmt in body:
-            for sub in _walk_own(stmt, node):
-                if isinstance(sub, ast.Call):
-                    site = self._resolve_call(sub, info)
-                    if site is not None:
-                        info.calls.append(site)
+        for sub in walk_own(info.node):
+            if isinstance(sub, ast.Call):
+                info.calls.append(self._resolve_call(sub, info))
 
-    def _resolve_call(self, call: ast.Call, info: FunctionInfo) -> CallSite | None:
+    def _resolve_call(self, call: ast.Call, info: FunctionInfo) -> CallSite:
         func = call.func
         # Dispatch sites first: the callee runs in another context.
         dispatch = self._dispatch_site(call, info)
@@ -377,12 +430,12 @@ class CallGraph:
             return self._resolve_callable(expr.args[0], info)
         if isinstance(expr, ast.Name):
             site = self._resolve_name_call(ast.Call(func=expr, args=[], keywords=[]), expr.id, info)
-            return site.targets if site else ()
+            return site.targets
         if isinstance(expr, ast.Attribute):
             site = self._resolve_attr_call(
                 ast.Call(func=expr, args=[], keywords=[]), expr, info
             )
-            return site.targets if site else ()
+            return site.targets
         return ()
 
     def _resolve_name_call(self, call: ast.Call, name: str, info: FunctionInfo) -> CallSite:
@@ -411,24 +464,14 @@ class CallGraph:
             return self._resolve_dotted(call, module.imports[name], name)
         return CallSite(call, attr=name, external=name if name in _KNOWN_EXTERNAL else None)
 
-    def _resolve_dotted(self, call: ast.Call, dotted: str, attr: str,
-                        _depth: int = 0) -> CallSite:
-        if _depth > 4:
-            return CallSite(call, external=dotted, attr=attr)
+    def _resolve_dotted(self, call: ast.Call, dotted: str, attr: str) -> CallSite:
+        dotted = self._follow_reexport(dotted)
         if dotted in self.functions:
             return CallSite(call, targets=(dotted,), attr=attr)
         if dotted in self.classes:
             return CallSite(
                 call, targets=self._constructor_targets(self.classes[dotted]), attr=attr
             )
-        # package re-export: repro.storage.atomic_write is really
-        # repro.storage.atomic.atomic_write (followed via the package
-        # __init__'s own import map).
-        if "." in dotted:
-            mod_part, sym = dotted.rsplit(".", 1)
-            module = self.modules.get(mod_part)
-            if module and sym in module.imports:
-                return self._resolve_dotted(call, module.imports[sym], attr, _depth + 1)
         return CallSite(call, external=dotted, attr=attr)
 
     def _constructor_targets(self, cls: ClassInfo) -> tuple[str, ...]:
@@ -520,6 +563,9 @@ class CallGraph:
         return None
 
     def _follow_reexport(self, dotted: str, _depth: int = 0) -> str:
+        """Package re-exports: ``repro.storage.atomic_write`` is really
+        ``repro.storage.atomic.atomic_write`` (followed via the package
+        ``__init__``'s own import map)."""
         if _depth > 4 or dotted in self.classes or dotted in self.functions:
             return dotted
         if "." in dotted:
@@ -545,7 +591,7 @@ class CallGraph:
                     return resolved.name
             # return annotation of a resolvable call
             site = self._resolve_call(expr, info)
-            if site and site.targets:
+            if site.targets:
                 target = self.functions.get(site.targets[0])
                 if target is not None and isinstance(
                     target.node, (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -612,6 +658,124 @@ class CallGraph:
             current = self.functions.get(enclosing) if enclosing else None
         return None
 
+    # -- contexts --------------------------------------------------------
+
+    def propagate_contexts(self) -> None:
+        contexts: dict[str, set[str]] = {q: set() for q in self.functions}
+        worklist: list[str] = []
+
+        def seed(qualname: str, kind: str) -> None:
+            if kind not in contexts.get(qualname, set()):
+                contexts.setdefault(qualname, set()).add(kind)
+                worklist.append(qualname)
+
+        for qualname, info in self.functions.items():
+            if info.is_async:
+                seed(qualname, "loop")
+                self.loop_roots.add(qualname)
+            for site in info.calls:
+                if site.dispatch is None:
+                    continue
+                for target in site.dispatch_targets:
+                    seed(target, site.dispatch)
+                    if site.dispatch == "loop":
+                        self.loop_roots.add(target)
+
+        while worklist:
+            current = worklist.pop()
+            info = self.functions.get(current)
+            if info is None:
+                continue
+            current_ctx = contexts[current]
+            for site in info.calls:
+                for target in self._sync_targets(site):
+                    known = contexts.setdefault(target, set())
+                    missing = current_ctx - known
+                    if missing:
+                        known.update(missing)
+                        worklist.append(target)
+
+        self.contexts = {q: frozenset(c) for q, c in contexts.items()}
+
+    def _sync_targets(self, site: CallSite) -> Iterator[str]:
+        """Callees that run in the caller's context: none for a dispatch
+        (it switches context), and no ``async def`` (its body always
+        runs on the loop)."""
+        if site.dispatch is not None:
+            return
+        for target in site.targets:
+            callee = self.functions.get(target)
+            if callee is not None and not callee.is_async:
+                yield target
+
+    # -- blocking reach ----------------------------------------------------
+
+    def blocking_chain(self, site: CallSite) -> tuple[str, ...] | None:
+        """How this call site blocks its thread: ``(primitive,)`` when it
+        calls one itself, ``(callee, ..., primitive)`` when it enters a
+        blocking sync function; ``None`` when it does not block."""
+        if site.dispatch is not None:
+            return None
+        if site.external is not None:
+            # `pathlib.Path.open`-style dotted tails match by attribute
+            if (site.external in BLOCKING_EXTERNAL
+                    or site.external.rsplit(".", 1)[-1] in BLOCKING_ATTRS):
+                return (site.external,)
+        if not site.targets and site.attr in BLOCKING_ATTRS:
+            return (site.attr,)
+        for target in self._sync_targets(site):
+            tail = self.blocking.get(target)
+            if tail is not None:
+                return (_short(target), *tail)
+        return None
+
+    def compute_blocking(self) -> None:
+        changed = True
+        while changed:
+            changed = False
+            for qualname, info in self.functions.items():
+                if qualname in self.blocking:
+                    continue
+                for site in info.calls:
+                    chain = self.blocking_chain(site)
+                    if chain is not None:
+                        self.blocking[qualname] = chain
+                        changed = True
+                        break
+
+    # -- shared long-lived objects ------------------------------------------
+
+    def compute_shared_classes(self) -> None:
+        shared = self.shared_classes
+        # Seeds: module-level instances, and classes that own async methods.
+        for module in self.modules.values():
+            for values in module.globals.values():
+                for value in values:
+                    if isinstance(value, ast.Call):
+                        for cls in self.classes_by_name.get(_name_of(value.func) or "", []):
+                            shared.add(cls.qualname)
+        for cls in self.classes.values():
+            if any(self.functions[q].is_async for q in cls.methods.values()):
+                shared.add(cls.qualname)
+
+        # Fixed point: shared classes share what they store and return.
+        changed = True
+        while changed:
+            changed = False
+            for qualname in list(shared):
+                cls = self.classes[qualname]
+                candidates = list(cls.attr_types.values())
+                for method_qual in cls.methods.values():
+                    returns = getattr(self.functions[method_qual].node, "returns", None)
+                    inferred = _annotation_class(returns) if returns is not None else None
+                    if inferred:
+                        candidates.append(inferred)
+                for name in candidates:
+                    matches = self.classes_by_name.get(name, [])
+                    if len(matches) == 1 and matches[0].qualname not in shared:
+                        shared.add(matches[0].qualname)
+                        changed = True
+
     # -- queries used by the rules -------------------------------------
 
     def module_global_names(self, module: str) -> set[str]:
@@ -619,15 +783,26 @@ class CallGraph:
         return set(info.globals) if info else set()
 
 
-def _walk_own(stmt: ast.AST, owner: ast.AST):
-    """Walk a statement without descending into nested function scopes."""
-    stack = [stmt]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, _FUNC_TYPES) and node is not owner:
-            continue
-        yield node
-        stack.extend(ast.iter_child_nodes(node))
+def walk_own(fn: ast.AST) -> Iterator[ast.AST]:
+    """A function's body, statement by statement, without descending
+    into nested function scopes."""
+    body = [fn.body] if isinstance(fn, ast.Lambda) else fn.body  # type: ignore[attr-defined]
+    for stmt in body:
+        stack = [stmt]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, _FUNC_TYPES):
+                continue
+            yield node
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _short(qualname: str) -> str:
+    """`repro.serve.registry.Corpus.indexed` -> `Corpus.indexed`."""
+    parts = qualname.split(".")
+    if len(parts) >= 2 and parts[-2][:1].isupper():
+        return ".".join(parts[-2:])
+    return parts[-1]
 
 
 def _name_of(node: ast.AST) -> str | None:
@@ -674,4 +849,7 @@ def build_graph(files: Iterable[FileContext]) -> CallGraph:
         graph.index_file(ctx)
     graph.finish_index()
     graph.resolve()
+    graph.propagate_contexts()
+    graph.compute_blocking()
+    graph.compute_shared_classes()
     return graph

@@ -3,8 +3,8 @@
 One parse per file, one generic AST walk shared by every rule:
 
 - :class:`FileContext` — the parsed tree plus the derived maps every
-  rule needs (parent links, enclosing scopes, flow-insensitive name
-  bindings, suppression comments);
+  rule needs (dotted module name, parent links, enclosing scopes,
+  flow-insensitive name bindings, suppression comments);
 - :class:`Rule` — a plugin with ``visit`` callbacks filtered by node
   type, plus an optional ``end_project`` hook for cross-module rules
   (constructor threading, the whole-program concurrency rules);
@@ -29,6 +29,7 @@ import io
 import re
 import tokenize
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Type
 
@@ -92,9 +93,6 @@ class FileContext:
         visitor = _ParentVisitor()
         visitor.visit(tree)
         self.parents: dict[ast.AST, ast.AST] = visitor.parents
-        #: ``repro``-relative dotted parts of the module (best effort):
-        #: ``src/repro/bits/words.py`` -> ("bits", "words").
-        self.package_parts = _module_parts(self.path)
         self.suppressions = _parse_suppressions(source)
         self._bindings: dict[ast.AST, dict[str, list[ast.expr]]] = {}
 
@@ -117,14 +115,31 @@ class FileContext:
                 return anc
         return self.tree
 
-    def in_packages(self, *names: str) -> bool:
-        """Whether the file lives under any of the given repro subpackages."""
-        return bool(self.package_parts) and self.package_parts[0] in names
+    @cached_property
+    def module(self) -> str:
+        """Dotted module name, anchored at the last ``repro`` or
+        ``benchmarks`` directory in the path however the path was given:
+        ``/abs/src/repro/bits/words.py`` -> ``repro.bits.words``,
+        ``../benchmarks/serve_chaos.py`` -> ``benchmarks.serve_chaos``.
+        A package ``__init__`` is its package; a path with neither
+        anchor keeps its parts after a leading ``/`` or ``src``."""
+        parts = list(Path(self.path).with_suffix("").parts)
+        anchors = [i for i, part in enumerate(parts[:-1]) if part in ("repro", "benchmarks")]
+        if anchors:
+            parts = parts[anchors[-1]:]
+        while parts and parts[0] in ("src", "/"):
+            parts = parts[1:]
+        if parts and parts[-1] == "__init__":
+            parts = parts[:-1]
+        return ".".join(parts) if parts else Path(self.path).stem
 
-    @property
-    def module_name(self) -> str:
-        """Module basename without extension (``words`` for words.py)."""
-        return Path(self.path).stem
+    def in_packages(self, *names: str) -> bool:
+        """Whether the file lives under any of the given ``repro``
+        subpackages, or is a ``benchmarks`` file and ``benchmarks`` is
+        one of the names."""
+        parts = self.module.split(".")
+        top = parts[1:2] if parts[0] == "repro" else parts[:1]
+        return bool(top) and top[0] in names
 
     # -- name bindings (flow-insensitive, per scope) --------------------
 
@@ -160,14 +175,6 @@ class FileContext:
                 record(node.target, node.value)
         self._bindings[scope] = found
         return found
-
-
-def _module_parts(path: str) -> tuple[str, ...]:
-    parts = Path(path).with_suffix("").parts
-    if "repro" in parts:
-        idx = len(parts) - 1 - tuple(reversed(parts)).index("repro")
-        return tuple(parts[idx + 1 :])
-    return tuple(parts)
 
 
 def _parse_suppressions(source: str) -> list[Suppression | Finding]:
@@ -233,20 +240,21 @@ class Project:
     def __init__(self) -> None:
         self.files: list[FileContext] = []
         self.findings: list[Finding] = []
-        self._analysis = None
+        self._graph = None
 
-    def analysis(self):
-        """The whole-program call-graph/context analysis, built lazily.
+    def call_graph(self):
+        """The whole-program analysis (:mod:`repro.staticcheck.callgraph`),
+        built lazily.
 
         Only the concurrency rules (RS012-RS014) pay for it; a
         ``--select RS001`` run never constructs the graph.  Cached so
         the three rules share one build.
         """
-        if self._analysis is None:
-            from repro.staticcheck.contexts import build_analysis
+        if self._graph is None:
+            from repro.staticcheck.callgraph import build_graph
 
-            self._analysis = build_analysis(self.files)
-        return self._analysis
+            self._graph = build_graph(self.files)
+        return self._graph
 
     def add(self, rule: "Rule", ctx_or_path: "FileContext | str",
             node_or_line: "ast.AST | int", message: str, col: int = 0) -> None:

@@ -12,6 +12,7 @@ import ast
 import builtins
 from typing import Iterable
 
+from repro.staticcheck.callgraph import RACING, walk_own
 from repro.staticcheck.core import (
     FileContext,
     Project,
@@ -520,9 +521,7 @@ class DeterministicResume(Rule):
     node_types = (ast.Call, ast.For, ast.comprehension)
 
     def _in_scope(self, ctx: FileContext) -> bool:
-        if ctx.in_packages("checkpoint"):
-            return True
-        return ctx.in_packages("resilience") and ctx.module_name == "fuzz"
+        return ctx.in_packages("checkpoint") or ctx.module == "repro.resilience.fuzz"
 
     def visit(self, node: ast.AST, ctx: FileContext, project: Project) -> None:
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
@@ -768,9 +767,9 @@ class HandRolledDurableWrite(Rule):
 
 # ---------------------------------------------------------------------
 # Concurrency rules (RS012-RS014): whole-program, built on the call
-# graph and execution-context analysis in callgraph.py / contexts.py.
-# They run from end_project only (no node_types, so the per-node
-# dispatcher never calls them).
+# graph, execution contexts, blocking chains and shared classes of
+# callgraph.py.  They run from end_project only (no node_types, so the
+# per-node dispatcher never calls them).
 # ---------------------------------------------------------------------
 
 
@@ -826,36 +825,26 @@ class BlockingCallInEventLoop(Rule):
     summary = "blocking call reachable from the event loop without an executor hop"
 
     def end_project(self, project: Project) -> None:
-        from repro.staticcheck.contexts import is_blocking_site
-
-        analysis = project.analysis()
-        graph = analysis.graph
-        for qualname in sorted(analysis.loop_roots):
+        graph = project.call_graph()
+        for qualname in sorted(graph.loop_roots):
             info = graph.functions.get(qualname)
             if info is None:
                 continue
             for site in info.calls:
-                if site.dispatch is not None:
+                chain = graph.blocking_chain(site)
+                if chain is None:
                     continue
-                primitive = is_blocking_site(site)
-                if primitive is not None:
+                if len(chain) == 1:
                     project.add(self, info.ctx, site.node,
-                                f"blocking call '{primitive}' on the event-loop "
+                                f"blocking call '{chain[0]}' on the event-loop "
                                 "thread: every connection stalls while it runs "
                                 "— hand it to the executor "
                                 "(await loop.run_in_executor(...))")
-                    continue
-                for target in site.targets:
-                    callee = graph.functions.get(target)
-                    if callee is None or callee.is_async:
-                        continue
-                    if target in analysis.blocking:
-                        chain = analysis.chain_for(target)
-                        project.add(self, info.ctx, site.node,
-                                    f"await-free blocking path: {chain} runs on "
-                                    "the event-loop thread — hop to the "
-                                    "executor before entering it")
-                        break
+                else:
+                    project.add(self, info.ctx, site.node,
+                                f"await-free blocking path: {' -> '.join(chain)} "
+                                "runs on the event-loop thread — hop to the "
+                                "executor before entering it")
 
 
 @register_rule
@@ -880,16 +869,15 @@ class UnguardedSharedState(Rule):
     summary = "shared state written from >=2 execution contexts without a lock"
 
     def end_project(self, project: Project) -> None:
-        analysis = project.analysis()
-        graph = analysis.graph
+        graph = project.call_graph()
         for qualname, info in sorted(graph.functions.items()):
-            racing = analysis.racing_contexts(qualname)
+            racing = graph.contexts[qualname] & RACING
             if len(racing) < 2:
                 continue
             if info.name in ("__init__", "__post_init__", "__new__"):
                 continue  # object under construction is not yet shared
             owner = graph.owner_of(qualname)
-            owner_shared = owner is not None and owner.qualname in analysis.shared_classes
+            owner_shared = owner is not None and owner.qualname in graph.shared_classes
             module_globals = graph.module_global_names(info.module)
             contexts = ", ".join(sorted(racing))
             for node, desc in _shared_writes(
@@ -907,14 +895,15 @@ class UnguardedSharedState(Rule):
 
 def _shared_writes(info, owner_class: str | None,
                    module_globals: set[str]) -> Iterable[tuple[ast.AST, str]]:
-    """Yield (node, description) for writes to shared state in a function."""
-    node = info.node
-    declared_global: set[str] = set()
-    body = node.body if not isinstance(node, ast.Lambda) else []
-    for stmt in _walk_function(body, node):
-        if isinstance(stmt, ast.Global):
-            declared_global.update(stmt.names)
-    for stmt in _walk_function(body, node):
+    """Yield (node, description) for writes to shared state in a function
+    (a lambda's single expression is not checked)."""
+    if isinstance(info.node, ast.Lambda):
+        return
+    own = list(walk_own(info.node))
+    declared_global = {
+        name for stmt in own if isinstance(stmt, ast.Global) for name in stmt.names
+    }
+    for stmt in own:
         if isinstance(stmt, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
             targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
             for target in targets:
@@ -939,16 +928,6 @@ _MUTATING_METHODS = frozenset({
     "append", "extend", "insert", "pop", "popitem", "setdefault",
     "update", "clear", "remove", "discard", "add",
 })
-
-
-def _walk_function(body, owner):
-    stack = list(body)
-    while stack:
-        current = stack.pop()
-        if isinstance(current, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        yield current
-        stack.extend(ast.iter_child_nodes(current))
 
 
 def _shared_target_desc(target: ast.AST, owner_class: str | None,
@@ -1003,13 +982,12 @@ class AwaitSplitReadModifyWrite(Rule):
     summary = "read-modify-write of shared state split across an await"
 
     def end_project(self, project: Project) -> None:
-        analysis = project.analysis()
-        graph = analysis.graph
+        graph = project.call_graph()
         for qualname, info in sorted(graph.functions.items()):
             if not info.is_async:
                 continue
             owner = graph.owner_of(qualname)
-            owner_shared = owner is not None and owner.qualname in analysis.shared_classes
+            owner_shared = owner is not None and owner.qualname in graph.shared_classes
             module_globals = graph.module_global_names(info.module)
             events = _AwaitEvents(
                 owner.name if owner_shared and owner else None, module_globals

@@ -1,13 +1,16 @@
 """Fixture tests for the engine-contract checker (repro.staticcheck).
 
 Per rule: one minimal failing snippet, one passing snippet.  Plus the
-suppression machinery, the CLI surface, and the two meta-properties the
-CI gate depends on: the real tree is clean, and deleting the clamp from
-``repro.bits.words.mask_from`` trips RS001.
+suppression machinery, the CLI surface, module naming, and the
+meta-properties the CI gate depends on: the real tree and the
+benchmarks subset are clean, deleting the clamp from
+``repro.bits.words.mask_from`` trips RS001, and undoing each of four
+real concurrency fixes in ``src/`` trips RS012, RS013 or RS014.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import re
 import subprocess
@@ -887,6 +890,14 @@ class TestTreeIsClean:
             "    " + clamp
         ) + 1
 
+    def test_benchmarks_subset_is_clean(self):
+        """CI's benchmarks subset, given as an absolute path."""
+        findings = check_paths(
+            [str(SRC.parent / "benchmarks")],
+            select=["RS002", "RS005", "RS006", "RS011", "RS012", "RS014"],
+        )
+        assert findings == [], "\n".join(f.render() for f in findings)
+
     def test_module_runs_as_script(self):
         proc = subprocess.run(
             [sys.executable, "-m", "repro.staticcheck", str(SRC)],
@@ -894,3 +905,142 @@ class TestTreeIsClean:
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "clean" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# Module names: a file's package must not depend on how its path is given
+
+
+@pytest.mark.parametrize("path, module", [
+    ("src/repro/bits/words.py", "repro.bits.words"),
+    ("/abs/repo/src/repro/bits/words.py", "repro.bits.words"),
+    ("src/repro/storage/__init__.py", "repro.storage"),
+    ("benchmarks/serve_chaos.py", "benchmarks.serve_chaos"),
+    ("/abs/repo/benchmarks/serve_chaos.py", "benchmarks.serve_chaos"),
+    ("../repo/benchmarks/serve_chaos.py", "benchmarks.serve_chaos"),
+    ("src/repro/harness/benchmarks.py", "repro.harness.benchmarks"),
+    ("tools/helper.py", "tools.helper"),
+])
+def test_module_name_is_anchored_at_the_package(path, module):
+    from repro.staticcheck.core import FileContext
+
+    assert FileContext(path, "", ast.parse("")).module == module
+
+
+def test_benchmarks_scope_holds_for_an_absolute_path(tmp_path, monkeypatch):
+    bench = tmp_path / "benchmarks"
+    bench.mkdir()
+    (bench / "b.py").write_text(
+        "import random\n"
+        "def seeded(name):\n"
+        "    if not name:\n"
+        "        raise ValueError('empty name')\n"
+        "    return random.Random(hash(name))\n"
+    )
+    monkeypatch.chdir(tmp_path)
+    relative = check_paths(["benchmarks"], select=["RS002", "RS005"])
+    absolute = check_paths([str(bench)], select=["RS002", "RS005"])
+    assert [(f.rule, f.line, f.col) for f in relative] == [
+        ("RS002", 4, 8), ("RS005", 5, 25)
+    ]
+    assert [(f.rule, f.line, f.col, f.message) for f in absolute] == [
+        (f.rule, f.line, f.col, f.message) for f in relative
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Tripwires for the whole-program inference: each undoes one real fix in
+# src/ (in memory) and expects the exact finding.  The one-file fixtures
+# above never need receiver types, re-exports or BLOCKING_ATTRS; these do.
+
+
+_LOOP_FIX = "hop to the executor before entering it"
+
+
+def _mutated_tree_findings(relpath, old, new, rule):
+    """Check all of src/ with one real file edited; return the findings,
+    the edited file's path and the 1-based line where ``new`` starts."""
+    sources = {str(p): p.read_text(encoding="utf-8") for p in sorted(SRC.rglob("*.py"))}
+    path = str(SRC / relpath)
+    assert sources[path].count(old) == 1
+    head = sources[path][: sources[path].index(old)]
+    sources[path] = sources[path].replace(old, new)
+    line = head.count("\n") + 1
+    return check_sources(sources, select=[rule]), path, line
+
+
+class TestInferenceTripwires:
+    def test_unlocked_counter_add_trips_rs013(self):
+        """Needs return-annotation, constructor, local-binding and
+        unique-name inference to see ``Counter.add`` run on both sides."""
+        findings, path, line = _mutated_tree_findings(
+            "repro/observe/metrics.py",
+            "        with self._lock:\n            self.value += n\n",
+            "        self.value += n\n",
+            "RS013",
+        )
+        assert [(f.rule, f.path, f.line, f.col) for f in findings] == [
+            ("RS013", path, line, 8)
+        ]
+        assert findings[0].message.startswith(
+            "unguarded write to shared attribute Counter.value "
+            "from contexts {executor, loop}:"
+        )
+
+    def test_hoisting_indexed_out_of_the_executor_trips_rs012(self):
+        """Needs re-export following to reach the stage-1 lock."""
+        findings, path, line = _mutated_tree_findings(
+            "repro/serve/app.py",
+            "                framed, emitted, _, stop_at = await loop.run_in_executor(\n"
+            "                    self.executor,\n"
+            "                    lambda: _frame_pairs(\n"
+            "                        [(0, *evaluate_record(prepared, 0, corpus.indexed(prepared)))],\n",
+            "                buffer = corpus.indexed(prepared)\n"
+            "                framed, emitted, _, stop_at = await loop.run_in_executor(\n"
+            "                    self.executor,\n"
+            "                    lambda: _frame_pairs(\n"
+            "                        [(0, *evaluate_record(prepared, 0, buffer))],\n",
+            "RS012",
+        )
+        assert [(f.rule, f.path, f.line, f.col) for f in findings] == [
+            ("RS012", path, line, 25)
+        ]
+        assert findings[0].message == (
+            "await-free blocking path: Corpus.indexed -> PreparedQuery.index"
+            " -> IndexedBuffer.load_or_build -> build_once -> advisory_lock"
+            " -> mkdir runs on the event-loop thread — " + _LOOP_FIX
+        )
+
+    def test_flushing_metrics_on_the_loop_trips_rs012(self):
+        """Needs BLOCKING_ATTRS: ``Path.write_text`` has no typed receiver."""
+        findings, path, line = _mutated_tree_findings(
+            "repro/serve/app.py",
+            "        await asyncio.get_running_loop().run_in_executor(None, self._flush_metrics)\n",
+            "        self._flush_metrics()\n",
+            "RS012",
+        )
+        assert [(f.rule, f.path, f.line, f.col) for f in findings] == [
+            ("RS012", path, line, 8)
+        ]
+        assert findings[0].message == (
+            "await-free blocking path: QueryService._flush_metrics -> write_text"
+            " runs on the event-loop thread — " + _LOOP_FIX
+        )
+
+    def test_claiming_the_terminator_after_the_drain_trips_rs014(self):
+        findings, path, line = _mutated_tree_findings(
+            "repro/serve/protocol.py",
+            "        self.finished = True\n"
+            "        self.writer.write(frame_line(terminator) + b\"0\\r\\n\\r\\n\")\n"
+            "        await asyncio.wait_for(self.writer.drain(), self.timeout)\n",
+            "        self.writer.write(frame_line(terminator) + b\"0\\r\\n\\r\\n\")\n"
+            "        await asyncio.wait_for(self.writer.drain(), self.timeout)\n"
+            "        self.finished = True\n",
+            "RS014",
+        )
+        assert [(f.rule, f.path, f.line, f.col) for f in findings] == [
+            ("RS014", path, line + 2, 8)
+        ]
+        assert findings[0].message.startswith(
+            "read-modify-write of shared NdjsonStream.finished spans an await"
+        )
